@@ -14,10 +14,12 @@
 // run against a previously produced JSON document (the committed
 // BENCH_baseline.json). The comparison becomes a CI gate with -max-ratio
 // (ns/op) and -max-alloc-ratio (allocs/op): any benchmark regressing past
-// its threshold makes benchjson exit non-zero. -min-ns exempts benchmarks
-// whose baseline is too fast to time reliably from the ns/op gate (their
-// allocs/op, which is deterministic, stays gated). -summary FILE appends
-// the table as GitHub-flavored markdown, for $GITHUB_STEP_SUMMARY.
+// its threshold makes benchjson exit non-zero; a benchmark whose baseline
+// allocates nothing fails the allocs/op gate as soon as it allocates at
+// all. -min-ns exempts benchmarks whose baseline is too fast to time
+// reliably from the ns/op gate (their allocs/op, which is deterministic,
+// stays gated). -summary FILE appends the table as GitHub-flavored
+// markdown, for $GITHUB_STEP_SUMMARY.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -190,6 +193,10 @@ func compare(current map[string]Metrics, baselinePath string, gate gateConfig) (
 			}
 			if base.AllocsPerOp > 0 {
 				r.allocRatio = r.cur.AllocsPerOp / base.AllocsPerOp
+			} else if r.cur.AllocsPerOp > 0 {
+				// No ratio bounds growth from an allocation-free
+				// baseline: any allocation breaches the gate.
+				r.allocRatio = math.Inf(1)
 			}
 			r.verdict = "ok"
 			if base.NsPerOp < gate.minNs {

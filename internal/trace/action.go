@@ -18,6 +18,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -79,14 +80,6 @@ var kindNames = map[Kind]string{
 	WaitAny:    "waitany",
 	WaitSome:   "waitsome",
 }
-
-var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, len(kindNames))
-	for k, n := range kindNames {
-		m[n] = k
-	}
-	return m
-}()
 
 func (k Kind) String() string {
 	if n, ok := kindNames[k]; ok {
@@ -199,22 +192,24 @@ func (a Action) String() string {
 	}
 }
 
-// Validate checks the internal consistency of a single action.
+// Validate checks the internal consistency of a single action. Volumes must
+// be finite and non-negative; a recv's size need only be finite, since -1
+// marks it unknown (the v1 form).
 func (a Action) Validate() error {
 	if a.Rank < 0 {
 		return fmt.Errorf("trace: negative rank %d", a.Rank)
 	}
 	switch a.Kind {
 	case Compute:
-		if a.Instructions < 0 {
-			return fmt.Errorf("trace: p%d compute with negative volume %g", a.Rank, a.Instructions)
+		if f := volumeFault(a.Instructions); f != "" {
+			return fmt.Errorf("trace: p%d compute with %s volume %g", a.Rank, f, a.Instructions)
 		}
 	case Send, ISend:
 		if a.Peer < 0 {
 			return fmt.Errorf("trace: p%d %s without destination", a.Rank, a.Kind)
 		}
-		if a.Bytes < 0 {
-			return fmt.Errorf("trace: p%d %s with negative size %g", a.Rank, a.Kind, a.Bytes)
+		if f := volumeFault(a.Bytes); f != "" {
+			return fmt.Errorf("trace: p%d %s with %s size %g", a.Rank, a.Kind, f, a.Bytes)
 		}
 		if a.Peer == a.Rank {
 			return fmt.Errorf("trace: p%d %s to itself", a.Rank, a.Kind)
@@ -226,9 +221,12 @@ func (a Action) Validate() error {
 		if a.Peer == a.Rank {
 			return fmt.Errorf("trace: p%d %s from itself", a.Rank, a.Kind)
 		}
+		if math.IsNaN(a.Bytes) || math.IsInf(a.Bytes, 0) {
+			return fmt.Errorf("trace: p%d %s with non-finite size %g", a.Rank, a.Kind, a.Bytes)
+		}
 	case Bcast, Reduce, AllReduce, AllToAll, Gather, AllGather:
-		if a.Bytes < 0 {
-			return fmt.Errorf("trace: p%d %s with negative size %g", a.Rank, a.Kind, a.Bytes)
+		if f := volumeFault(a.Bytes); f != "" {
+			return fmt.Errorf("trace: p%d %s with %s size %g", a.Rank, a.Kind, f, a.Bytes)
 		}
 		if a.Root < 0 {
 			return fmt.Errorf("trace: p%d %s with negative root %d", a.Rank, a.Kind, a.Root)
@@ -238,8 +236,8 @@ func (a Action) Validate() error {
 			return fmt.Errorf("trace: p%d %s without volume vector", a.Rank, a.Kind)
 		}
 		for i, v := range a.Volumes {
-			if v < 0 {
-				return fmt.Errorf("trace: p%d %s with negative volume %g for rank %d", a.Rank, a.Kind, v, i)
+			if f := volumeFault(v); f != "" {
+				return fmt.Errorf("trace: p%d %s with %s volume %g for rank %d", a.Rank, a.Kind, f, v, i)
 			}
 		}
 	case WaitSome:
@@ -248,6 +246,18 @@ func (a Action) Validate() error {
 		}
 	}
 	return nil
+}
+
+// volumeFault names what makes v unusable as a volume, "negative" or
+// "non-finite", or returns "" when v is usable.
+func volumeFault(v float64) string {
+	switch {
+	case v >= 0 && v <= math.MaxFloat64: // false for NaN
+		return ""
+	case v < 0:
+		return "negative"
+	}
+	return "non-finite"
 }
 
 // ValidateIn is Validate plus the checks that need the communicator size:

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Trace folding: iterative applications produce traces whose bulk is one
@@ -168,20 +166,9 @@ func WriteFolded(w io.Writer, actions []Action) error {
 	return bw.Flush()
 }
 
-// expandingReader streams a folded trace, expanding loops on the fly. It
-// also accepts plain traces (no header), making it a drop-in reader.
-type expandingReader struct {
-	rd     *Reader
-	filter int // < 0 keeps all ranks
-	world  int // > 0 enables communicator-sized validation
-	// current loop state.
-	body      []Action
-	remaining int // repetitions left after the buffered one
-	pos       int
-}
-
 // NewExpandingReader reads a trace that may be folded (detected via the
-// @folded header) or plain. filter < 0 keeps all ranks.
+// @folded header) or plain, expanding loops as it streams. filter < 0 keeps
+// all ranks.
 func NewExpandingReader(r io.Reader, filter int) Stream {
 	return NewExpandingWorldReader(r, filter, 0)
 }
@@ -190,105 +177,12 @@ func NewExpandingReader(r io.Reader, filter int) Stream {
 // validation: world > 0 rejects out-of-range peers, roots, and volume-vector
 // lengths at read time, with the offending line number.
 func NewExpandingWorldReader(r io.Reader, filter, world int) Stream {
-	br := bufio.NewReaderSize(r, 64*1024)
-	head, _ := br.Peek(len(foldedHeader))
-	if string(head) != foldedHeader {
-		rd := NewReader(br)
-		rd.filter = filter
-		rd.world = world
-		return rd
+	rd := &Reader{in: lineReader{src: r}, filter: filter, world: world}
+	if rd.in.hasPrefix(foldedHeader) {
+		rd.folded = true
+		// Skip the header line. A read error is sticky: the first Next
+		// reports it.
+		rd.in.next()
 	}
-	// Consume the header line.
-	if _, err := br.ReadString('\n'); err != nil && err != io.EOF {
-		return &errStream{err: err}
-	}
-	return &expandingReader{rd: NewReader(br), filter: filter, world: world}
-}
-
-type errStream struct{ err error }
-
-func (s *errStream) Next() (Action, bool, error) { return Action{}, false, s.err }
-
-// Next implements Stream.
-func (e *expandingReader) Next() (Action, bool, error) {
-	for {
-		a, ok, err := e.next()
-		if err != nil || !ok {
-			return a, ok, err
-		}
-		if e.filter >= 0 && a.Rank != e.filter {
-			continue
-		}
-		if e.world > 0 {
-			if err := a.ValidateIn(e.world); err != nil {
-				return Action{}, false, fmt.Errorf("line %d: %w", e.rd.line, err)
-			}
-		}
-		return a, true, nil
-	}
-}
-
-func (e *expandingReader) next() (Action, bool, error) {
-	// Replaying a buffered loop body.
-	if e.body != nil {
-		if e.pos < len(e.body) {
-			a := e.body[e.pos]
-			e.pos++
-			return a, true, nil
-		}
-		if e.remaining > 0 {
-			e.remaining--
-			e.pos = 1
-			return e.body[0], true, nil
-		}
-		e.body = nil
-		e.pos = 0
-	}
-	// Read the underlying stream, intercepting directives.
-	line, readErr := e.rd.readRawLine()
-	if readErr != nil {
-		if readErr == io.EOF {
-			return Action{}, false, nil
-		}
-		return Action{}, false, readErr
-	}
-	trimmed := strings.TrimSpace(line)
-	if strings.HasPrefix(trimmed, "@loop") {
-		fields := strings.Fields(trimmed)
-		if len(fields) != 3 {
-			return Action{}, false, fmt.Errorf("trace: malformed loop directive %q", trimmed)
-		}
-		count, err1 := strconv.Atoi(fields[1])
-		length, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil || count < 1 || length < 1 {
-			return Action{}, false, fmt.Errorf("trace: bad loop directive %q", trimmed)
-		}
-		body := make([]Action, 0, length)
-		for len(body) < length {
-			bl, err := e.rd.readRawLine()
-			if err != nil {
-				return Action{}, false, fmt.Errorf("trace: truncated loop body (%d/%d lines): %w", len(body), length, err)
-			}
-			a, ok, err := ParseLine(bl)
-			if err != nil {
-				return Action{}, false, err
-			}
-			if !ok {
-				continue // comments allowed inside bodies
-			}
-			body = append(body, a)
-		}
-		e.body = body
-		e.remaining = count - 1
-		e.pos = 1
-		return body[0], true, nil
-	}
-	a, ok, err := ParseLine(trimmed)
-	if err != nil {
-		return Action{}, false, err
-	}
-	if !ok {
-		return e.next() // skip blanks/comments
-	}
-	return a, true, nil
+	return rd
 }

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -430,6 +432,22 @@ func tibCorruptionCheck(t *testing.T, perRank [][]Action) {
 			check(t, mutated, "random garbage")
 		}
 	})
+}
+
+// A section whose raw float64 volume is NaN passes every checksum, so it
+// is Validate that must turn it into a *TraceError at decode.
+func TestTIBRejectsNonFiniteVolume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nan.tib")
+	a := Action{Rank: 0, Kind: Compute, Instructions: math.NaN(), Peer: -1}
+	sec := tibSection{data: appendAction(nil, &a), count: 1}
+	if err := writeTIB(path, [32]byte{}, []tibSection{sec}); err != nil {
+		t.Fatal(err)
+	}
+	err := drainTIB(path)
+	var te *TraceError
+	if !errors.As(err, &te) || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("err = %v, want a *TraceError naming the non-finite volume", err)
+	}
 }
 
 // A non-TIB file must be rejected at open, and SniffTIB must classify by

@@ -365,6 +365,17 @@ func TestValidateDetectsPeerOutOfRange(t *testing.T) {
 	}
 }
 
+// lookupKind's switch must name every kind, in any letter case.
+func TestLookupKindCoversNames(t *testing.T) {
+	for k, name := range kindNames {
+		for _, spelling := range []string{name, strings.ToUpper(name)} {
+			if got, ok := lookupKind(spelling); !ok || got != k {
+				t.Errorf("lookupKind(%q) = %v, %v; want %v", spelling, got, ok, k)
+			}
+		}
+	}
+}
+
 func TestKindStringAndPredicates(t *testing.T) {
 	if Send.String() != "send" || AllReduce.String() != "allreduce" {
 		t.Fatal("kind names wrong")
