@@ -16,18 +16,21 @@ type Stats struct {
 	CommsCompleted  int64 `json:"comms_completed"`
 	ShareRecomputes int64 `json:"share_recomputes"` // recompute passes (events with a dirty flow set)
 	Events          int64 `json:"events"`           // time-advance steps
-	// ComponentsResolved counts connected components re-solved by the
-	// incremental max-min solver and FlowsResolved the flows they contained;
+	// ComponentsResolved counts the sub-components re-solved by the
+	// incremental max-min solver — sets of flows joined by links that can
+	// saturate; a link whose bandwidth exceeds the sum of its flows' rate
+	// bounds joins nothing — and FlowsResolved the flows they contained.
 	// FlowsResolved/ComponentsResolved is the mean re-solve scope, the
 	// measure of how much work incrementality avoids versus a from-scratch
 	// solve (which re-solves every active flow on every pass).
 	ComponentsResolved int64 `json:"components_resolved"`
 	FlowsResolved      int64 `json:"flows_resolved"`
-	// MaxComponentFlows is the largest single component (in flows) handed to
-	// the solver over the whole run. Structured topologies (fat tree,
-	// dragonfly, torus) are characterized by how large this grows relative
-	// to the active flow count: a full-bisection crossbar keeps components
-	// tiny, while a congested torus can fuse every active flow into one.
+	// MaxComponentFlows is the largest single sub-component (in flows, see
+	// ComponentsResolved) handed to the solver over the whole run.
+	// Structured topologies (fat tree, dragonfly, torus) are characterized
+	// by how large this grows relative to the active flow count: a
+	// full-bisection crossbar keeps sub-components tiny, while a congested
+	// torus can fuse every active flow into one.
 	MaxComponentFlows int64 `json:"max_component_flows"`
 }
 
@@ -72,9 +75,9 @@ type Engine struct {
 	goroutineProcs bool
 
 	// Fluid-network state: all active flows, the per-link registries tying
-	// them into connected components, the min-heap of projected completion
-	// times, and the flows stalled at rate 0 (re-examined every recompute
-	// and reported in deadlock diagnostics).
+	// them into the solver's sub-components, the min-heap of projected
+	// completion times, and the flows stalled at rate 0 (re-examined every
+	// recompute and reported in deadlock diagnostics).
 	active      []*flow
 	linkStates  map[*Link]*linkState
 	completions flowHeap
@@ -82,16 +85,16 @@ type Engine struct {
 	flowSeq     int64
 
 	// Incremental-solver bookkeeping: seeds accumulated since the last
-	// recompute, the traversal generation, reusable scratch buffers, and
-	// the from-scratch escape hatch.
+	// recompute, the traversal generation, reusable scratch buffers (a
+	// sub-component's flows and links, and the flows one fill level fixes),
+	// and the from-scratch escape hatch.
 	sharesDirty bool
 	dirtyFlows  []*flow
 	dirtyLinks  []*linkState
 	mark        int64
 	compBuf     []*flow
 	compLinkBuf []*linkState
-	rateBuf     []float64
-	fixedBuf    []bool
+	levelBuf    []*flow
 	stallSeeds  []*flow
 	fromScratch bool
 

@@ -8,34 +8,33 @@ import (
 	"tireplay/internal/stats"
 )
 
-// referenceShares is the historical from-scratch max-min solver, preserved
-// verbatim as the oracle for the incremental solver: one pass of progressive
-// filling over the complete flow set, re-deriving every rate. The
-// incremental solver must reproduce its allocation bit-for-bit after any
-// sequence of arrivals and departures.
+// referenceShares is the oracle for the engine's solver: one global pass of
+// progressive filling over the complete flow set, map-based, with no
+// components and no link pruning. It applies the solver's tie rule — a level
+// fixes exactly the unfixed flows whose cap or link fair share is no larger
+// than the level, on the shares as they stood at the level's start, and
+// consumes them together — so the incremental, per-component, pruned solver
+// must reproduce its allocation bit for bit after any sequence of arrivals
+// and departures.
 func referenceShares(flows []*flow) []float64 {
 	rates := make([]float64, len(flows))
-	if len(flows) == 0 {
-		return rates
-	}
 	type scratch struct {
 		rem float64
 		n   int
 	}
-	idx := make(map[*Link]int)
-	var states []scratch
+	states := make(map[*Link]*scratch)
 	for _, f := range flows {
 		for _, l := range f.links {
-			if _, ok := idx[l]; !ok {
-				idx[l] = len(states)
-				states = append(states, scratch{rem: l.Bandwidth})
+			s, ok := states[l]
+			if !ok {
+				s = &scratch{rem: l.Bandwidth}
+				states[l] = s
 			}
-			states[idx[l]].n++
+			s.n++
 		}
 	}
-	unfixed := len(flows)
 	fixed := make([]bool, len(flows))
-	for unfixed > 0 {
+	for unfixed := len(flows); unfixed > 0; {
 		level := math.Inf(1)
 		for _, s := range states {
 			if s.n > 0 {
@@ -44,71 +43,37 @@ func referenceShares(flows []*flow) []float64 {
 				}
 			}
 		}
-		capBound := false
 		for i, f := range flows {
-			if !fixed[i] && f.cap > 0 && f.cap <= level {
+			if !fixed[i] && f.cap > 0 && f.cap < level {
 				level = f.cap
-				capBound = true
 			}
 		}
-		if math.IsInf(level, 1) {
-			for i := range flows {
-				if !fixed[i] {
-					rates[i] = math.Inf(1)
-					fixed[i] = true
-					unfixed--
-				}
-			}
-			break
-		}
-		const relEps = 1e-12
-		progressed := false
+		var at []int
 		for i, f := range flows {
 			if fixed[i] {
 				continue
 			}
-			constrained := capBound && f.cap > 0 && f.cap <= level*(1+relEps)
-			if !constrained {
-				for _, l := range f.links {
-					s := &states[idx[l]]
-					if s.n > 0 && s.rem/float64(s.n) <= level*(1+relEps) {
-						constrained = true
-						break
-					}
+			constrained := math.IsInf(level, 1) || f.cap > 0 && f.cap <= level
+			for _, l := range f.links {
+				if s := states[l]; s.rem/float64(s.n) <= level {
+					constrained = true
 				}
 			}
-			if !constrained {
-				continue
+			if constrained {
+				at = append(at, i)
 			}
+		}
+		for _, i := range at {
 			rates[i] = level
 			fixed[i] = true
 			unfixed--
-			progressed = true
-			for _, l := range f.links {
-				s := &states[idx[l]]
+			for _, l := range flows[i].links {
+				s := states[l]
 				s.rem -= level
 				if s.rem < 0 {
 					s.rem = 0
 				}
 				s.n--
-			}
-		}
-		if !progressed {
-			for i, f := range flows {
-				if fixed[i] {
-					continue
-				}
-				rates[i] = level
-				fixed[i] = true
-				unfixed--
-				for _, l := range f.links {
-					s := &states[idx[l]]
-					s.rem -= level
-					if s.rem < 0 {
-						s.rem = 0
-					}
-					s.n--
-				}
 			}
 		}
 	}
@@ -118,12 +83,26 @@ func referenceShares(flows []*flow) []float64 {
 // TestIncrementalSolverMatchesReference drives randomized flow
 // arrival/departure sequences through the incremental component solver and
 // checks after every mutation that each active flow's rate is bit-identical
-// to a from-scratch progressive filling of the full flow set.
+// to a from-scratch progressive filling of the full flow set. Its symmetric
+// trials are tie-heavy: on them, a tie rule with a tolerance, or one that
+// consumes a level's flows one at a time, makes a flow's rate depend on
+// which other flows are solved with it.
 func TestIncrementalSolverMatchesReference(t *testing.T) {
 	rng := stats.NewRNG(0x5eed)
-	trials := 60
+	trials, symmetric := 60, 2000
 	if testing.Short() {
-		trials = 15
+		trials, symmetric = 15, 500
+	}
+	// Symmetric trials draw bandwidths and caps from small tables, so fair
+	// shares tie across links and caps (see checkMaxMinSequence).
+	seq := make([]byte, 2*fuzzMaxOps)
+	for trial := 0; trial < symmetric; trial++ {
+		for i := range seq {
+			seq[i] = byte(rng.Uint64())
+		}
+		if err := checkMaxMinSequence(seq); err != nil {
+			t.Fatalf("symmetric trial %d: %v", trial, err)
+		}
 	}
 	for trial := 0; trial < trials; trial++ {
 		nLinks := 2 + int(rng.Uint64()%10)

@@ -15,8 +15,11 @@ type flow struct {
 	// cap bounds the rate of this flow regardless of link shares (0 = no
 	// bound). The SMPI model uses it to apply bandwidth correction factors.
 	cap float64
+	// ub bounds every rate the solver can assign this flow: the smallest
+	// bandwidth on its route, or cap when that is smaller. Set by addFlow.
+	ub float64
 	// rate is the current max-min allocation, recomputed whenever the flow
-	// set of this flow's connected component changes.
+	// set of this flow's sub-component (see solveFrom) changes.
 	rate float64
 	// rem is the number of bytes still to transfer as of lastT.
 	rem float64
@@ -40,6 +43,7 @@ type flow struct {
 	listIdx  int   // index in Engine.active
 	stallIdx int   // index in Engine.stalled, -1 when absent
 	mark     int64 // component-traversal generation marker
+	fixed    bool  // progressive-filling scratch: rate settled in this solve
 	dirty    bool  // queued in Engine.dirtyFlows
 }
 
@@ -53,9 +57,13 @@ type linkState struct {
 	mark  int64 // component-traversal generation marker
 	dirty bool  // queued in Engine.dirtyLinks
 
-	// progressive-filling scratch.
-	rem float64
-	n   int
+	// progressive-filling scratch: the remaining capacity, the number of
+	// unfixed flows (0 on a link that cannot saturate, which filling
+	// ignores), and their fair share rem/n, re-derived only when a fixed
+	// flow consumes from the link.
+	rem   float64
+	n     int
+	share float64
 }
 
 func (e *Engine) linkState(l *Link) *linkState {
@@ -90,7 +98,14 @@ func (e *Engine) addFlow(f *flow) {
 	} else {
 		f.lstates = make([]*linkState, len(f.links))
 	}
+	f.ub = math.Inf(1)
+	if f.cap > 0 {
+		f.ub = f.cap
+	}
 	for i, l := range f.links {
+		if l.Bandwidth < f.ub {
+			f.ub = l.Bandwidth
+		}
 		ls := e.linkState(l)
 		f.lstates[i] = ls
 		f.linkPos[i] = len(ls.flows)
@@ -105,7 +120,10 @@ func (e *Engine) addFlow(f *flow) {
 
 // removeFlow unregisters a flow (normally on completion), releases its link
 // capacity to its neighbours by marking the crossed links dirty, and drops
-// it from the completion heap and stalled list.
+// it from the completion heap and stalled list. Only a link that can
+// saturate with f still on it is marked: any other link joins no flows into
+// a sub-component, before or after f leaves, so f's departure from it
+// changes no rate.
 func (e *Engine) removeFlow(f *flow) {
 	last := len(e.active) - 1
 	moved := e.active[last]
@@ -115,6 +133,10 @@ func (e *Engine) removeFlow(f *flow) {
 	e.active = e.active[:last]
 
 	for i, ls := range f.lstates {
+		if !ls.dirty && len(ls.flows) > 1 && ls.canSaturate() {
+			ls.dirty = true
+			e.dirtyLinks = append(e.dirtyLinks, ls)
+		}
 		pos := f.linkPos[i]
 		tail := len(ls.flows) - 1
 		m := ls.flows[tail]
@@ -131,10 +153,6 @@ func (e *Engine) removeFlow(f *flow) {
 					break
 				}
 			}
-		}
-		if len(ls.flows) > 0 && !ls.dirty {
-			ls.dirty = true
-			e.dirtyLinks = append(e.dirtyLinks, ls)
 		}
 	}
 	if f.heapIdx >= 0 {
@@ -159,10 +177,10 @@ func (e *Engine) dropStalled(f *flow) {
 }
 
 // recomputeShares restores the bounded max-min allocation after flow-set
-// changes. Only the connected components (flows joined by shared links)
-// containing a change are re-solved: flows elsewhere keep their rates, which
-// are unaffected by construction. Stalled (rate 0) flows are re-examined on
-// every recompute so freed capacity is never missed.
+// changes. Only the sub-components (see solveFrom) containing a change are
+// re-solved: flows elsewhere keep their rates, which are unaffected by
+// construction. Stalled (rate 0) flows are re-examined on every recompute so
+// freed capacity is never missed.
 func (e *Engine) recomputeShares() {
 	e.sharesDirty = false
 	e.mark++
@@ -204,8 +222,45 @@ func (e *Engine) recomputeShares() {
 	e.dirtyLinks = e.dirtyLinks[:0]
 }
 
-// solveFrom gathers the connected component containing seed (unless already
-// solved this generation) and re-runs progressive filling on it.
+// saturationSlack is the relative margin by which a link's bandwidth must
+// exceed the sum of its flows' rate bounds for the link to count as unable
+// to saturate. It dwarfs the rounding progressive filling accumulates on a
+// link (about 1e-16 of the bandwidth per subtraction).
+const saturationSlack = 1e-9
+
+// canSaturate reports whether progressive filling could ever fix a flow at
+// ls. No flow's rate exceeds its bound ub, so while the bandwidth exceeds
+// the sum of the bounds of the flows crossing ls, the link's fair share stays
+// above every fill level. The sum is taken from the current flows on each
+// call (a running per-link sum would drift over a long replay) and stops as
+// soon as it shows the link can saturate. Degenerate links, with a
+// non-positive bandwidth or a flow of non-positive bound, always can.
+func (ls *linkState) canSaturate() bool {
+	bw := ls.link.Bandwidth
+	if !(bw > 0) {
+		return true
+	}
+	sum := 0.0
+	for _, f := range ls.flows {
+		if !(f.ub > 0) {
+			return true
+		}
+		sum += f.ub
+		if bw < (1+saturationSlack)*sum {
+			return true
+		}
+	}
+	return false
+}
+
+// solveFrom gathers the sub-component containing seed, unless it was already
+// solved this generation, and re-runs progressive filling on it. A
+// sub-component is a set of flows joined by links that can saturate: the
+// gather does not cross a link that cannot, since filling never fixes a flow
+// there, so splitting at it changes no rate. A flow's smallest-bandwidth
+// link can always saturate unless the flow's cap is tighter, so every flow
+// keeps a constraint. The gather also sets up the filling: each crossed
+// link's capacity, flow count and fair share, and the first fill level.
 func (e *Engine) solveFrom(seed *flow, m int64) {
 	if seed.mark == m {
 		return
@@ -214,13 +269,32 @@ func (e *Engine) solveFrom(seed *flow, m int64) {
 	links := e.compLinkBuf[:0]
 	seed.mark = m
 	comp = append(comp, seed)
+	level, capped := math.Inf(1), false
 	for i := 0; i < len(comp); i++ {
-		for _, ls := range comp[i].lstates {
+		f := comp[i]
+		f.fixed = false
+		if f.cap > 0 {
+			capped = true
+			if f.cap < level {
+				level = f.cap
+			}
+		}
+		for _, ls := range f.lstates {
 			if ls.mark == m {
 				continue
 			}
 			ls.mark = m
+			if !ls.canSaturate() {
+				ls.n = 0
+				continue
+			}
 			links = append(links, ls)
+			ls.rem = ls.link.Bandwidth
+			ls.n = len(ls.flows)
+			ls.share = ls.rem / float64(ls.n)
+			if ls.share < level {
+				level = ls.share
+			}
 			for _, g := range ls.flows {
 				if g.mark != m {
 					g.mark = m
@@ -230,7 +304,7 @@ func (e *Engine) solveFrom(seed *flow, m int64) {
 		}
 	}
 	e.compBuf, e.compLinkBuf = comp[:0], links[:0]
-	e.solveComponent(comp, links)
+	e.solveComponent(comp, links, level, capped)
 	e.stats.ComponentsResolved++
 	e.stats.FlowsResolved += int64(len(comp))
 	if n := int64(len(comp)); n > e.stats.MaxComponentFlows {
@@ -239,155 +313,77 @@ func (e *Engine) solveFrom(seed *flow, m int64) {
 }
 
 // solveComponent runs progressive filling (bounded max-min fairness) on one
-// connected component: repeatedly find the most constrained resource —
-// either a saturated link or a flow's own rate cap — fix the corresponding
-// flows, remove their consumption, and continue. The result is the classic
-// max-min allocation restricted to the component; because flows in other
-// components share no link with it, the allocation is identical to what a
-// from-scratch solve over all flows would produce.
-func (e *Engine) solveComponent(comp []*flow, links []*linkState) {
-	for _, ls := range links {
-		ls.rem = ls.link.Bandwidth
-		ls.n = 0
-	}
-	for _, f := range comp {
-		for _, ls := range f.lstates {
-			ls.n++
-		}
-	}
-
-	rates := e.rateBuf[:0]
-	fixed := e.fixedBuf[:0]
-	for range comp {
-		rates = append(rates, 0)
-		fixed = append(fixed, false)
-	}
-	e.rateBuf, e.fixedBuf = rates, fixed
-
-	unfixed := len(comp)
-	for unfixed > 0 {
-		// Candidate level: the smallest of link fair shares and flow caps.
-		level := math.Inf(1)
-		for _, ls := range links {
-			if ls.n > 0 {
-				if share := ls.rem / float64(ls.n); share < level {
-					level = share
-				}
-			}
-		}
-		capBound := false
-		for i, f := range comp {
-			if !fixed[i] && f.cap > 0 && f.cap <= level {
-				level = f.cap
-				capBound = true
-			}
-		}
+// sub-component, from the first level the gather found: the smallest of its
+// links' fair shares and its flows' caps. A level fixes exactly the unfixed
+// flows whose cap or link fair share is no larger than the level, chosen on
+// the shares as they stood at the level's start; only then are they
+// consumed, together. No tolerance and no consumption order enters the
+// choice, so a flow's rate depends on the flow set alone: a global solve, a
+// per-component solve and this pruned one agree bit for bit. Each level
+// fixes at least the flows of the link or cap that set it.
+func (e *Engine) solveComponent(comp []*flow, links []*linkState, level float64, capped bool) {
+	for unfixed := len(comp); ; {
 		if math.IsInf(level, 1) {
-			// Flows with no links and no cap: local transfers. Mark them
-			// unconstrained; completion is immediate after latency.
-			for i := range comp {
-				if !fixed[i] {
-					rates[i] = math.Inf(1)
-					fixed[i] = true
-					unfixed--
+			// No finite constraint left (no links and no cap, or only NaN
+			// shares): local transfers, complete right after latency.
+			for _, f := range comp {
+				if !f.fixed {
+					f.fixed = true
+					e.applyRate(f, level)
 				}
 			}
-			break
+			return
 		}
-		// Fix every unfixed flow that is constrained at this level: either
-		// its cap equals the level, or it crosses a link whose fair share
-		// equals the level (within rounding).
-		progressed := false
-		for i, f := range comp {
-			if fixed[i] || !e.constrainedAt(f, level, capBound) {
-				continue
-			}
-			rates[i] = level
-			fixed[i] = true
-			unfixed--
-			progressed = true
-			e.consume(f, level)
-		}
-		if !progressed {
-			// Numerical corner: no flow matched the level within rounding.
-			// Force-fix only the flows sitting at the minimal constraint —
-			// force-fixing everything would freeze flows that still cross
-			// unsaturated links at an arbitrary rate.
-			forced := false
-			for i, f := range comp {
-				if fixed[i] || !e.atMinimalConstraint(f, level) {
-					continue
-				}
-				rates[i] = level
-				fixed[i] = true
-				unfixed--
-				forced = true
-				e.consume(f, level)
-			}
-			if !forced {
-				// Guarantee termination even if the constraint comparison
-				// itself misbehaves (NaN bandwidths and the like): fix the
-				// first unfixed flow alone and re-derive a level for the
-				// rest.
-				for i, f := range comp {
-					if fixed[i] {
-						continue
+		at := e.levelBuf[:0]
+		for _, ls := range links {
+			if ls.n > 0 && ls.share <= level {
+				for _, f := range ls.flows {
+					if !f.fixed {
+						f.fixed = true
+						at = append(at, f)
 					}
-					rates[i] = level
-					fixed[i] = true
-					unfixed--
-					e.consume(f, level)
-					break
 				}
 			}
 		}
-	}
-
-	for i, f := range comp {
-		e.applyRate(f, rates[i])
-	}
-}
-
-// constrainedAt reports whether f is bottlenecked at the given fill level:
-// its cap equals the level, or one of its links' fair shares does (within
-// rounding).
-func (e *Engine) constrainedAt(f *flow, level float64, capBound bool) bool {
-	const relEps = 1e-12
-	if capBound && f.cap > 0 && f.cap <= level*(1+relEps) {
-		return true
-	}
-	for _, ls := range f.lstates {
-		if ls.n > 0 && ls.rem/float64(ls.n) <= level*(1+relEps) {
-			return true
+		if capped {
+			for _, f := range comp {
+				if !f.fixed && f.cap > 0 && f.cap <= level {
+					f.fixed = true
+					at = append(at, f)
+				}
+			}
 		}
-	}
-	return false
-}
-
-// atMinimalConstraint reports whether f's own tightest constraint (its cap
-// or one of its links' fair shares) is no larger than level. Used by the
-// force-fix fallback to pick only the flows actually at the stuck level.
-func (e *Engine) atMinimalConstraint(f *flow, level float64) bool {
-	if f.cap > 0 && f.cap <= level {
-		return true
-	}
-	for _, ls := range f.lstates {
-		if ls.n > 0 && ls.rem/float64(ls.n) <= level {
-			return true
+		for _, f := range at {
+			e.applyRate(f, level)
+			for _, ls := range f.lstates {
+				if ls.n == 0 {
+					continue // cannot saturate
+				}
+				ls.rem -= level
+				if ls.rem < 0 {
+					ls.rem = 0
+				}
+				ls.n--
+				ls.share = ls.rem / float64(ls.n)
+			}
 		}
-	}
-	return false
-}
-
-// consume removes a fixed flow's allocation from its links' remaining
-// capacity.
-func (e *Engine) consume(f *flow, level float64) {
-	for _, ls := range f.lstates {
-		ls.rem -= level
-		if ls.rem < 0 {
-			ls.rem = 0
+		e.levelBuf = at[:0]
+		if unfixed -= len(at); unfixed == 0 {
+			return
 		}
-		ls.n--
+		level = math.Inf(1)
+		for _, ls := range links {
+			if ls.n > 0 && ls.share < level {
+				level = ls.share
+			}
+		}
+		if capped {
+			for _, f := range comp {
+				if !f.fixed && f.cap > 0 && f.cap < level {
+					level = f.cap
+				}
+			}
+		}
 	}
 }
 

@@ -32,8 +32,10 @@ func (s *JSONLSink) Write(rec *Record) error {
 }
 
 // CSVSink writes results as CSV rows: the fixed result columns plus one
-// column per named axis (filled with the point's value labels). Rows are
-// flushed as they are written, so a killed sweep leaves every completed
+// column per named axis (filled with the point's value labels). Rows come
+// in the order the sweep delivers results, which is completion order (see
+// Run), not grid order; the index column gives each row's grid point. Rows
+// are flushed as they are written, so a killed sweep leaves every completed
 // row on disk.
 type CSVSink struct {
 	w           *csv.Writer

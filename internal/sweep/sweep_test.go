@@ -3,10 +3,12 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -592,27 +594,51 @@ func TestSweepSharesCompiledTraceCache(t *testing.T) {
 	}
 }
 
+// TestCSVSink checks the CSV sink's columns and rows. Rows arrive in
+// completion order, which concurrent workers make nondeterministic, so each
+// row is matched to its grid point by its index column.
 func TestCSVSink(t *testing.T) {
+	backends := []any{"smpi", "msg"}
 	sw := &Sweep{
 		Base: scenario.Scenario{
 			Platform: flatSpec(2),
 			Workload: &scenario.WorkloadSpec{Benchmark: "ep", Class: "S", Procs: 2},
 		},
-		Axes: []Axis{{Name: "backend", Values: []any{"smpi", "msg"}}},
+		Axes: []Axis{{Name: "backend", Values: backends}},
 	}
 	var csvBuf bytes.Buffer
 	if _, err := Collect(context.Background(), sw, WithSink(NewCSVSink(&csvBuf, "backend"))); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 rows:\n%s", len(lines), csvBuf.String())
+	rows, err := csv.NewReader(&csvBuf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(lines[0], "backend") || !strings.Contains(lines[0], "simulated_time") {
-		t.Fatalf("CSV header %q missing columns", lines[0])
+	if len(rows) != 1+len(backends) {
+		t.Fatalf("CSV has %d rows, want header + %d:\n%q", len(rows), len(backends), rows)
 	}
-	if !strings.Contains(lines[1], "smpi") || !strings.Contains(lines[2], "msg") {
-		t.Fatalf("CSV rows misordered or missing labels:\n%s", csvBuf.String())
+	col := map[string]int{}
+	for i, name := range rows[0] {
+		col[name] = i
+	}
+	for _, name := range []string{"index", "backend", "simulated_time", "error"} {
+		if _, ok := col[name]; !ok {
+			t.Fatalf("CSV header %q lacks column %q", rows[0], name)
+		}
+	}
+	seen := make([]bool, len(backends))
+	for _, row := range rows[1:] {
+		idx, err := strconv.Atoi(row[col["index"]])
+		if err != nil || idx < 0 || idx >= len(backends) || seen[idx] {
+			t.Fatalf("row %q: bad or repeated index", row)
+		}
+		seen[idx] = true
+		if got, want := row[col["backend"]], backends[idx]; got != want {
+			t.Fatalf("row %q: backend %q, want %q for grid point %d", row, got, want, idx)
+		}
+		if row[col["simulated_time"]] == "" || row[col["error"]] != "" {
+			t.Fatalf("row %q: want a simulated time and no error", row)
+		}
 	}
 }
 
