@@ -10,6 +10,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tireplay/internal/sim"
@@ -29,6 +30,24 @@ type Platform struct {
 	// LoopbackLatency is the latency of a host talking to itself (intra-node
 	// communication); such routes cross no link.
 	LoopbackLatency float64
+}
+
+// latency is a configured latency and the Spec field it comes from.
+type latency struct {
+	field string
+	value float64
+}
+
+// checkLatencies rejects a latency that is negative or not finite, naming
+// its Spec field; the fluid model would otherwise treat a negative latency
+// as zero.
+func checkLatencies(name string, ls ...latency) error {
+	for _, l := range ls {
+		if l.value < 0 || math.IsNaN(l.value) || math.IsInf(l.value, 1) {
+			return fmt.Errorf(`platform: %s: %q must be finite and non-negative, got %g`, name, l.field, l.value)
+		}
+	}
+	return nil
 }
 
 // Hosts returns the platform's hosts in rank order.
@@ -102,6 +121,10 @@ func NewFlatCluster(cfg FlatConfig) (*Platform, error) {
 	if cfg.LinkBandwidth <= 0 || cfg.BackboneBandwidth <= 0 {
 		return nil, fmt.Errorf("platform: non-positive bandwidth in flat cluster config")
 	}
+	if err := checkLatencies(cfg.Name, latency{"link_latency", cfg.LinkLatency},
+		latency{"backbone_latency", cfg.BackboneLatency}, latency{"loopback_latency", cfg.LoopbackLatency}); err != nil {
+		return nil, err
+	}
 	p := &Platform{
 		Name:            cfg.Name,
 		byName:          make(map[string]*sim.Host, cfg.Hosts),
@@ -168,6 +191,10 @@ func NewCrossbarCluster(cfg CrossbarConfig) (*Platform, error) {
 	}
 	if cfg.LinkBandwidth <= 0 {
 		return nil, fmt.Errorf("platform: non-positive bandwidth in crossbar cluster config")
+	}
+	if err := checkLatencies(cfg.Name, latency{"link_latency", cfg.LinkLatency},
+		latency{"loopback_latency", cfg.LoopbackLatency}); err != nil {
+		return nil, err
 	}
 	p := &Platform{
 		Name:            cfg.Name,
@@ -236,6 +263,11 @@ func NewHierarchicalCluster(cfg HierConfig) (*Platform, error) {
 	}
 	if cfg.LinkBandwidth <= 0 || cfg.CabinetBandwidth <= 0 || cfg.BackboneBandwidth <= 0 {
 		return nil, fmt.Errorf("platform: non-positive bandwidth in hierarchical cluster config")
+	}
+	if err := checkLatencies(cfg.Name, latency{"link_latency", cfg.LinkLatency},
+		latency{"cabinet_latency", cfg.CabinetLatency}, latency{"backbone_latency", cfg.BackboneLatency},
+		latency{"loopback_latency", cfg.LoopbackLatency}); err != nil {
+		return nil, err
 	}
 	p := &Platform{
 		Name:            cfg.Name,

@@ -349,3 +349,63 @@ func TestSpecBuildCrossbar(t *testing.T) {
 		t.Fatalf("crossbar spec built size=%d links=%d, want 3/6", p.Size(), len(p.Links()))
 	}
 }
+
+// TestSpecRejectsBadLatencies checks that every topology rejects each of
+// its latency fields when negative or not finite, naming the field, and
+// still builds with the field at 0. A negative latency used to be accepted
+// and replayed exactly as 0.
+func TestSpecRejectsBadLatencies(t *testing.T) {
+	base := Spec{
+		Name: "lat", Speed: 1e9,
+		LinkBandwidth: 1e9, LinkLatency: 1e-6,
+		CabinetBandwidth: 1e9, CabinetLatency: 1e-6,
+		BackboneBandwidth: 1e9, BackboneLatency: 1e-6,
+		LocalBandwidth: 1e9, LocalLatency: 1e-6,
+		GlobalBandwidth: 1e9, GlobalLatency: 1e-6,
+		LoopbackLatency: 1e-7,
+	}
+	field := map[string]func(*Spec) *float64{
+		"link_latency":     func(s *Spec) *float64 { return &s.LinkLatency },
+		"cabinet_latency":  func(s *Spec) *float64 { return &s.CabinetLatency },
+		"backbone_latency": func(s *Spec) *float64 { return &s.BackboneLatency },
+		"local_latency":    func(s *Spec) *float64 { return &s.LocalLatency },
+		"global_latency":   func(s *Spec) *float64 { return &s.GlobalLatency },
+		"loopback_latency": func(s *Spec) *float64 { return &s.LoopbackLatency },
+	}
+	cases := []struct {
+		shape  func(*Spec)
+		fields []string
+	}{
+		{func(s *Spec) { s.Topology, s.Hosts = "flat", 4 },
+			[]string{"link_latency", "backbone_latency", "loopback_latency"}},
+		{func(s *Spec) { s.Topology, s.Hosts = "crossbar", 4 },
+			[]string{"link_latency", "loopback_latency"}},
+		{func(s *Spec) { s.Topology, s.Cabinets, s.HostsPerCabinet = "hierarchical", 2, 2 },
+			[]string{"link_latency", "cabinet_latency", "backbone_latency", "loopback_latency"}},
+		{func(s *Spec) { s.Topology, s.Radix, s.Levels = "fattree", 2, 2 },
+			[]string{"link_latency", "backbone_latency", "loopback_latency"}},
+		{func(s *Spec) { s.Topology, s.Groups, s.RoutersPerGroup, s.HostsPerRouter = "dragonfly", 2, 2, 2 },
+			[]string{"link_latency", "local_latency", "global_latency", "loopback_latency"}},
+		{func(s *Spec) { s.Topology, s.TorusDims = "torus", []int{2, 2} },
+			[]string{"link_latency", "backbone_latency", "loopback_latency"}},
+	}
+	for _, c := range cases {
+		for _, f := range c.fields {
+			for _, v := range []float64{-1e-6, math.Inf(-1), math.Inf(1), math.NaN()} {
+				s := base
+				c.shape(&s)
+				*field[f](&s) = v
+				_, _, err := s.Build()
+				if err == nil || !strings.Contains(err.Error(), `"`+f+`"`) {
+					t.Errorf("%s with %s = %g: err = %v, want one naming %q", s.Topology, f, v, err, f)
+				}
+			}
+			s := base
+			c.shape(&s)
+			*field[f](&s) = 0
+			if _, _, err := s.Build(); err != nil {
+				t.Errorf("%s with %s = 0: %v", s.Topology, f, err)
+			}
+		}
+	}
+}

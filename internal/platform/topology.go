@@ -2,16 +2,19 @@ package platform
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"tireplay/internal/sim"
 	"tireplay/internal/topo"
 )
 
 // linkParams carries the bandwidth/latency pair a topology link class gets,
-// plus the Spec JSON field its bandwidth comes from (for error messages).
+// plus the prefix of the Spec JSON fields they come from ("link" for
+// link_bandwidth and link_latency), for error messages.
 type linkParams struct {
 	bandwidth, latency float64
-	bwField            string
+	field              string
 }
 
 // buildTopoPlatform materializes a topo.Topology into a Platform: one
@@ -25,8 +28,15 @@ func buildTopoPlatform(name string, t topo.Topology, speed float64, params map[t
 	for _, d := range descs {
 		pr, ok := params[d.Class]
 		if !ok || pr.bandwidth <= 0 {
-			return nil, fmt.Errorf(`platform: %s: %q must be positive for %s links`, name, pr.bwField, d.Class)
+			return nil, fmt.Errorf(`platform: %s: %q must be positive for %s links`, name, pr.field+"_bandwidth", d.Class)
 		}
+	}
+	lats := []latency{{"loopback_latency", loopback}}
+	for _, c := range slices.Sorted(maps.Keys(params)) {
+		lats = append(lats, latency{params[c].field + "_latency", params[c].latency})
+	}
+	if err := checkLatencies(name, lats...); err != nil {
+		return nil, err
 	}
 	n := t.Hosts()
 	p := &Platform{
@@ -96,8 +106,8 @@ func NewFatTree(cfg FatTreeConfig) (*Platform, error) {
 		return nil, err
 	}
 	return buildTopoPlatform(cfg.Name, t, cfg.Speed, map[topo.Class]linkParams{
-		topo.ClassHost:   {cfg.LinkBandwidth, cfg.LinkLatency, "link_bandwidth"},
-		topo.ClassFabric: {cfg.BackboneBandwidth, cfg.BackboneLatency, "backbone_bandwidth"},
+		topo.ClassHost:   {cfg.LinkBandwidth, cfg.LinkLatency, "link"},
+		topo.ClassFabric: {cfg.BackboneBandwidth, cfg.BackboneLatency, "backbone"},
 	}, cfg.LoopbackLatency)
 }
 
@@ -138,9 +148,9 @@ func NewDragonfly(cfg DragonflyConfig) (*Platform, error) {
 		return nil, err
 	}
 	return buildTopoPlatform(cfg.Name, t, cfg.Speed, map[topo.Class]linkParams{
-		topo.ClassHost:   {cfg.LinkBandwidth, cfg.LinkLatency, "link_bandwidth"},
-		topo.ClassLocal:  {cfg.LocalBandwidth, cfg.LocalLatency, "local_bandwidth"},
-		topo.ClassGlobal: {cfg.GlobalBandwidth, cfg.GlobalLatency, "global_bandwidth"},
+		topo.ClassHost:   {cfg.LinkBandwidth, cfg.LinkLatency, "link"},
+		topo.ClassLocal:  {cfg.LocalBandwidth, cfg.LocalLatency, "local"},
+		topo.ClassGlobal: {cfg.GlobalBandwidth, cfg.GlobalLatency, "global"},
 	}, cfg.LoopbackLatency)
 }
 
@@ -170,7 +180,7 @@ func NewTorus(cfg TorusConfig) (*Platform, error) {
 		return nil, err
 	}
 	return buildTopoPlatform(cfg.Name, t, cfg.Speed, map[topo.Class]linkParams{
-		topo.ClassHost:   {cfg.LinkBandwidth, cfg.LinkLatency, "link_bandwidth"},
-		topo.ClassFabric: {cfg.BackboneBandwidth, cfg.BackboneLatency, "backbone_bandwidth"},
+		topo.ClassHost:   {cfg.LinkBandwidth, cfg.LinkLatency, "link"},
+		topo.ClassFabric: {cfg.BackboneBandwidth, cfg.BackboneLatency, "backbone"},
 	}, cfg.LoopbackLatency)
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strings"
@@ -62,12 +61,12 @@ type Engine struct {
 
 	// Object recycling for the continuation kernel. pooled starts true and
 	// is permanently cleared the moment a goroutine process or an external
-	// step function is spawned — those may retain *Comm (or timer) handles
-	// forever, so their engines must never reuse the objects.
-	pooled    bool
-	commPool  []*Comm
-	timerPool []*timer
-	boxPool   []*mailbox
+	// step function is spawned — those may retain *Comm handles forever, so
+	// their engines must never reuse comms. Drained mailboxes are recycled
+	// either way.
+	pooled   bool
+	commPool []*Comm
+	boxPool  []*mailbox
 
 	// goroutineProcs records that WithGoroutineProcs selected the legacy
 	// goroutine-per-process execution mode (layers above consult it when
@@ -287,15 +286,10 @@ func (e *Engine) advance(dt float64) {
 		e.completeComm(f.comm)
 	}
 	// Fire due timers. A fired timer may schedule new timers or start flows;
-	// both are picked up on the next loop iteration. Canceled timers are
-	// removed from the heap eagerly by cancel; the flag check is a backstop.
+	// both are picked up on the next loop iteration.
 	const timeEps = 1e-12
 	for len(e.timers) > 0 && e.timers[0].deadline <= e.now+timeEps {
-		t := heap.Pop(&e.timers).(*timer)
-		if t.canceled {
-			continue
-		}
 		e.stats.TimersFired++
-		e.dispatch(t)
+		e.dispatch(e.timers.pop())
 	}
 }

@@ -144,7 +144,7 @@ type Feed func(prog *Prog) (more bool, err error)
 
 // SpawnProg creates a continuation process interpreting the micro-op
 // programs produced by feed. Unlike SpawnTask, the machine provably releases
-// every Comm it references, so comm/timer recycling stays enabled.
+// every Comm it references, so comm recycling stays enabled.
 func (e *Engine) SpawnProg(name string, host *Host, feed Feed) *Proc {
 	if feed == nil {
 		panic("sim: SpawnProg with nil feed")

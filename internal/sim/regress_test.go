@@ -7,43 +7,6 @@ import (
 	"testing"
 )
 
-// TestCancelRemovesTimerFromHeap pins the fix for the unbounded-heap bug:
-// canceling a timer must shrink the heap immediately via its stored index,
-// not merely flag the entry and leave it behind until its deadline.
-func TestCancelRemovesTimerFromHeap(t *testing.T) {
-	e := NewEngine(pairRouter{&Link{Bandwidth: 1e9, Latency: 0}})
-	h := &Host{Name: "h", Speed: 1e9}
-	fired := make([]bool, 100)
-	ts := make([]*timer, len(fired))
-	for i := range fired {
-		i := i
-		ts[i] = e.at(float64(i+1), func() { fired[i] = true })
-	}
-	for i := 0; i < len(ts); i += 2 {
-		e.cancel(ts[i])
-	}
-	if len(e.timers) != 50 {
-		t.Fatalf("timer heap holds %d entries after canceling 50 of 100, want 50", len(e.timers))
-	}
-	e.cancel(ts[0]) // double-cancel is a no-op
-	if len(e.timers) != 50 {
-		t.Fatalf("double cancel changed the heap: %d entries", len(e.timers))
-	}
-	e.Spawn("p", h, func(p *Proc) { p.Sleep(200) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.cancel(ts[1]) // canceling an already-fired timer (index -1) is safe
-	for i, f := range fired {
-		if want := i%2 == 1; f != want {
-			t.Fatalf("timer %d fired=%v, want %v", i, f, want)
-		}
-	}
-	if got := e.Stats().TimersFired; got != 51 { // 50 survivors + the sleep
-		t.Fatalf("TimersFired = %d, want 51", got)
-	}
-}
-
 // TestProcRingFIFOAndRelease exercises the run-queue ring buffer through
 // growth and wraparound, and checks that popped slots are nilled so
 // finished processes do not stay reachable through the backing array.
@@ -102,7 +65,10 @@ func TestStalledFlowDeadlockDiagnostic(t *testing.T) {
 		p.WaitComm(c)
 	})
 	e.Spawn("r", hs[1], func(p *Proc) { p.Get("mb") })
-	e.after(0.1, func() { e.applyRate(c.fl, 0) })
+	e.Spawn("freeze", hs[0], func(p *Proc) {
+		p.Sleep(0.1)
+		e.applyRate(c.fl, 0)
+	})
 	err := e.Run()
 	var d *DeadlockError
 	if !errors.As(err, &d) {
@@ -142,7 +108,10 @@ func TestStalledFlowReexaminedOnRecompute(t *testing.T) {
 	})
 	e.Spawn("rA", hs[1], func(p *Proc) { p.Get("a") })
 	// Freeze A's flow at t=0.1 with 9e5 bytes left.
-	e.after(0.1, func() { e.applyRate(c.fl, 0) })
+	e.Spawn("freeze", hs[0], func(p *Proc) {
+		p.Sleep(0.1)
+		e.applyRate(c.fl, 0)
+	})
 	// An unrelated transfer on a disjoint link arrives at t=0.2; the
 	// recompute it triggers must also re-solve A's component.
 	e.Spawn("sB", hs[2], func(p *Proc) {

@@ -50,7 +50,7 @@ func (t *Task) Fail(err error) {
 // event loop until it returns Done; when it returns Blocked (after calling a
 // blocking primitive) it is re-invoked on wake. External step functions may
 // retain *Comm values indefinitely, so spawning one disables the engine's
-// comm/timer recycling (SpawnProg machines, which provably release their
+// comm recycling (SpawnProg machines, which provably release their
 // references, keep it).
 func (e *Engine) SpawnTask(name string, host *Host, step func(*Task) Step) *Proc {
 	e.pooled = false

@@ -1,138 +1,100 @@
 package sim
 
-import "container/heap"
-
-// timer is a scheduled callback in simulated time. Ties on deadline are
-// broken by insertion sequence so runs are deterministic.
-//
-// The two hot kinds — waking a sleeping process and moving a comm out of
-// its latency stage — are encoded as fields rather than closures: a closure
-// per Sleep and per transfer is measurable GC pressure on large replays.
-// fire covers everything else.
+// timer is a pending wake-up in simulated time, stored by value in the
+// engine's heap. Ties on deadline are broken by insertion sequence so runs
+// are deterministic. Exactly one of proc and comm is set: wake this
+// process, or move this comm out of its latency stage.
 type timer struct {
 	deadline float64
 	seq      int64
-	proc     *Proc // wake this process, or
-	comm     *Comm // move this comm to its fluid stage, or
-	fire     func()
-	index    int
-	canceled bool
+	proc     *Proc
+	comm     *Comm
 }
 
-type timerHeap []*timer
+// earlier returns 1 if t comes before u in the heap order (deadline, seq),
+// a total order since seq is unique, and 0 otherwise. It has no branches:
+// which of two sibling timers is due first is a coin toss that a branch
+// predictor cannot learn, so a sift picks the smaller child arithmetically.
+func (t *timer) earlier(u *timer) int {
+	return b2i(t.deadline < u.deadline) | b2i(t.deadline == u.deadline)&b2i(t.seq < u.seq)
+}
 
-func (h timerHeap) Len() int { return len(h) }
-
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
+// b2i compiles to a flag-setting instruction, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return h[i].seq < h[j].seq
+	return 0
 }
 
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+// timerHeap is a binary min-heap of timers in (deadline, seq) order. Sifts
+// move a hole rather than swapping, so each level costs one copy.
+type timerHeap []timer
 
-func (h *timerHeap) Push(x any) {
-	t := x.(*timer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
-}
-
-// at schedules fire to run at absolute simulated time deadline.
-func (e *Engine) at(deadline float64, fire func()) *timer {
-	e.timerSeq++
-	t := &timer{deadline: deadline, seq: e.timerSeq, fire: fire}
-	heap.Push(&e.timers, t)
-	return t
-}
-
-// cancel deactivates t and removes it from the heap immediately, via the
-// index maintained by the heap operations. Historically cancel only set the
-// flag and left the entry behind until its deadline, so replays that cancel
-// many long-deadline timers grew the heap without bound.
-func (e *Engine) cancel(t *timer) {
-	if t == nil || t.canceled {
-		return
+func (h *timerHeap) push(t timer) {
+	s := append(*h, t)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if t.earlier(&s[p]) == 0 {
+			break
+		}
+		s[i] = s[p]
+		i = p
 	}
-	t.canceled = true
-	if t.index >= 0 {
-		heap.Remove(&e.timers, t.index)
-	}
+	s[i] = t
+	*h = s
 }
 
-// after schedules fire to run d simulated seconds from now.
-func (e *Engine) after(d float64, fire func()) *timer {
-	return e.at(e.now+d, fire)
-}
-
-// acquireTimer hands out a timer, recycling fired ones in pooled
-// (pure-continuation) mode; no handle to a wake/flow timer ever escapes the
-// kernel there, so reuse is safe.
-func (e *Engine) acquireTimer() *timer {
-	e.timerSeq++
-	if n := len(e.timerPool); e.pooled && n > 0 {
-		t := e.timerPool[n-1]
-		e.timerPool[n-1] = nil
-		e.timerPool = e.timerPool[:n-1]
-		*t = timer{seq: e.timerSeq}
-		return t
+// pop removes and returns the earliest timer; the heap must not be empty.
+func (h *timerHeap) pop() timer {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = timer{} // drop the pointers held by the vacated slot
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
 	}
-	return &timer{seq: e.timerSeq}
-}
-
-// releaseTimer recycles a fired wake/flow timer. Closure timers (fire) are
-// excluded: tests and models hold their handles for later cancellation.
-func (e *Engine) releaseTimer(t *timer) {
-	if !e.pooled || t.fire != nil {
-		return
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n {
+			c += s[c+1].earlier(&s[c])
+		}
+		if s[c].earlier(&last) == 0 {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
-	t.proc = nil
-	t.comm = nil
-	e.timerPool = append(e.timerPool, t)
+	s[i] = last
+	return top
 }
 
 // afterWake schedules p to be woken d simulated seconds from now.
-func (e *Engine) afterWake(d float64, p *Proc) *timer {
-	t := e.acquireTimer()
-	t.deadline = e.now + d
-	t.proc = p
-	heap.Push(&e.timers, t)
-	return t
+func (e *Engine) afterWake(d float64, p *Proc) {
+	e.timerSeq++
+	e.timers.push(timer{deadline: e.now + d, seq: e.timerSeq, proc: p})
 }
 
 // afterFlow schedules c's transition out of its latency stage d simulated
 // seconds from now.
-func (e *Engine) afterFlow(d float64, c *Comm) *timer {
-	t := e.acquireTimer()
-	t.deadline = e.now + d
-	t.comm = c
-	heap.Push(&e.timers, t)
-	return t
+func (e *Engine) afterFlow(d float64, c *Comm) {
+	e.timerSeq++
+	e.timers.push(timer{deadline: e.now + d, seq: e.timerSeq, comm: c})
 }
 
-// dispatch runs a fired timer's action, then recycles the timer when safe.
-func (e *Engine) dispatch(t *timer) {
-	switch {
-	case t.proc != nil:
+// dispatch runs a fired timer's action.
+func (e *Engine) dispatch(t timer) {
+	if t.proc != nil {
 		e.wake(t.proc)
-	case t.comm != nil:
+	} else {
 		e.flowStage(t.comm)
-	default:
-		t.fire()
 	}
-	e.releaseTimer(t)
 }

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"math"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -180,5 +181,81 @@ func FuzzReader(f *testing.F) {
 				t.Fatalf("err = %v\noracle %v", err, wantErr)
 			}
 		}
+	})
+}
+
+// FuzzTIBSection decodes fuzzed bytes as one rank's section of a file that
+// writeTIB wrote for a world of 1 to 16 ranks, so every checksum holds and
+// the bytes reach tibStream.Next. count is the section's action count in
+// the index, taken modulo the section length plus one (the header reader
+// rejects larger counts). Every Next must return a *TraceError, end the
+// stream cleanly, or yield an action that is valid in the world and that
+// appendAction and a second decode give back Equal.
+func FuzzTIBSection(f *testing.F) {
+	for _, set := range [][][]Action{sampleTraceSet(4), sampleTraceSetV2(4)} {
+		for _, actions := range set {
+			for i := range actions {
+				f.Add(appendAction(nil, &actions[i]), uint16(1), uint8(len(set)-1))
+			}
+		}
+	}
+	v1, err := OpenTIB(filepath.Join("testdata", "sample_v1.tib"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, ent := range v1.index {
+		sec := make([]byte, ent.length)
+		if _, err := v1.f.ReadAt(sec, int64(ent.offset)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sec, uint16(ent.count), uint8(v1.NumRanks()-1))
+	}
+	v1.Close()
+
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, section []byte, count uint16, worldSel uint8) {
+		world := 1 + int(worldSel%16)
+		secs := make([]tibSection, world)
+		secs[0] = tibSection{data: section, count: uint64(count) % uint64(len(section)+1)}
+		path := filepath.Join(dir, "fuzz.tib")
+		if err := writeTIB(path, [32]byte{}, secs); err != nil {
+			t.Fatal(err)
+		}
+		p, err := OpenTIB(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		st, err := p.Rank(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each action takes at least two bytes, so a stream that neither
+		// fails nor ends within len(section) calls has stopped advancing.
+		for range len(section) + 1 {
+			a, ok, err := st.Next()
+			if err != nil {
+				var te *TraceError
+				if !errors.As(err, &te) {
+					t.Fatalf("Next error %T is not a *TraceError: %v", err, err)
+				}
+				return
+			}
+			if !ok {
+				return
+			}
+			if err := a.ValidateIn(world); err != nil {
+				t.Fatalf("decoded %+v, invalid in a world of %d: %v", a, world, err)
+			}
+			again := &tibStream{buf: appendAction(nil, &a), remaining: 1, maxKind: maxKindV2, world: world}
+			b, ok, err := again.Next()
+			if err != nil || !ok || !a.Equal(b) {
+				t.Fatalf("re-decoding %+v gave %+v, %v, %v", a, b, ok, err)
+			}
+			if _, ok, err := again.Next(); ok || err != nil {
+				t.Fatalf("re-encoded %+v does not end cleanly: %v, %v", a, ok, err)
+			}
+		}
+		t.Fatalf("stream of a %d-byte section neither failed nor ended", len(section))
 	})
 }
