@@ -1,75 +1,22 @@
 package core
 
 // This file is the backend abstraction: both replay implementations (the
-// accurate SMPI-style backend and the legacy MSG prototype) are driven
-// through the same RankOps interface by a single shared driver loop (see
-// driver.go), and are looked up by name in a process-wide registry. Third
-// parties can plug in further backends with Register; the Scenario/Runner
-// layers select them by name.
+// accurate SMPI-style backend and the legacy MSG prototype) compile trace
+// actions into sim micro-ops through the TaskOps interface, driven by the
+// one shared lowering (driver.go), and are selected by name.
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
-	"tireplay/internal/mpi"
-	"tireplay/internal/msgreplay"
 	"tireplay/internal/sim"
 )
 
-// Request is an opaque handle to an outstanding nonblocking operation. Each
-// backend hands out its own concrete type; the driver only stores handles
-// and passes them back to Wait/WaitAll of the backend that produced them.
-type Request any
-
-// RankOps is the per-rank operation set a replay backend must provide: the
-// MPI subset the time-independent trace format records, plus access to the
-// underlying simulated process. Every method is called from inside the
-// rank's own simulated process.
-type RankOps interface {
-	// Proc exposes the simulated process the rank runs on (for custom
-	// compute modelling and structured failure via Proc.Fail).
-	Proc() *sim.Proc
-	// Compute executes instr instructions at the host's calibrated rate.
-	Compute(instr float64)
-
-	// Point-to-point operations. WaitAny blocks until at least one request
-	// completes and returns the index of the lowest-indexed completed one;
-	// the driver builds waitsome on top of it (k successive wait-anys).
-	Send(dst int, bytes float64)
-	Isend(dst int, bytes float64) Request
-	Recv(src int)
-	Irecv(src int) Request
-	Wait(q Request)
-	WaitAll(qs []Request)
-	WaitAny(qs []Request) int
-
-	// Collective operations. The vector collectives take one volume per rank
-	// (already validated against the communicator size by the driver).
-	Barrier()
-	Bcast(bytes float64, root int)
-	Reduce(bytes float64, root int)
-	AllReduce(bytes float64)
-	AllToAll(bytes float64)
-	Gather(bytes float64, root int)
-	AllGather(bytes float64)
-	AllToAllV(vols []float64)
-	AllGatherV(vols []float64)
-}
-
-// World is one backend's replay context: a set of ranks bound to hosts on a
-// shared engine.
-type World interface {
-	// Spawn starts rank's body as a simulated process.
-	Spawn(rank int, body func(RankOps))
-}
-
-// TaskOps is the compile-time counterpart of RankOps: each method lowers one
-// trace action into sim micro-ops appended to the given program, instead of
-// executing it on a goroutine-backed process. Wait/waitall are absent on
-// purpose — the driver emits Prog.WaitPending/WaitAllPending itself, because
-// the pending-request FIFO (and the no-outstanding-request trace check) is
-// driver state, not backend state.
+// TaskOps is the per-rank operation set a replay backend provides: the MPI
+// subset the time-independent trace format records. Each method lowers one
+// trace action into sim micro-ops appended to the given program. Wait and
+// its variants are absent on purpose — Lower emits Prog.WaitPending and its
+// siblings itself, because the pending-request FIFO (and the
+// no-outstanding-request trace check) is driver state, not backend state.
 type TaskOps interface {
 	Compute(p *sim.Prog, instr float64)
 
@@ -80,7 +27,8 @@ type TaskOps interface {
 	Recv(p *sim.Prog, src int)
 	Irecv(p *sim.Prog, src int)
 
-	// Collective operations.
+	// Collective operations. The vector collectives take one volume per rank
+	// (already validated against the communicator size by the driver).
 	Barrier(p *sim.Prog)
 	Bcast(p *sim.Prog, bytes float64, root int)
 	Reduce(p *sim.Prog, bytes float64, root int)
@@ -92,196 +40,17 @@ type TaskOps interface {
 	AllGatherV(p *sim.Prog, vols []float64)
 }
 
-// TaskWorld is implemented by worlds whose backend can also compile ranks to
-// continuation programs. Replay uses this path by default — each rank becomes
-// a resumable state machine stepped inline by the event loop rather than a
-// goroutine — falling back to Spawn for backends that only execute, or when
-// Config.GoroutineProcs forces the legacy scheduler for differential testing.
-type TaskWorld interface {
-	World
-	// TaskOps returns the per-rank action compiler.
-	TaskOps(rank int) TaskOps
-	// SpawnProg starts rank as a continuation program fed by feed.
-	SpawnProg(rank int, feed sim.Feed)
-}
-
-// Backend builds replay worlds for one simulation model.
-type Backend interface {
-	// Name is the registry key ("smpi", "msg", ...).
-	Name() string
-	// NewWorld creates the replay context for len(hosts) ranks; cfg carries
-	// the backend-specific knobs (Config.MPI, Config.MSG).
-	NewWorld(engine *sim.Engine, hosts []*sim.Host, cfg Config) (World, error)
-}
-
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Backend)
-)
-
-// Register makes a backend selectable by name in Config.Backend and
-// Scenario.Backend. It panics on an empty name or a duplicate registration,
-// like database/sql.Register.
-func Register(name string, b Backend) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" {
-		panic("core: Register with empty backend name")
-	}
-	if b == nil {
-		panic("core: Register with nil backend")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("core: backend %q registered twice", name))
-	}
-	registry[name] = b
-}
+// Backends returns the sorted names of the replay backends.
+func Backends() []string { return []string{MSG, SMPI} }
 
 // Lookup resolves a backend name; the empty string selects SMPI, the
 // paper's accurate default.
-func Lookup(name string) (Backend, error) {
-	if name == "" {
-		name = SMPI
+func Lookup(name string) (BackendKind, error) {
+	switch name {
+	case "":
+		return SMPI, nil
+	case SMPI, MSG:
+		return name, nil
 	}
-	registryMu.RLock()
-	b, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unknown backend %q (registered: %v)", name, Backends())
-	}
-	return b, nil
-}
-
-// Backends returns the sorted names of all registered backends.
-func Backends() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	Register(SMPI, smpiBackend{})
-	Register(MSG, msgBackend{})
-}
-
-// ---------------------------------------------------------------------------
-// SMPI backend adapter.
-
-type smpiBackend struct{}
-
-func (smpiBackend) Name() string { return SMPI }
-
-func (smpiBackend) NewWorld(engine *sim.Engine, hosts []*sim.Host, cfg Config) (World, error) {
-	w, err := mpi.NewWorld(engine, hosts, cfg.MPI)
-	if err != nil {
-		return nil, err
-	}
-	return smpiWorld{w}, nil
-}
-
-type smpiWorld struct{ w *mpi.World }
-
-func (sw smpiWorld) Spawn(rank int, body func(RankOps)) {
-	sw.w.Spawn(rank, func(r *mpi.Rank) { body(smpiOps{r}) })
-}
-
-func (sw smpiWorld) TaskOps(rank int) TaskOps { return sw.w.TaskRank(rank) }
-
-func (sw smpiWorld) SpawnProg(rank int, feed sim.Feed) { sw.w.SpawnProg(rank, feed) }
-
-// smpiOps adapts *mpi.Rank to RankOps. Embedding promotes every method whose
-// signature already matches; only the request-typed ones need wrapping.
-type smpiOps struct{ *mpi.Rank }
-
-func (o smpiOps) Isend(dst int, bytes float64) Request { return o.Rank.Isend(dst, bytes) }
-func (o smpiOps) Irecv(src int) Request                { return o.Rank.Irecv(src) }
-
-func (o smpiOps) Wait(q Request) { o.Rank.Wait(o.req(q)) }
-
-func (o smpiOps) WaitAll(qs []Request) {
-	reqs := make([]*mpi.Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = o.req(q)
-	}
-	o.Rank.WaitAll(reqs)
-}
-
-func (o smpiOps) WaitAny(qs []Request) int {
-	reqs := make([]*mpi.Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = o.req(q)
-	}
-	return o.Rank.WaitAny(reqs)
-}
-
-func (o smpiOps) req(q Request) *mpi.Request {
-	r, ok := q.(*mpi.Request)
-	if !ok {
-		o.Proc().Fail(fmt.Errorf("core: smpi backend: wait on foreign request %T", q))
-	}
-	return r
-}
-
-// ---------------------------------------------------------------------------
-// MSG backend adapter.
-
-type msgBackend struct{}
-
-func (msgBackend) Name() string { return MSG }
-
-func (msgBackend) NewWorld(engine *sim.Engine, hosts []*sim.Host, cfg Config) (World, error) {
-	w, err := msgreplay.NewWorld(engine, hosts, cfg.MSG)
-	if err != nil {
-		return nil, err
-	}
-	return msgWorld{w}, nil
-}
-
-type msgWorld struct{ w *msgreplay.World }
-
-func (mw msgWorld) Spawn(rank int, body func(RankOps)) {
-	mw.w.Spawn(rank, func(r *msgreplay.Rank) { body(msgOps{r}) })
-}
-
-func (mw msgWorld) TaskOps(rank int) TaskOps { return mw.w.TaskRank(rank) }
-
-func (mw msgWorld) SpawnProg(rank int, feed sim.Feed) { mw.w.SpawnProg(rank, feed) }
-
-// msgOps adapts *msgreplay.Rank to RankOps.
-type msgOps struct{ *msgreplay.Rank }
-
-func (o msgOps) Isend(dst int, bytes float64) Request { return o.Rank.Isend(dst, bytes) }
-func (o msgOps) Irecv(src int) Request                { return o.Rank.Irecv(src) }
-
-func (o msgOps) Wait(q Request) {
-	c, ok := q.(*sim.Comm)
-	if !ok {
-		o.Proc().Fail(fmt.Errorf("core: msg backend: wait on foreign request %T", q))
-	}
-	o.Rank.Wait(c)
-}
-
-// WaitAll waits on the comms one by one: the MSG prototype had no grouped
-// wait, which is part of the modelling gap the paper discusses.
-func (o msgOps) WaitAll(qs []Request) {
-	for _, q := range qs {
-		o.Wait(q)
-	}
-}
-
-func (o msgOps) WaitAny(qs []Request) int {
-	cs := make([]*sim.Comm, len(qs))
-	for i, q := range qs {
-		c, ok := q.(*sim.Comm)
-		if !ok {
-			o.Proc().Fail(fmt.Errorf("core: msg backend: wait-any on foreign request %T", q))
-		}
-		cs[i] = c
-	}
-	return o.Rank.WaitAny(cs)
+	return "", fmt.Errorf("core: unknown backend %q (registered: %v)", name, Backends())
 }

@@ -109,86 +109,29 @@ func TestLookupDefaultsToSMPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != SMPI {
-		t.Fatalf("default backend = %q, want smpi", b.Name())
+	if b != SMPI {
+		t.Fatalf("default backend = %q, want smpi", b)
 	}
-	if _, err := Lookup("no-such-backend"); err == nil {
-		t.Fatal("expected error for unknown backend")
-	}
-}
-
-// fixedBackend is a trivial custom backend: every operation costs a fixed
-// simulated delay. It exercises the registry extension point end to end.
-type fixedBackend struct{ delay float64 }
-
-func (fixedBackend) Name() string { return "fixed" }
-
-func (b fixedBackend) NewWorld(engine *sim.Engine, hosts []*sim.Host, cfg Config) (World, error) {
-	return &fixedWorld{engine: engine, hosts: hosts, delay: b.delay}, nil
-}
-
-type fixedWorld struct {
-	engine *sim.Engine
-	hosts  []*sim.Host
-	delay  float64
-}
-
-func (w *fixedWorld) Spawn(rank int, body func(RankOps)) {
-	w.engine.Spawn("fixed", w.hosts[rank], func(p *sim.Proc) {
-		body(&fixedOps{proc: p, delay: w.delay})
-	})
-}
-
-type fixedOps struct {
-	proc  *sim.Proc
-	delay float64
-}
-
-func (o *fixedOps) Proc() *sim.Proc            { return o.proc }
-func (o *fixedOps) Compute(float64)            { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Send(int, float64)          { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Isend(int, float64) Request { o.proc.Sleep(o.delay); return struct{}{} }
-func (o *fixedOps) Recv(int)                   { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Irecv(int) Request          { o.proc.Sleep(o.delay); return struct{}{} }
-func (o *fixedOps) Wait(Request)               {}
-func (o *fixedOps) WaitAll([]Request)          {}
-func (o *fixedOps) WaitAny([]Request) int      { return 0 }
-func (o *fixedOps) Barrier()                   { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Bcast(float64, int)         { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Reduce(float64, int)        { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllReduce(float64)          { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllToAll(float64)           { o.proc.Sleep(o.delay) }
-func (o *fixedOps) Gather(float64, int)        { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllGather(float64)          { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllToAllV([]float64)        { o.proc.Sleep(o.delay) }
-func (o *fixedOps) AllGatherV([]float64)       { o.proc.Sleep(o.delay) }
-
-func TestRegisterCustomBackend(t *testing.T) {
-	Register("fixed", fixedBackend{delay: 0.5})
-	t.Cleanup(func() {
-		registryMu.Lock()
-		delete(registry, "fixed")
-		registryMu.Unlock()
-	})
-
-	prov := provFromText(t, "p0 compute 1000\np0 compute 1000\n")
-	res, err := Replay(prov, testPlatform(t, 1), Config{Backend: "fixed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SimulatedTime != 1.0 {
-		t.Fatalf("simulated time = %v, want 1.0 (2 ops x 0.5s)", res.SimulatedTime)
-	}
-	if res.Actions != 2 {
-		t.Fatalf("actions = %d, want 2", res.Actions)
+	_, err = Lookup("no-such-backend")
+	const want = `core: unknown backend "no-such-backend" (registered: [msg smpi])`
+	if err == nil || err.Error() != want {
+		t.Fatalf("unknown backend error = %v, want %q", err, want)
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate registration")
+// TestNilHostRejected maps a rank to a nil host on each backend: the replay
+// must fail with an error naming the rank, not panic.
+func TestNilHostRejected(t *testing.T) {
+	for _, tc := range []struct{ backend, want string }{
+		{SMPI, "mpi: nil host for rank 0"},
+		{MSG, "msgreplay: nil host for rank 0"},
+	} {
+		prov := provFromText(t, "p0 compute 1000\n")
+		cfg := backendConfig(tc.backend)
+		cfg.Hosts = []*sim.Host{nil}
+		_, err := Replay(prov, testPlatform(t, 1), cfg)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.backend, err, tc.want)
 		}
-	}()
-	Register(SMPI, smpiBackend{})
+	}
 }

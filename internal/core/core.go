@@ -1,14 +1,15 @@
 // Package core is the time-independent trace replay engine: it drives
 // per-rank action streams through a replay backend — the rewritten SMPI
 // backend (Section 3.3) or the original MSG prototype (Section 2.4) the
-// paper compares, or any backend plugged in via Register — and reports the
-// simulated execution time.
+// paper compares — and reports the simulated execution time.
 //
 // Replaying a trace amounts to what the paper's smpi_replay main does:
 // initialize, run every rank's action stream to completion, finalize, and
-// read the simulated clock. All backends share one driver loop (driver.go)
-// over the RankOps interface (backend.go); malformed traces surface as
-// structured *TraceError values rather than panics.
+// read the simulated clock. Each rank is a sim continuation machine whose
+// feed lowers one action at a time into micro-ops, through Lower (driver.go)
+// and the backend's TaskOps (backend.go); ground-truth emulation shares the
+// same lowering. Malformed traces surface as structured *TraceError values
+// rather than panics.
 package core
 
 import (
@@ -23,9 +24,8 @@ import (
 	"tireplay/internal/trace"
 )
 
-// BackendKind names a registered replay backend. It is a string alias so
-// the built-in constants below, scenario specs, and CLI flags all use the
-// same vocabulary.
+// BackendKind names a replay backend. It is a string alias so the constants
+// below, scenario specs, and CLI flags all use the same vocabulary.
 type BackendKind = string
 
 const (
@@ -40,8 +40,8 @@ const (
 
 // Config parameterizes a replay.
 type Config struct {
-	// Backend names the replay implementation; "" selects SMPI. Any name
-	// registered via Register is accepted.
+	// Backend names the replay implementation, SMPI or MSG; "" selects
+	// SMPI.
 	Backend BackendKind
 	// Network is the network model installed in the kernel; nil selects the
 	// factor-free default. The SMPI pipeline passes the platform's
@@ -54,12 +54,6 @@ type Config struct {
 	// Hosts optionally maps ranks to specific hosts; by default rank i runs
 	// on the platform's i-th host.
 	Hosts []*sim.Host
-	// GoroutineProcs forces the legacy goroutine-per-rank scheduler instead
-	// of the continuation state machines the built-in backends compile to.
-	// The two are bit-identical in simulated times and stats; the goroutine
-	// path exists for differential testing and for third-party backends that
-	// only implement World.
-	GoroutineProcs bool
 }
 
 // Result reports a completed replay. It is JSON-serializable (the sweep
@@ -115,14 +109,27 @@ func Replay(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, 
 	if cfg.Network != nil {
 		opts = append(opts, sim.WithNetworkModel(cfg.Network))
 	}
-	if cfg.GoroutineProcs {
-		opts = append(opts, sim.WithGoroutineProcs())
-	}
 	engine := sim.NewEngine(plat, opts...)
 
-	world, err := backend.NewWorld(engine, hosts, cfg)
-	if err != nil {
-		return nil, err
+	var (
+		taskOps   func(rank int) TaskOps
+		spawnProg func(rank int, feed sim.Feed)
+	)
+	switch backend {
+	case SMPI:
+		w, err := mpi.NewWorld(engine, hosts, cfg.MPI)
+		if err != nil {
+			return nil, err
+		}
+		taskOps = func(rank int) TaskOps { return w.TaskRank(rank) }
+		spawnProg = w.SpawnProg
+	case MSG:
+		w, err := msgreplay.NewWorld(engine, hosts, cfg.MSG)
+		if err != nil {
+			return nil, err
+		}
+		taskOps = func(rank int) TaskOps { return w.TaskRank(rank) }
+		spawnProg = w.SpawnProg
 	}
 	// Streams of ranks that never finish — because another rank's malformed
 	// trace aborted the simulation, the trace deadlocked, or the caller was
@@ -136,13 +143,6 @@ func Replay(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, 
 			}
 		}
 	}()
-	// Continuation mode is the default whenever the backend can compile its
-	// ranks; the goroutine scheduler remains available for differential
-	// testing and execute-only backends.
-	taskWorld, taskMode := world.(TaskWorld)
-	if cfg.GoroutineProcs {
-		taskMode = false
-	}
 	var actions int64
 	for rank := 0; rank < n; rank++ {
 		stream, err := prov.Rank(rank)
@@ -150,11 +150,7 @@ func Replay(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, 
 			return nil, fmt.Errorf("core: opening stream for rank %d: %w", rank, err)
 		}
 		streams = append(streams, stream)
-		if taskMode {
-			spawnRankTask(taskWorld, backend.Name(), rank, n, stream, &actions)
-		} else {
-			spawnRank(world, backend.Name(), rank, n, stream, &actions)
-		}
+		spawnProg(rank, rankFeed(taskOps(rank), backend, rank, n, stream, &actions))
 	}
 
 	start := time.Now()

@@ -1,14 +1,17 @@
 package core
 
-// This file is the one rank-driver loop shared by every backend: it pulls
-// actions off a rank's trace stream and issues them through RankOps. It
-// replaces the two copy-pasted per-backend loops of the original design and
-// reports malformed traces as structured errors instead of panicking.
+// This file is the one rank driver: each rank's feed pulls actions off its
+// trace stream and lowers them into sim micro-ops through the backend's
+// TaskOps. The engine calls the feed exactly when the previous action's ops
+// have drained, so action counts and trace errors land at the simulated time
+// the previous action completes. Malformed traces are reported as structured
+// errors instead of panics.
 
 import (
 	"errors"
 	"fmt"
 
+	"tireplay/internal/sim"
 	"tireplay/internal/trace"
 )
 
@@ -25,7 +28,8 @@ var (
 // It is surfaced through Replay (and hence Scenario.Run) wrapped, so callers
 // can match it with errors.As and its cause with errors.Is.
 type TraceError struct {
-	// Backend is the name of the backend that was replaying.
+	// Backend is the name of the backend that was replaying ("ground" for
+	// the ground-truth emulation).
 	Backend string
 	// Rank is the rank whose stream was malformed.
 	Rank int
@@ -41,102 +45,101 @@ func (e *TraceError) Error() string {
 
 func (e *TraceError) Unwrap() error { return e.Err }
 
-// spawnRank starts rank's replay process on world: the shared driver loop
-// runs the stream to completion and aborts the whole simulation with a
-// structured error on a malformed trace.
-func spawnRank(world World, backend string, rank, nranks int, stream trace.Stream, actions *int64) {
-	world.Spawn(rank, func(ops RankOps) {
-		if err := driveRank(ops, rank, nranks, stream, actions); err != nil {
-			var te *TraceError
-			if errors.As(err, &te) && te.Backend == "" {
-				te.Backend = backend
-			}
-			ops.Proc().Fail(err)
-		}
-	})
-}
-
-// driveRank replays one rank's action stream through ops. Nonblocking
-// operations are queued and consumed FIFO by wait/waitall, matching how the
-// trace acquisition records MPI_Wait on the oldest outstanding request.
-// Wait-any consumes whichever pending operation the backend reports complete
-// first; waitsome is k successive wait-anys. Every action is bounds-checked
-// against the communicator size before it reaches the backend, so an
+// rankFeed returns the feed of rank's replay process. Every action is
+// bounds-checked against the communicator size before it is lowered, so an
 // out-of-range peer or root in a trace surfaces as a TraceError instead of a
 // backend panic (or a hang on a mailbox nobody serves).
-func driveRank(ops RankOps, rank, nranks int, stream trace.Stream, actions *int64) error {
-	var pending []Request
-	for {
+func rankFeed(ops TaskOps, backend string, rank, nranks int, stream trace.Stream, actions *int64) sim.Feed {
+	npending := 0
+	return func(prog *sim.Prog) (bool, error) {
 		a, ok, err := stream.Next()
 		if err != nil {
-			return &TraceError{Rank: rank, Err: fmt.Errorf("reading stream: %w", err)}
+			return false, &TraceError{Backend: backend, Rank: rank, Err: fmt.Errorf("reading stream: %w", err)}
 		}
 		if !ok {
-			return nil
+			return false, nil
 		}
 		// The engine is single-threaded (lockstep), so the shared counter
 		// needs no synchronization.
 		*actions++
 		if err := a.ValidateIn(nranks); err != nil {
-			return &TraceError{Rank: rank, Kind: a.Kind, Err: err}
+			return false, &TraceError{Backend: backend, Rank: rank, Kind: a.Kind, Err: err}
 		}
-		switch a.Kind {
-		case trace.Init, trace.Finalize:
-			// Structural markers: no simulated cost.
-		case trace.Compute:
-			ops.Compute(a.Instructions)
-		case trace.Send:
-			ops.Send(a.Peer, a.Bytes)
-		case trace.ISend:
-			pending = append(pending, ops.Isend(a.Peer, a.Bytes))
-		case trace.Recv:
-			ops.Recv(a.Peer)
-		case trace.IRecv:
-			pending = append(pending, ops.Irecv(a.Peer))
-		case trace.Wait:
-			if len(pending) == 0 {
-				return &TraceError{Rank: rank, Kind: a.Kind, Err: ErrNoOutstandingRequest}
-			}
-			ops.Wait(pending[0])
-			pending = pending[1:]
-		case trace.WaitAll:
-			ops.WaitAll(pending)
-			pending = pending[:0]
-		case trace.WaitAny:
-			if len(pending) == 0 {
-				return &TraceError{Rank: rank, Kind: a.Kind, Err: ErrNoOutstandingRequest}
-			}
-			idx := ops.WaitAny(pending)
-			pending = append(pending[:idx], pending[idx+1:]...)
-		case trace.WaitSome:
-			if a.Count > len(pending) {
-				return &TraceError{Rank: rank, Kind: a.Kind,
-					Err: fmt.Errorf("%w: waitsome of %d with %d outstanding", ErrNoOutstandingRequest, a.Count, len(pending))}
-			}
-			for i := 0; i < a.Count; i++ {
-				idx := ops.WaitAny(pending)
-				pending = append(pending[:idx], pending[idx+1:]...)
-			}
-		case trace.Barrier:
-			ops.Barrier()
-		case trace.Bcast:
-			ops.Bcast(a.Bytes, a.Root)
-		case trace.Reduce:
-			ops.Reduce(a.Bytes, a.Root)
-		case trace.AllReduce:
-			ops.AllReduce(a.Bytes)
-		case trace.AllToAll:
-			ops.AllToAll(a.Bytes)
-		case trace.Gather:
-			ops.Gather(a.Bytes, a.Root)
-		case trace.AllGather:
-			ops.AllGather(a.Bytes)
-		case trace.AllToAllV:
-			ops.AllToAllV(a.Volumes)
-		case trace.AllGatherV:
-			ops.AllGatherV(a.Volumes)
-		default:
-			return &TraceError{Rank: rank, Kind: a.Kind, Err: ErrUnsupportedAction}
+		if err := Lower(ops, prog, &a, &npending); err != nil {
+			return false, &TraceError{Backend: backend, Rank: rank, Kind: a.Kind, Err: err}
 		}
+		return true, nil
 	}
+}
+
+// Lower appends the micro-ops of action a to p through ops. Nonblocking
+// operations are queued on the program's pending FIFO and consumed FIFO by
+// wait/waitall, matching how the trace acquisition records MPI_Wait on the
+// oldest outstanding request; wait-any consumes whichever pending operation
+// completes first, and waitsome is k successive wait-anys. *npending tracks
+// the FIFO's depth across a rank's actions, which is all the
+// no-outstanding-request check needs. Lower returns the cause of a malformed
+// action (ErrNoOutstandingRequest, ErrUnsupportedAction); callers wrap it in
+// a TraceError naming the rank.
+func Lower(ops TaskOps, p *sim.Prog, a *trace.Action, npending *int) error {
+	switch a.Kind {
+	case trace.Init, trace.Finalize:
+		// Structural markers: no simulated cost.
+	case trace.Compute:
+		ops.Compute(p, a.Instructions)
+	case trace.Send:
+		ops.Send(p, a.Peer, a.Bytes)
+	case trace.ISend:
+		ops.Isend(p, a.Peer, a.Bytes)
+		*npending++
+	case trace.Recv:
+		ops.Recv(p, a.Peer)
+	case trace.IRecv:
+		ops.Irecv(p, a.Peer)
+		*npending++
+	case trace.Wait:
+		if *npending == 0 {
+			return ErrNoOutstandingRequest
+		}
+		p.WaitPending()
+		*npending--
+	case trace.WaitAll:
+		p.WaitAllPending()
+		*npending = 0
+	case trace.WaitAny:
+		if *npending == 0 {
+			return ErrNoOutstandingRequest
+		}
+		p.WaitAnyPending()
+		*npending--
+	case trace.WaitSome:
+		if a.Count > *npending {
+			return fmt.Errorf("%w: waitsome of %d with %d outstanding", ErrNoOutstandingRequest, a.Count, *npending)
+		}
+		for i := 0; i < a.Count; i++ {
+			p.WaitAnyPending()
+		}
+		*npending -= a.Count
+	case trace.Barrier:
+		ops.Barrier(p)
+	case trace.Bcast:
+		ops.Bcast(p, a.Bytes, a.Root)
+	case trace.Reduce:
+		ops.Reduce(p, a.Bytes, a.Root)
+	case trace.AllReduce:
+		ops.AllReduce(p, a.Bytes)
+	case trace.AllToAll:
+		ops.AllToAll(p, a.Bytes)
+	case trace.Gather:
+		ops.Gather(p, a.Bytes, a.Root)
+	case trace.AllGather:
+		ops.AllGather(p, a.Bytes)
+	case trace.AllToAllV:
+		ops.AllToAllV(p, a.Volumes)
+	case trace.AllGatherV:
+		ops.AllGatherV(p, a.Volumes)
+	default:
+		return ErrUnsupportedAction
+	}
+	return nil
 }

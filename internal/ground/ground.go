@@ -22,6 +22,7 @@ package ground
 import (
 	"fmt"
 
+	"tireplay/internal/core"
 	"tireplay/internal/instrument"
 	"tireplay/internal/mpi"
 	"tireplay/internal/npb"
@@ -144,7 +145,7 @@ func (c *Cluster) Run(w npb.Workload, icfg instrument.Config) (*RunResult, error
 		if err != nil {
 			return nil, err
 		}
-		c.spawnRank(world, rank, c.rateFor(w, rank), stream, icfg, &busy[rank])
+		world.SpawnProg(rank, c.rankFeed(world, rank, c.rateFor(w, rank), stream, icfg, &busy[rank]))
 	}
 	if err := engine.Run(); err != nil {
 		return nil, fmt.Errorf("ground: emulating %s on %s: %w", w.Name(), c.Name, err)
@@ -152,69 +153,43 @@ func (c *Cluster) Run(w npb.Workload, icfg instrument.Config) (*RunResult, error
 	return &RunResult{Time: engine.Now(), ComputeSeconds: busy, Engine: engine.Stats()}, nil
 }
 
-// spawnRank drives one rank's operation stream on the emulated machine.
-func (c *Cluster) spawnRank(world *mpi.World, rank int, rate float64, stream npb.OpStream, icfg instrument.Config, busy *float64) {
-	world.Spawn(rank, func(r *mpi.Rank) {
-		var pending []*mpi.Request
-		for {
-			op, ok, err := stream.Next()
-			if err != nil {
-				panic(fmt.Errorf("rank %d: %w", rank, err))
+// rankFeed lowers one rank's operation stream on the emulated machine. A
+// compute operation runs at the rank's cache- and jitter-aware rate instead
+// of the host speed, followed by its instrumentation probe time, and both
+// count as busy time; an MPI operation pays its probe time and is then
+// lowered exactly as SMPI replay lowers the same action. A malformed stream
+// surfaces as a *core.TraceError.
+func (c *Cluster) rankFeed(world *mpi.World, rank int, rate float64, stream npb.OpStream, icfg instrument.Config, busy *float64) sim.Feed {
+	ops := world.TaskRank(rank)
+	npending := 0
+	return func(p *sim.Prog) (bool, error) {
+		op, ok, err := stream.Next()
+		if err != nil {
+			return false, &core.TraceError{Backend: "ground", Rank: rank, Err: fmt.Errorf("reading stream: %w", err)}
+		}
+		if !ok {
+			return false, nil
+		}
+		a := &op.Action
+		if a.Kind == trace.Compute {
+			base, _, probeTime := icfg.ComputeCost(op)
+			if base > 0 {
+				p.Sleep(base / rate)
 			}
-			if !ok {
-				return
+			if probeTime > 0 {
+				p.Sleep(probeTime)
 			}
-			a := op.Action
-			if a.Kind == trace.Compute {
-				base, _, probeTime := icfg.ComputeCost(op)
-				r.Proc().ExecuteAtRate(base, rate)
-				if probeTime > 0 {
-					r.Proc().Sleep(probeTime)
-				}
-				*busy += base/rate + probeTime
-				continue
-			}
-			if a.Kind != trace.Init && a.Kind != trace.Finalize {
-				if _, probeTime := icfg.MPICost(op); probeTime > 0 {
-					r.Proc().Sleep(probeTime)
-				}
-			}
-			switch a.Kind {
-			case trace.Init, trace.Finalize:
-			case trace.Send:
-				r.Send(a.Peer, a.Bytes)
-			case trace.ISend:
-				pending = append(pending, r.Isend(a.Peer, a.Bytes))
-			case trace.Recv:
-				r.Recv(a.Peer)
-			case trace.IRecv:
-				pending = append(pending, r.Irecv(a.Peer))
-			case trace.Wait:
-				if len(pending) == 0 {
-					panic(fmt.Errorf("rank %d: wait with no outstanding request", rank))
-				}
-				r.Wait(pending[0])
-				pending = pending[1:]
-			case trace.WaitAll:
-				r.WaitAll(pending)
-				pending = pending[:0]
-			case trace.Barrier:
-				r.Barrier()
-			case trace.Bcast:
-				r.Bcast(a.Bytes, a.Root)
-			case trace.Reduce:
-				r.Reduce(a.Bytes, a.Root)
-			case trace.AllReduce:
-				r.AllReduce(a.Bytes)
-			case trace.AllToAll:
-				r.AllToAll(a.Bytes)
-			case trace.Gather:
-				r.Gather(a.Bytes, a.Root)
-			case trace.AllGather:
-				r.AllGather(a.Bytes)
-			default:
-				panic(fmt.Errorf("rank %d: unsupported op %v", rank, a.Kind))
+			*busy += base/rate + probeTime
+			return true, nil
+		}
+		if a.Kind != trace.Init && a.Kind != trace.Finalize {
+			if _, probeTime := icfg.MPICost(op); probeTime > 0 {
+				p.Sleep(probeTime)
 			}
 		}
-	})
+		if err := core.Lower(ops, p, a, &npending); err != nil {
+			return false, &core.TraceError{Backend: "ground", Rank: rank, Kind: a.Kind, Err: err}
+		}
+		return true, nil
+	}
 }

@@ -1,10 +1,13 @@
 package ground
 
 import (
+	"errors"
 	"testing"
 
+	"tireplay/internal/core"
 	"tireplay/internal/instrument"
 	"tireplay/internal/npb"
+	"tireplay/internal/trace"
 )
 
 func TestClusterDefinitions(t *testing.T) {
@@ -189,5 +192,30 @@ func TestGroundTruthMagnitudes(t *testing.T) {
 	perIter := res.Time / iters
 	if perIter < 0.25 || perIter > 0.55 {
 		t.Fatalf("B-8 bordereau = %.3f s/iteration, want ~0.37 (93 s / 250)", perIter)
+	}
+}
+
+// opsWorkload is a one-rank workload replaying a fixed operation list.
+type opsWorkload []npb.Op
+
+func (w opsWorkload) Name() string                      { return "ops" }
+func (w opsWorkload) Ranks() int                        { return 1 }
+func (w opsWorkload) Rank(int) (npb.OpStream, error)    { return npb.NewOpSlice(w), nil }
+func (w opsWorkload) WorkingSet(int) float64            { return 0 }
+func (w opsWorkload) BaseInstructions(rank int) float64 { return 0 }
+
+// TestMalformedOpStreamIsTraceError: an operation stream the lowering
+// rejects must surface as a structured *core.TraceError from Run, not as a
+// panic report.
+func TestMalformedOpStreamIsTraceError(t *testing.T) {
+	w := opsWorkload{{Action: trace.Action{Kind: trace.Wait, Peer: -1}, Calls: 1}}
+	_, err := Bordereau().Run(w, instrument.Config{Mode: instrument.None})
+	var te *core.TraceError
+	if !errors.As(err, &te) || !errors.Is(err, core.ErrNoOutstandingRequest) {
+		t.Fatalf("err = %v, want a TraceError wrapping ErrNoOutstandingRequest", err)
+	}
+	const want = `ground: emulating ops on bordereau: ground replay, rank 0, action "wait": wait with no outstanding request`
+	if err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }

@@ -7,106 +7,27 @@ import "fmt"
 // performance models of collective communications" with actual message
 // exchanges, following the algorithms of mainstream MPI implementations).
 //
-// The algorithms are written once, as free functions over the collPrims
-// primitive set, and driven by two implementations: the executing *Rank
-// (goroutine mode) and the compiling *TaskRank (continuation mode). Both
-// modes therefore produce the same message schedule by construction — the
-// property the differential replay tests pin down to bit-identical times.
-
-// collPrims is the primitive set a collective algorithm needs: identity plus
-// the protocol-following point-to-point operations on the collective mailbox
-// namespace.
-type collPrims interface {
-	Rank() int
-	Size() int
-	sendColl(dst int, bytes float64)
-	recvColl(src int)
-	sendRecvColl(dst int, bytes float64, src int)
-	putColl(dst int, bytes float64) // blocking send (chain-head pacing)
-}
-
-// Barrier synchronizes all ranks: a binomial-tree gather of empty messages
-// to rank 0 followed by a binomial-tree release.
-func (r *Rank) Barrier() { barrierColl(r) }
-
-// Bcast broadcasts bytes from root using the configured algorithm
-// (binomial tree by default).
-func (r *Rank) Bcast(bytes float64, root int) {
-	bcastWithColl(r, r.world.cfg.Bcast, bytes, root)
-}
-
-// BcastWith broadcasts using an explicit algorithm.
-func (r *Rank) BcastWith(algo BcastAlgo, bytes float64, root int) {
-	bcastWithColl(r, algo, bytes, root)
-}
-
-// Reduce combines bytes from every rank onto root along a binomial tree.
-func (r *Rank) Reduce(bytes float64, root int) {
-	checkRootColl(r, root, "Reduce")
-	reduceTree(r, root, bytes)
-}
-
-// AllReduce combines and redistributes bytes across all ranks using the
-// configured algorithm. The default, recursive doubling, runs log2 P
-// exchange rounds on power-of-two communicators and falls back to
-// Reduce+Bcast otherwise, as common MPI runtimes do for irregular sizes.
-func (r *Rank) AllReduce(bytes float64) {
-	allReduceWithColl(r, r.world.cfg.AllReduce, bytes)
-}
-
-// AllReduceWith reduces-and-redistributes using an explicit algorithm.
-func (r *Rank) AllReduceWith(algo AllReduceAlgo, bytes float64) {
-	allReduceWithColl(r, algo, bytes)
-}
-
-// AllToAll exchanges bytes with every other rank using the pairwise-exchange
-// algorithm.
-func (r *Rank) AllToAll(bytes float64) { alltoallPairwise(r, bytes) }
-
-// Gather collects bytes from every rank to root (linear algorithm: each
-// non-root sends once, the root receives P-1 messages).
-func (r *Rank) Gather(bytes float64, root int) {
-	checkRootColl(r, root, "Gather")
-	gatherLinear(r, bytes, root)
-}
-
-// AllGather uses the ring algorithm: P-1 steps, each rank forwarding bytes
-// to its successor while receiving from its predecessor.
-func (r *Rank) AllGather(bytes float64) { allGatherRing(r, bytes) }
-
-// AllToAllV is the vector all-to-all: vols[k] is the number of bytes this
-// rank sends to rank k (vols[rank] is ignored). It uses the same
-// pairwise-exchange schedule as AllToAll with per-pair volumes.
-func (r *Rank) AllToAllV(vols []float64) {
-	checkVolsColl(r, vols, "AllToAllV")
-	alltoallvPairwise(r, vols)
-}
-
-// AllGatherV is the vector all-gather: vols[k] is the number of bytes rank k
-// contributes. Every rank must pass the same vector (as MPI requires of the
-// recvcounts argument). It uses the same ring schedule as AllGather with
-// per-origin block sizes.
-func (r *Rank) AllGatherV(vols []float64) {
-	checkVolsColl(r, vols, "AllGatherV")
-	allGatherVRing(r, vols)
-}
+// The algorithms are functions over a *TaskRank: each point-to-point step
+// appends its protocol-following micro-ops (sendColl, recvColl,
+// sendRecvColl, putColl on the collective mailbox namespace) to the
+// program being compiled, so one call lowers a whole collective schedule.
 
 // barrierColl is the binomial gather + release barrier.
-func barrierColl(c collPrims) {
+func barrierColl(c *TaskRank) {
 	reduceTree(c, 0, 1)
 	bcastTree(c, 0, 1)
 }
 
 // allReduceRDB is the recursive-doubling implementation with the
 // reduce+bcast fallback for non-power-of-two communicators.
-func allReduceRDB(c collPrims, bytes float64) {
+func allReduceRDB(c *TaskRank, bytes float64) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
 	if p&(p-1) == 0 {
 		for mask := 1; mask < p; mask <<= 1 {
-			partner := c.Rank() ^ mask
+			partner := c.rank ^ mask
 			c.sendRecvColl(partner, bytes, partner)
 		}
 		return
@@ -117,12 +38,12 @@ func allReduceRDB(c collPrims, bytes float64) {
 
 // alltoallPairwise exchanges bytes with every other rank: P-1 rounds, in
 // round i exchanging with a shifted schedule.
-func alltoallPairwise(c collPrims, bytes float64) {
+func alltoallPairwise(c *TaskRank, bytes float64) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	rank := c.Rank()
+	rank := c.rank
 	for i := 1; i < p; i++ {
 		dst := (rank + i) % p
 		src := (rank - i + p) % p
@@ -135,12 +56,12 @@ func alltoallPairwise(c collPrims, bytes float64) {
 // destination. Zero-volume pairs still exchange (an empty message), keeping
 // the schedule — and therefore the two execution modes — identical for every
 // volume vector.
-func alltoallvPairwise(c collPrims, vols []float64) {
+func alltoallvPairwise(c *TaskRank, vols []float64) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	rank := c.Rank()
+	rank := c.rank
 	for i := 1; i < p; i++ {
 		dst := (rank + i) % p
 		src := (rank - i + p) % p
@@ -151,12 +72,12 @@ func alltoallvPairwise(c collPrims, vols []float64) {
 // allGatherVRing is the vector form of allGatherRing: at step i each rank
 // forwards the block that originated at rank (rank-i+p)%p, so block k
 // travels the ring at its own size vols[k].
-func allGatherVRing(c collPrims, vols []float64) {
+func allGatherVRing(c *TaskRank, vols []float64) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	rank := c.Rank()
+	rank := c.rank
 	next := (rank + 1) % p
 	prev := (rank - 1 + p) % p
 	for i := 0; i < p-1; i++ {
@@ -166,12 +87,12 @@ func allGatherVRing(c collPrims, vols []float64) {
 
 // gatherLinear collects bytes to root: each non-root sends once, the root
 // receives P-1 messages in rank order.
-func gatherLinear(c collPrims, bytes float64, root int) {
+func gatherLinear(c *TaskRank, bytes float64, root int) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	if c.Rank() == root {
+	if c.rank == root {
 		for src := 0; src < p; src++ {
 			if src != root {
 				c.recvColl(src)
@@ -183,12 +104,12 @@ func gatherLinear(c collPrims, bytes float64, root int) {
 }
 
 // allGatherRing runs P-1 forwarding steps around the ring.
-func allGatherRing(c collPrims, bytes float64) {
+func allGatherRing(c *TaskRank, bytes float64) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	rank := c.Rank()
+	rank := c.rank
 	next := (rank + 1) % p
 	prev := (rank - 1 + p) % p
 	for i := 0; i < p-1; i++ {
@@ -198,12 +119,12 @@ func allGatherRing(c collPrims, bytes float64) {
 
 // bcastTree implements the binomial broadcast: the root's subtree unfolds in
 // log2 P rounds. vrank is the rank relative to the root.
-func bcastTree(c collPrims, root int, bytes float64) {
+func bcastTree(c *TaskRank, root int, bytes float64) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	vrank := (c.Rank() - root + p) % p
+	vrank := (c.rank - root + p) % p
 	// Receive from parent (unless root).
 	if vrank != 0 {
 		mask := 1
@@ -233,12 +154,12 @@ func bcastTree(c collPrims, root int, bytes float64) {
 // children form a contiguous range of masks, so they are visited by
 // iterating masks downward — no per-call slice as the historical
 // implementation allocated.
-func reduceTree(c collPrims, root int, bytes float64) {
+func reduceTree(c *TaskRank, root int, bytes float64) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	vrank := (c.Rank() - root + p) % p
+	vrank := (c.rank - root + p) % p
 	first := 1
 	for first <= vrank {
 		first <<= 1
@@ -265,22 +186,22 @@ func reduceTree(c collPrims, root int, bytes float64) {
 	}
 }
 
-func checkRootColl(c collPrims, root int, op string) {
+func checkRootColl(c *TaskRank, root int, op string) {
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("mpi: rank %d: %s root %d outside communicator of size %d",
-			c.Rank(), op, root, c.Size()))
+			c.rank, op, root, c.Size()))
 	}
 }
 
-func checkVolsColl(c collPrims, vols []float64, op string) {
+func checkVolsColl(c *TaskRank, vols []float64, op string) {
 	if len(vols) != c.Size() {
 		panic(fmt.Sprintf("mpi: rank %d: %s volume vector has %d entries for communicator of size %d",
-			c.Rank(), op, len(vols), c.Size()))
+			c.rank, op, len(vols), c.Size()))
 	}
 	for k, v := range vols {
 		if v < 0 {
 			panic(fmt.Sprintf("mpi: rank %d: %s negative volume %g for rank %d",
-				c.Rank(), op, v, k))
+				c.rank, op, v, k))
 		}
 	}
 }

@@ -39,13 +39,13 @@ const (
 const chainSegmentBytes = 8192
 
 // bcastWithColl broadcasts using an explicit algorithm.
-func bcastWithColl(c collPrims, algo BcastAlgo, bytes float64, root int) {
+func bcastWithColl(c *TaskRank, algo BcastAlgo, bytes float64, root int) {
 	checkRootColl(c, root, "BcastWith")
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	rank := c.Rank()
+	rank := c.rank
 	switch algo {
 	case BcastLinear:
 		if rank == root {
@@ -93,7 +93,7 @@ func bcastWithColl(c collPrims, algo BcastAlgo, bytes float64, root int) {
 }
 
 // allReduceWithColl reduces-and-redistributes using an explicit algorithm.
-func allReduceWithColl(c collPrims, algo AllReduceAlgo, bytes float64) {
+func allReduceWithColl(c *TaskRank, algo AllReduceAlgo, bytes float64) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -106,8 +106,8 @@ func allReduceWithColl(c collPrims, algo AllReduceAlgo, bytes float64) {
 		// Reduce-scatter then allgather around the ring; each of the
 		// 2(P-1) steps moves one bytes/P chunk.
 		chunk := bytes / float64(p)
-		next := (c.Rank() + 1) % p
-		prev := (c.Rank() - 1 + p) % p
+		next := (c.rank + 1) % p
+		prev := (c.rank - 1 + p) % p
 		for step := 0; step < 2*(p-1); step++ {
 			c.sendRecvColl(next, chunk, prev)
 		}

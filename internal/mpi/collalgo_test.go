@@ -2,29 +2,33 @@ package mpi
 
 import (
 	"testing"
+
+	"tireplay/internal/sim"
 )
 
-func runCollective(t *testing.T, n int, body func(r *Rank)) []float64 {
-	t.Helper()
-	w, e := testWorld(t, n, ModelConfig{})
-	ends := make([]float64, n)
-	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, func(r *Rank) {
-			body(r)
-			ends[i] = r.Now()
-		})
+// lastEnd returns the latest end time of a collective run.
+func lastEnd(ends []float64) float64 {
+	m := 0.0
+	for _, e := range ends {
+		if e > m {
+			m = e
+		}
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return ends
+	return m
+}
+
+func bcast(bytes float64, root int) step {
+	return func(tr *TaskRank, p *sim.Prog) { tr.Bcast(p, bytes, root) }
+}
+
+func allReduce(bytes float64) step {
+	return func(tr *TaskRank, p *sim.Prog) { tr.AllReduce(p, bytes) }
 }
 
 func TestBcastAlgorithmsAllDeliver(t *testing.T) {
 	for _, algo := range []BcastAlgo{BcastBinomial, BcastLinear, BcastChain} {
 		for _, n := range []int{2, 5, 8} {
-			ends := runCollective(t, n, func(r *Rank) { r.BcastWith(algo, 1<<20, 0) })
+			ends := runCollective(t, n, ModelConfig{Bcast: algo}, bcast(1<<20, 0))
 			for i := 1; i < n; i++ {
 				if ends[i] <= 0 {
 					t.Fatalf("algo %d, n=%d: rank %d never received", algo, n, i)
@@ -39,26 +43,16 @@ func TestBcastChainSegmentsOverlap(t *testing.T) {
 	// the linear algorithm (root serializes P-1 full transfers) because
 	// segments overlap along the chain.
 	const n, bytes = 8, 4 << 20
-	chain := runCollective(t, n, func(r *Rank) { r.BcastWith(BcastChain, bytes, 0) })
-	linear := runCollective(t, n, func(r *Rank) { r.BcastWith(BcastLinear, bytes, 0) })
-	last := func(ends []float64) float64 {
-		m := 0.0
-		for _, e := range ends {
-			if e > m {
-				m = e
-			}
-		}
-		return m
-	}
-	if last(chain) >= last(linear) {
-		t.Fatalf("chain bcast (%.4f s) not faster than linear (%.4f s) for large messages",
-			last(chain), last(linear))
+	chain := lastEnd(runCollective(t, n, ModelConfig{Bcast: BcastChain}, bcast(bytes, 0)))
+	linear := lastEnd(runCollective(t, n, ModelConfig{Bcast: BcastLinear}, bcast(bytes, 0)))
+	if chain >= linear {
+		t.Fatalf("chain bcast (%.4f s) not faster than linear (%.4f s) for large messages", chain, linear)
 	}
 }
 
 func TestBcastNonZeroRootAlgorithms(t *testing.T) {
 	for _, algo := range []BcastAlgo{BcastLinear, BcastChain} {
-		ends := runCollective(t, 6, func(r *Rank) { r.BcastWith(algo, 4096, 2) })
+		ends := runCollective(t, 6, ModelConfig{Bcast: algo}, bcast(4096, 2))
 		for i, end := range ends {
 			if i != 2 && end <= 0 {
 				t.Fatalf("algo %d: rank %d never received from root 2", algo, i)
@@ -70,7 +64,7 @@ func TestBcastNonZeroRootAlgorithms(t *testing.T) {
 func TestAllReduceAlgorithmsComplete(t *testing.T) {
 	for _, algo := range []AllReduceAlgo{AllReduceRDB, AllReduceReduceBcast, AllReduceRing} {
 		for _, n := range []int{2, 4, 6, 8} {
-			ends := runCollective(t, n, func(r *Rank) { r.AllReduceWith(algo, 1<<18) })
+			ends := runCollective(t, n, ModelConfig{AllReduce: algo}, allReduce(1<<18))
 			for i, end := range ends {
 				if end <= 0 {
 					t.Fatalf("algo %d, n=%d: rank %d did not finish", algo, n, i)
@@ -85,70 +79,35 @@ func TestAllReduceRingMovesLessPerStep(t *testing.T) {
 	// reduce+bcast (2 log2 P full-size hops) on bandwidth-dominated
 	// networks.
 	const n, bytes = 8, 8 << 20
-	ring := runCollective(t, n, func(r *Rank) { r.AllReduceWith(AllReduceRing, bytes) })
-	rb := runCollective(t, n, func(r *Rank) { r.AllReduceWith(AllReduceReduceBcast, bytes) })
-	maxOf := func(ends []float64) float64 {
-		m := 0.0
-		for _, e := range ends {
-			if e > m {
-				m = e
-			}
-		}
-		return m
-	}
-	if maxOf(ring) >= maxOf(rb) {
-		t.Fatalf("ring allreduce (%.4f s) not faster than reduce+bcast (%.4f s) for large payloads",
-			maxOf(ring), maxOf(rb))
+	ring := lastEnd(runCollective(t, n, ModelConfig{AllReduce: AllReduceRing}, allReduce(bytes)))
+	rb := lastEnd(runCollective(t, n, ModelConfig{AllReduce: AllReduceReduceBcast}, allReduce(bytes)))
+	if ring >= rb {
+		t.Fatalf("ring allreduce (%.4f s) not faster than reduce+bcast (%.4f s) for large payloads", ring, rb)
 	}
 }
 
 func TestSingleRankCollectiveAlgosFree(t *testing.T) {
-	w, e := testWorld(t, 1, ModelConfig{})
-	var end float64
-	w.Spawn(0, func(r *Rank) {
-		r.BcastWith(BcastChain, 100, 0)
-		r.AllReduceWith(AllReduceRing, 100)
-		end = r.Now()
+	cfg := ModelConfig{Bcast: BcastChain, AllReduce: AllReduceRing}
+	ends := runCollective(t, 1, cfg, func(tr *TaskRank, p *sim.Prog) {
+		tr.Bcast(p, 100, 0)
+		tr.AllReduce(p, 100)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if end != 0 {
-		t.Fatalf("single-rank collectives took %v", end)
+	if ends[0] != 0 {
+		t.Fatalf("single-rank collectives took %v", ends[0])
 	}
 }
 
 func TestModelConfigSelectsCollectiveAlgos(t *testing.T) {
-	// With ring allreduce configured, the generic AllReduce entry point
-	// (used by trace replay) must behave like the explicit ring call.
-	run := func(cfg ModelConfig, body func(r *Rank)) float64 {
-		w, e := testWorld(t, 8, cfg)
-		end := 0.0
-		for i := 0; i < 8; i++ {
-			w.Spawn(i, func(r *Rank) {
-				body(r)
-				if now := r.Now(); now > end {
-					end = now
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return end
-	}
+	// The configured algorithms are the ones Bcast and AllReduce (and hence
+	// trace replay) lower to.
 	const bytes = 8 << 20
-	viaConfig := run(ModelConfig{AllReduce: AllReduceRing}, func(r *Rank) { r.AllReduce(bytes) })
-	explicit := run(ModelConfig{}, func(r *Rank) { r.AllReduceWith(AllReduceRing, bytes) })
-	if viaConfig != explicit {
-		t.Fatalf("configured ring (%v) != explicit ring (%v)", viaConfig, explicit)
+	ring := lastEnd(runCollective(t, 8, ModelConfig{AllReduce: AllReduceRing}, allReduce(bytes)))
+	rdb := lastEnd(runCollective(t, 8, ModelConfig{}, allReduce(bytes)))
+	if ring == rdb {
+		t.Fatal("allreduce algorithm selection had no effect")
 	}
-	rdb := run(ModelConfig{}, func(r *Rank) { r.AllReduce(bytes) })
-	if viaConfig == rdb {
-		t.Fatal("algorithm selection had no effect")
-	}
-	linearBcast := run(ModelConfig{Bcast: BcastLinear}, func(r *Rank) { r.Bcast(bytes, 0) })
-	binomBcast := run(ModelConfig{}, func(r *Rank) { r.Bcast(bytes, 0) })
+	linearBcast := lastEnd(runCollective(t, 8, ModelConfig{Bcast: BcastLinear}, bcast(bytes, 0)))
+	binomBcast := lastEnd(runCollective(t, 8, ModelConfig{}, bcast(bytes, 0)))
 	if linearBcast == binomBcast {
 		t.Fatal("bcast algorithm selection had no effect")
 	}

@@ -43,9 +43,9 @@ type ModelConfig struct {
 	// os/or parameters of LogP-like models), charged on every send/recv.
 	SendOverhead float64 `json:"send_overhead,omitempty"`
 	RecvOverhead float64 `json:"recv_overhead,omitempty"`
-	// Bcast and AllReduce select the collective algorithms used by the
-	// generic Bcast/AllReduce entry points (and hence by trace replay).
-	// Zero values select the defaults (binomial tree, recursive doubling).
+	// Bcast and AllReduce select the collective algorithms Bcast and
+	// AllReduce lower to. Zero values select the defaults (binomial tree,
+	// recursive doubling).
 	Bcast     BcastAlgo     `json:"bcast,omitempty"`
 	AllReduce AllReduceAlgo `json:"all_reduce,omitempty"`
 }
@@ -95,28 +95,6 @@ func (w *World) collBox(src, dst int) sim.Mbox { return w.coll.Box(src, dst) }
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.hosts) }
 
-// Engine returns the underlying simulation engine.
-func (w *World) Engine() *sim.Engine { return w.engine }
-
-// Host returns the host of the given rank.
-func (w *World) Host(rank int) *sim.Host { return w.hosts[rank] }
-
-// Config returns the communication model configuration.
-func (w *World) Config() ModelConfig { return w.cfg }
-
-// Spawn starts the body of one rank as a simulated process.
-func (w *World) Spawn(rank int, body func(*Rank)) *Rank {
-	if rank < 0 || rank >= len(w.hosts) {
-		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, len(w.hosts)))
-	}
-	r := &Rank{world: w, rank: rank}
-	w.engine.Spawn(fmt.Sprintf("rank%d", rank), w.hosts[rank], func(p *sim.Proc) {
-		r.proc = p
-		body(r)
-	})
-	return r
-}
-
 // SpawnProg starts one rank as a continuation program fed by feed; see
 // TaskRank for the compiler producing such feeds.
 func (w *World) SpawnProg(rank int, feed sim.Feed) {
@@ -125,35 +103,3 @@ func (w *World) SpawnProg(rank int, feed sim.Feed) {
 	}
 	w.engine.SpawnProg(fmt.Sprintf("rank%d", rank), w.hosts[rank], feed)
 }
-
-// Rank is one MPI process.
-type Rank struct {
-	world *World
-	rank  int
-	proc  *sim.Proc
-}
-
-// Rank returns the process's rank in the world.
-func (r *Rank) Rank() int { return r.rank }
-
-// Size returns the communicator size.
-func (r *Rank) Size() int { return r.world.Size() }
-
-// Proc exposes the underlying simulated process (for custom compute
-// modelling, e.g. the ground-truth cache-aware rates).
-func (r *Rank) Proc() *sim.Proc { return r.proc }
-
-// Now returns the simulated time.
-func (r *Rank) Now() float64 { return r.proc.Now() }
-
-// Compute executes instr instructions at the host's calibrated rate.
-func (r *Rank) Compute(instr float64) { r.proc.Execute(instr) }
-
-// Request represents an outstanding nonblocking operation. A nil comm means
-// the operation completed immediately (eager sends).
-type Request struct {
-	comm *sim.Comm
-}
-
-// Done reports whether the request has completed.
-func (q *Request) Done() bool { return q.comm == nil || q.comm.Done() }

@@ -37,17 +37,40 @@ func approx(t *testing.T, got, want, tolFrac float64, what string) {
 	}
 }
 
+// step lowers part of a rank's program through its compiler.
+type step = func(tr *TaskRank, p *sim.Prog)
+
+// spawn starts rank of w running steps, one per feed call. A step that
+// emits no ops may record the engine time: the machine feeds again at once,
+// so it reads the time the previous step's ops completed.
+func spawn(w *World, rank int, steps ...step) {
+	tr := w.TaskRank(rank)
+	i := 0
+	w.SpawnProg(rank, func(p *sim.Prog) (bool, error) {
+		if i == len(steps) {
+			return false, nil
+		}
+		steps[i](tr, p)
+		i++
+		return true, nil
+	})
+}
+
+// at returns a step recording the simulated time into *t.
+func at(e *sim.Engine, t *float64) step {
+	return func(*TaskRank, *sim.Prog) { *t = e.Now() }
+}
+
+// sleep returns a step that idles for d simulated seconds.
+func sleep(d float64) step {
+	return func(_ *TaskRank, p *sim.Prog) { p.Sleep(d) }
+}
+
 func TestEagerSendReturnsImmediately(t *testing.T) {
 	w, e := testWorld(t, 2, ModelConfig{})
 	var sendEnd, recvEnd float64
-	w.Spawn(0, func(r *Rank) {
-		r.Send(1, 1024)
-		sendEnd = r.Now()
-	})
-	w.Spawn(1, func(r *Rank) {
-		r.Recv(0)
-		recvEnd = r.Now()
-	})
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 1, 1024) }, at(e, &sendEnd))
+	spawn(w, 1, func(tr *TaskRank, p *sim.Prog) { tr.Recv(p, 0) }, at(e, &recvEnd))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +85,8 @@ func TestEagerSendChargesMemcpyWhenModelled(t *testing.T) {
 	cfg := ModelConfig{MemcpyBandwidth: 2e9, MemcpyLatency: 1e-6}
 	w, e := testWorld(t, 2, cfg)
 	var sendEnd float64
-	w.Spawn(0, func(r *Rank) {
-		r.Send(1, 2048)
-		sendEnd = r.Now()
-	})
-	w.Spawn(1, func(r *Rank) { r.Recv(0) })
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 1, 2048) }, at(e, &sendEnd))
+	spawn(w, 1, func(tr *TaskRank, p *sim.Prog) { tr.Recv(p, 0) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +96,8 @@ func TestEagerSendChargesMemcpyWhenModelled(t *testing.T) {
 func TestRendezvousSendBlocks(t *testing.T) {
 	w, e := testWorld(t, 2, ModelConfig{})
 	var sendEnd float64
-	w.Spawn(0, func(r *Rank) {
-		r.Send(1, 1<<20) // 1 MiB >= threshold
-		sendEnd = r.Now()
-	})
-	w.Spawn(1, func(r *Rank) {
-		r.Proc().Sleep(0.5)
-		r.Recv(0)
-	})
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 1, 1<<20) }, at(e, &sendEnd)) // 1 MiB >= threshold
+	spawn(w, 1, sleep(0.5), func(tr *TaskRank, p *sim.Prog) { tr.Recv(p, 0) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +110,8 @@ func TestEagerThresholdBoundary(t *testing.T) {
 	// Exactly 65536 bytes must use rendezvous ("size < 65536" is eager).
 	w, e := testWorld(t, 2, ModelConfig{})
 	var sendEnd float64
-	w.Spawn(0, func(r *Rank) {
-		r.Send(1, 65536)
-		sendEnd = r.Now()
-	})
-	w.Spawn(1, func(r *Rank) {
-		r.Proc().Sleep(1)
-		r.Recv(0)
-	})
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 1, 65536) }, at(e, &sendEnd))
+	spawn(w, 1, sleep(1), func(tr *TaskRank, p *sim.Prog) { tr.Recv(p, 0) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +123,8 @@ func TestEagerThresholdBoundary(t *testing.T) {
 func TestCustomEagerThreshold(t *testing.T) {
 	w, e := testWorld(t, 2, ModelConfig{EagerThreshold: 100})
 	var sendEnd float64
-	w.Spawn(0, func(r *Rank) {
-		r.Send(1, 200) // above custom threshold -> rendezvous
-		sendEnd = r.Now()
-	})
-	w.Spawn(1, func(r *Rank) {
-		r.Proc().Sleep(0.25)
-		r.Recv(0)
-	})
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 1, 200) }, at(e, &sendEnd)) // above custom threshold -> rendezvous
+	spawn(w, 1, sleep(0.25), func(tr *TaskRank, p *sim.Prog) { tr.Recv(p, 0) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,65 +138,60 @@ func TestEagerOverlapWithReceiverCompute(t *testing.T) {
 	// posted after arrival returns instantly. This is the behaviour the MSG
 	// prototype could not express.
 	w, e := testWorld(t, 2, ModelConfig{})
-	var recvWait float64
-	w.Spawn(0, func(r *Rank) { r.Send(1, 4096) })
-	w.Spawn(1, func(r *Rank) {
-		r.Proc().Sleep(0.1) // much longer than the transfer
-		before := r.Now()
-		r.Recv(0)
-		recvWait = r.Now() - before
-	})
+	var before, after float64
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 1, 4096) })
+	spawn(w, 1,
+		sleep(0.1), // much longer than the transfer
+		at(e, &before),
+		func(tr *TaskRank, p *sim.Prog) { tr.Recv(p, 0) },
+		at(e, &after))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if recvWait > 1e-9 {
-		t.Fatalf("recv waited %v, want ~0 (data already buffered)", recvWait)
+	if wait := after - before; wait > 1e-9 {
+		t.Fatalf("recv waited %v, want ~0 (data already buffered)", wait)
 	}
 }
 
 func TestIsendWaitAndTest(t *testing.T) {
 	w, e := testWorld(t, 2, ModelConfig{})
-	var eagerDone, largeDoneBefore, largeDoneAfter bool
-	w.Spawn(0, func(r *Rank) {
-		qe := r.Isend(1, 8)
-		eagerDone = r.Test(qe)
-		ql := r.Isend(1, 1<<20)
-		largeDoneBefore = r.Test(ql)
-		r.Wait(ql)
-		largeDoneAfter = r.Test(ql)
-		r.Wait(nil) // must not panic
-	})
-	w.Spawn(1, func(r *Rank) {
-		r.Recv(0)
-		r.Recv(0)
+	var eagerDone, largePosted, largeDone float64
+	spawn(w, 0,
+		// An eager isend is complete as soon as it is posted.
+		func(tr *TaskRank, p *sim.Prog) { tr.Isend(p, 1, 8); p.WaitPending() },
+		at(e, &eagerDone),
+		func(tr *TaskRank, p *sim.Prog) { tr.Isend(p, 1, 1<<20) },
+		at(e, &largePosted),
+		func(_ *TaskRank, p *sim.Prog) { p.WaitPending() },
+		at(e, &largeDone))
+	spawn(w, 1, func(tr *TaskRank, p *sim.Prog) {
+		tr.Recv(p, 0)
+		tr.Recv(p, 0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !eagerDone {
-		t.Error("eager isend not immediately complete")
+	if eagerDone != 0 {
+		t.Errorf("eager isend completed at %v, want immediately", eagerDone)
 	}
-	if largeDoneBefore {
-		t.Error("large isend complete before wait")
+	if largePosted != 0 {
+		t.Errorf("large isend blocked the sender until %v, want nonblocking", largePosted)
 	}
-	if !largeDoneAfter {
-		t.Error("large isend incomplete after wait")
+	if largeDone <= routeLat {
+		t.Errorf("large isend complete at %v, before its transfer could finish", largeDone)
 	}
 }
 
 func TestIrecvWaitAll(t *testing.T) {
 	w, e := testWorld(t, 3, ModelConfig{})
 	var end float64
-	w.Spawn(0, func(r *Rank) {
-		qs := []*Request{r.Irecv(1), r.Irecv(2)}
-		r.WaitAll(qs)
-		end = r.Now()
-	})
-	w.Spawn(1, func(r *Rank) { r.Send(0, 1000) })
-	w.Spawn(2, func(r *Rank) {
-		r.Proc().Sleep(0.3)
-		r.Send(0, 1000)
-	})
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) {
+		tr.Irecv(p, 1)
+		tr.Irecv(p, 2)
+		p.WaitAllPending()
+	}, at(e, &end))
+	spawn(w, 1, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 0, 1000) })
+	spawn(w, 2, sleep(0.3), func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 0, 1000) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +202,16 @@ func TestIrecvWaitAll(t *testing.T) {
 
 func TestSendRecvNoDeadlock(t *testing.T) {
 	// Symmetric large-message exchange would deadlock with blocking sends;
-	// SendRecv must complete.
+	// isend + recv + wait (MPI_Sendrecv) must complete.
 	w, e := testWorld(t, 2, ModelConfig{})
-	w.Spawn(0, func(r *Rank) { r.SendRecv(1, 1<<20, 1) })
-	w.Spawn(1, func(r *Rank) { r.SendRecv(0, 1<<20, 0) })
+	for rank := 0; rank < 2; rank++ {
+		peer := 1 - rank
+		spawn(w, rank, func(tr *TaskRank, p *sim.Prog) {
+			tr.Isend(p, peer, 1<<20)
+			tr.Recv(p, peer)
+			p.WaitPending()
+		})
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,16 +219,10 @@ func TestSendRecvNoDeadlock(t *testing.T) {
 
 func TestSendRecvOverheads(t *testing.T) {
 	cfg := ModelConfig{SendOverhead: 1e-3, RecvOverhead: 2e-3}
-	w, e := testWorld(t, 2, ModelConfig(cfg))
+	w, e := testWorld(t, 2, cfg)
 	var sendEnd, recvEnd float64
-	w.Spawn(0, func(r *Rank) {
-		r.Send(1, 8)
-		sendEnd = r.Now()
-	})
-	w.Spawn(1, func(r *Rank) {
-		r.Recv(0)
-		recvEnd = r.Now()
-	})
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 1, 8) }, at(e, &sendEnd))
+	spawn(w, 1, func(tr *TaskRank, p *sim.Prog) { tr.Recv(p, 0) }, at(e, &recvEnd))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,22 +232,30 @@ func TestSendRecvOverheads(t *testing.T) {
 	}
 }
 
-func collectiveWorld(t *testing.T, n int) (*World, *sim.Engine, []float64) {
-	w, e := testWorld(t, n, ModelConfig{})
+// runCollective runs body on every rank of an n-rank world under cfg and
+// returns each rank's end time.
+func runCollective(t *testing.T, n int, cfg ModelConfig, body step) []float64 {
+	t.Helper()
+	w, e := testWorld(t, n, cfg)
 	ends := make([]float64, n)
-	return w, e, ends
+	for i := 0; i < n; i++ {
+		spawn(w, i, body, at(e, &ends[i]))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("n=%d: %v", n, err)
+	}
+	return ends
 }
 
 func TestBarrierSynchronizes(t *testing.T) {
 	const n = 5 // non power of two on purpose
-	w, e, ends := collectiveWorld(t, n)
+	w, e := testWorld(t, n, ModelConfig{})
+	ends := make([]float64, n)
 	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, func(r *Rank) {
-			r.Proc().Sleep(float64(i) * 0.1) // staggered arrivals
-			r.Barrier()
-			ends[i] = r.Now()
-		})
+		spawn(w, i,
+			sleep(float64(i)*0.1), // staggered arrivals
+			func(tr *TaskRank, p *sim.Prog) { tr.Barrier(p) },
+			at(e, &ends[i]))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -268,17 +273,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 
 func TestBcastDelivers(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7, 8} {
-		w, e, ends := collectiveWorld(t, n)
-		for i := 0; i < n; i++ {
-			i := i
-			w.Spawn(i, func(r *Rank) {
-				r.Bcast(1024, 0)
-				ends[i] = r.Now()
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		ends := runCollective(t, n, ModelConfig{}, func(tr *TaskRank, p *sim.Prog) { tr.Bcast(p, 1024, 0) })
 		for i := 1; i < n; i++ {
 			if ends[i] <= 0 {
 				t.Fatalf("n=%d: rank %d finished bcast at %v, want > 0", n, i, ends[i])
@@ -289,17 +284,7 @@ func TestBcastDelivers(t *testing.T) {
 
 func TestBcastNonZeroRoot(t *testing.T) {
 	const n = 6
-	w, e, ends := collectiveWorld(t, n)
-	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, func(r *Rank) {
-			r.Bcast(512, 3)
-			ends[i] = r.Now()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	ends := runCollective(t, n, ModelConfig{}, func(tr *TaskRank, p *sim.Prog) { tr.Bcast(p, 512, 3) })
 	// Eager sends are free for the root (no memcpy modelled), so only check
 	// that every non-root rank actually received through the tree.
 	for i := 0; i < n; i++ {
@@ -311,17 +296,7 @@ func TestBcastNonZeroRoot(t *testing.T) {
 
 func TestReduceCompletes(t *testing.T) {
 	for _, n := range []int{2, 3, 8} {
-		w, e, ends := collectiveWorld(t, n)
-		for i := 0; i < n; i++ {
-			i := i
-			w.Spawn(i, func(r *Rank) {
-				r.Reduce(2048, 0)
-				ends[i] = r.Now()
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		ends := runCollective(t, n, ModelConfig{}, func(tr *TaskRank, p *sim.Prog) { tr.Reduce(p, 2048, 0) })
 		if ends[0] <= 0 {
 			t.Fatalf("n=%d: root finished at %v", n, ends[0])
 		}
@@ -330,17 +305,7 @@ func TestReduceCompletes(t *testing.T) {
 
 func TestAllReducePowerOfTwoAndOdd(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 3, 6} {
-		w, e, ends := collectiveWorld(t, n)
-		for i := 0; i < n; i++ {
-			i := i
-			w.Spawn(i, func(r *Rank) {
-				r.AllReduce(40)
-				ends[i] = r.Now()
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		ends := runCollective(t, n, ModelConfig{}, func(tr *TaskRank, p *sim.Prog) { tr.AllReduce(p, 40) })
 		for i := 0; i < n; i++ {
 			if ends[i] <= 0 {
 				t.Fatalf("n=%d: rank %d never finished allreduce", n, i)
@@ -350,36 +315,20 @@ func TestAllReducePowerOfTwoAndOdd(t *testing.T) {
 }
 
 func TestAllReduceSingleRankIsFree(t *testing.T) {
-	w, e, ends := collectiveWorld(t, 1)
-	w.Spawn(0, func(r *Rank) {
-		r.AllReduce(40)
-		r.Barrier()
-		r.AllToAll(8)
-		r.AllGather(8)
-		r.Gather(8, 0)
-		ends[0] = r.Now()
+	ends := runCollective(t, 1, ModelConfig{}, func(tr *TaskRank, p *sim.Prog) {
+		tr.AllReduce(p, 40)
+		tr.Barrier(p)
+		tr.AllToAll(p, 8)
+		tr.AllGather(p, 8)
+		tr.Gather(p, 8, 0)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
 	if ends[0] != 0 {
 		t.Fatalf("single-rank collectives took %v, want 0", ends[0])
 	}
 }
 
 func TestAllToAllCompletes(t *testing.T) {
-	const n = 4
-	w, e, ends := collectiveWorld(t, n)
-	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, func(r *Rank) {
-			r.AllToAll(4096)
-			ends[i] = r.Now()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	ends := runCollective(t, 4, ModelConfig{}, func(tr *TaskRank, p *sim.Prog) { tr.AllToAll(p, 4096) })
 	for i, end := range ends {
 		if end <= 0 {
 			t.Fatalf("rank %d alltoall end = %v", i, end)
@@ -388,19 +337,10 @@ func TestAllToAllCompletes(t *testing.T) {
 }
 
 func TestGatherAndAllGather(t *testing.T) {
-	const n = 5
-	w, e, ends := collectiveWorld(t, n)
-	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, func(r *Rank) {
-			r.Gather(128, 2)
-			r.AllGather(128)
-			ends[i] = r.Now()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	ends := runCollective(t, 5, ModelConfig{}, func(tr *TaskRank, p *sim.Prog) {
+		tr.Gather(p, 128, 2)
+		tr.AllGather(p, 128)
+	})
 	for i, end := range ends {
 		if end <= 0 {
 			t.Fatalf("rank %d end = %v", i, end)
@@ -411,16 +351,15 @@ func TestGatherAndAllGather(t *testing.T) {
 func TestBackToBackCollectivesKeepOrder(t *testing.T) {
 	// Successive collectives on the same pair mailboxes must not cross-match.
 	const n = 4
-	w, e, _ := collectiveWorld(t, n)
+	w, e := testWorld(t, n, ModelConfig{})
 	times := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, func(r *Rank) {
-			for k := 0; k < 10; k++ {
-				r.AllReduce(40)
-				times[i] = append(times[i], r.Now())
-			}
-		})
+		times[i] = make([]float64, 10)
+		var steps []step
+		for k := 0; k < 10; k++ {
+			steps = append(steps, func(tr *TaskRank, p *sim.Prog) { tr.AllReduce(p, 40) }, at(e, &times[i][k]))
+		}
+		spawn(w, i, steps...)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -436,20 +375,11 @@ func TestBackToBackCollectivesKeepOrder(t *testing.T) {
 
 func TestLargeMessageCollective(t *testing.T) {
 	// Collectives with rendezvous-sized payloads must not deadlock.
-	const n = 4
-	w, e, ends := collectiveWorld(t, n)
-	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, func(r *Rank) {
-			r.AllReduce(1 << 20)
-			r.Bcast(1<<20, 0)
-			r.Reduce(1<<20, 0)
-			ends[i] = r.Now()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	ends := runCollective(t, 4, ModelConfig{}, func(tr *TaskRank, p *sim.Prog) {
+		tr.AllReduce(p, 1<<20)
+		tr.Bcast(p, 1<<20, 0)
+		tr.Reduce(p, 1<<20, 0)
+	})
 	for i, end := range ends {
 		if end <= 0 {
 			t.Fatalf("rank %d end = %v", i, end)
@@ -458,16 +388,8 @@ func TestLargeMessageCollective(t *testing.T) {
 }
 
 func TestComputeUsesHostSpeed(t *testing.T) {
-	w, e := testWorld(t, 1, ModelConfig{})
-	var end float64
-	w.Spawn(0, func(r *Rank) {
-		r.Compute(2e9)
-		end = r.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	approx(t, end, 2.0, 1e-9, "compute at 1e9 instr/s")
+	ends := runCollective(t, 1, ModelConfig{}, func(tr *TaskRank, p *sim.Prog) { tr.Compute(p, 2e9) })
+	approx(t, ends[0], 2.0, 1e-9, "compute at 1e9 instr/s")
 }
 
 func TestWorldValidation(t *testing.T) {
@@ -486,7 +408,7 @@ func TestWorldValidation(t *testing.T) {
 
 func TestPeerValidationFaults(t *testing.T) {
 	w, e := testWorld(t, 2, ModelConfig{})
-	w.Spawn(0, func(r *Rank) { r.Send(5, 10) })
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 5, 10) })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected error for out-of-range peer")
 	}
@@ -494,7 +416,7 @@ func TestPeerValidationFaults(t *testing.T) {
 
 func TestSelfSendFaults(t *testing.T) {
 	w, e := testWorld(t, 2, ModelConfig{})
-	w.Spawn(0, func(r *Rank) { r.Send(0, 10) })
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 0, 10) })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected error for self send")
 	}

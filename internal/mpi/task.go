@@ -6,14 +6,12 @@ import (
 	"tireplay/internal/sim"
 )
 
-// TaskRank is the continuation-mode counterpart of Rank: instead of executing
-// MPI calls on a goroutine-backed process, it compiles each call into sim
-// micro-ops appended to a Prog, which the engine interprets inline from the
-// event loop. The emitters are line-for-line lowerings of the Rank methods in
-// p2p.go — same protocol split, same sleeps, same mailboxes, in the same
-// order — and the collectives are the very same algorithm functions
-// (coll.go), driven through the collPrims interface. That is what makes the
-// two modes produce bit-identical simulated times.
+// TaskRank compiles one rank's MPI calls into sim micro-ops appended to a
+// Prog, which the engine interprets inline from the event loop. Small
+// messages follow the eager protocol — the sender detaches after its local
+// costs — and large ones the rendezvous protocol, blocking until the
+// transfer completes; collectives lower to the point-to-point schedules of
+// coll.go on the collective mailbox namespace.
 //
 // Register convention: register 0 holds the send side of a blocking or
 // exchanged operation, register 1 the receive side. Both are always waited
@@ -33,29 +31,28 @@ func (w *World) TaskRank(rank int) *TaskRank {
 	return &TaskRank{world: w, rank: rank}
 }
 
-// Rank returns the compiled rank's index.
-func (tr *TaskRank) Rank() int { return tr.rank }
-
 // Size returns the communicator size.
 func (tr *TaskRank) Size() int { return tr.world.Size() }
 
 func (tr *TaskRank) bind(p *sim.Prog) { tr.prog = p }
 
-// Compute compiles Rank.Compute.
+// Compute computes instr instructions at the host's calibrated rate.
 func (tr *TaskRank) Compute(p *sim.Prog, instr float64) {
 	p.Exec(instr)
 }
 
-// Send compiles Rank.Send: eager sends detach after the local costs,
-// rendezvous sends block until the transfer completes.
+// Send is MPI_Send under the configured model: below the eager threshold
+// the send detaches after the local costs only; at or above it, it blocks
+// until the transfer completes (rendezvous).
 func (tr *TaskRank) Send(p *sim.Prog, dst int, bytes float64) {
 	tr.bind(p)
 	tr.checkPeer(dst, "Send")
 	tr.emitSend(tr.world.p2pBox(tr.rank, dst), bytes)
 }
 
-// Isend compiles Rank.Isend onto the pending FIFO. Eager sends push an
-// already-done placeholder so trace waits stay FIFO-aligned.
+// Isend is the nonblocking send, queued on the pending FIFO. Eager sends
+// complete immediately: they push an already-done placeholder so trace waits
+// stay FIFO-aligned. Rendezvous sends complete when the transfer does.
 func (tr *TaskRank) Isend(p *sim.Prog, dst int, bytes float64) {
 	tr.bind(p)
 	tr.checkPeer(dst, "Isend")
@@ -73,80 +70,92 @@ func (tr *TaskRank) Isend(p *sim.Prog, dst int, bytes float64) {
 	p.PutPending(box, bytes)
 }
 
-// Recv compiles Rank.Recv.
+// Recv blocks until a message from src has fully arrived.
 func (tr *TaskRank) Recv(p *sim.Prog, src int) {
 	tr.bind(p)
 	tr.checkPeer(src, "Recv")
 	tr.emitRecv(tr.world.p2pBox(src, tr.rank))
 }
 
-// Irecv compiles Rank.Irecv onto the pending FIFO.
+// Irecv posts a nonblocking receive from src onto the pending FIFO.
 func (tr *TaskRank) Irecv(p *sim.Prog, src int) {
 	tr.bind(p)
 	tr.checkPeer(src, "Irecv")
 	p.GetPending(tr.world.p2pBox(src, tr.rank))
 }
 
-// Barrier compiles Rank.Barrier.
+// Barrier synchronizes all ranks: a binomial-tree gather of empty messages
+// to rank 0 followed by a binomial-tree release.
 func (tr *TaskRank) Barrier(p *sim.Prog) {
 	tr.bind(p)
 	barrierColl(tr)
 }
 
-// Bcast compiles Rank.Bcast with the configured algorithm.
+// Bcast broadcasts bytes from root using the configured algorithm
+// (binomial tree by default).
 func (tr *TaskRank) Bcast(p *sim.Prog, bytes float64, root int) {
 	tr.bind(p)
 	bcastWithColl(tr, tr.world.cfg.Bcast, bytes, root)
 }
 
-// Reduce compiles Rank.Reduce.
+// Reduce combines bytes from every rank onto root along a binomial tree.
 func (tr *TaskRank) Reduce(p *sim.Prog, bytes float64, root int) {
 	tr.bind(p)
 	checkRootColl(tr, root, "Reduce")
 	reduceTree(tr, root, bytes)
 }
 
-// AllReduce compiles Rank.AllReduce with the configured algorithm.
+// AllReduce combines and redistributes bytes across all ranks using the
+// configured algorithm. The default, recursive doubling, runs log2 P
+// exchange rounds on power-of-two communicators and falls back to
+// Reduce+Bcast otherwise, as common MPI runtimes do for irregular sizes.
 func (tr *TaskRank) AllReduce(p *sim.Prog, bytes float64) {
 	tr.bind(p)
 	allReduceWithColl(tr, tr.world.cfg.AllReduce, bytes)
 }
 
-// AllToAll compiles Rank.AllToAll.
+// AllToAll exchanges bytes with every other rank using the pairwise-exchange
+// algorithm.
 func (tr *TaskRank) AllToAll(p *sim.Prog, bytes float64) {
 	tr.bind(p)
 	alltoallPairwise(tr, bytes)
 }
 
-// Gather compiles Rank.Gather.
+// Gather collects bytes from every rank to root (linear algorithm: each
+// non-root sends once, the root receives P-1 messages).
 func (tr *TaskRank) Gather(p *sim.Prog, bytes float64, root int) {
 	tr.bind(p)
 	checkRootColl(tr, root, "Gather")
 	gatherLinear(tr, bytes, root)
 }
 
-// AllGather compiles Rank.AllGather.
+// AllGather uses the ring algorithm: P-1 steps, each rank forwarding bytes
+// to its successor while receiving from its predecessor.
 func (tr *TaskRank) AllGather(p *sim.Prog, bytes float64) {
 	tr.bind(p)
 	allGatherRing(tr, bytes)
 }
 
-// AllToAllV compiles Rank.AllToAllV: the same pairwise schedule, driven
-// through the same algorithm function.
+// AllToAllV is the vector all-to-all: vols[k] is the number of bytes this
+// rank sends to rank k (vols[rank] is ignored). It uses the same
+// pairwise-exchange schedule as AllToAll with per-pair volumes.
 func (tr *TaskRank) AllToAllV(p *sim.Prog, vols []float64) {
 	tr.bind(p)
 	checkVolsColl(tr, vols, "AllToAllV")
 	alltoallvPairwise(tr, vols)
 }
 
-// AllGatherV compiles Rank.AllGatherV.
+// AllGatherV is the vector all-gather: vols[k] is the number of bytes rank k
+// contributes. Every rank must pass the same vector (as MPI requires of the
+// recvcounts argument). It uses the same ring schedule as AllGather with
+// per-origin block sizes.
 func (tr *TaskRank) AllGatherV(p *sim.Prog, vols []float64) {
 	tr.bind(p)
 	checkVolsColl(tr, vols, "AllGatherV")
 	allGatherVRing(tr, vols)
 }
 
-// emitSend lowers a blocking protocol send (Rank.Send body).
+// emitSend lowers a blocking protocol send.
 func (tr *TaskRank) emitSend(box sim.Mbox, bytes float64) {
 	cfg := tr.world.cfg
 	if cfg.SendOverhead > 0 {
@@ -161,7 +170,8 @@ func (tr *TaskRank) emitSend(box sim.Mbox, bytes float64) {
 	tr.prog.WaitReg(0)
 }
 
-// emitRecv lowers a blocking receive (Rank.Recv body).
+// emitRecv lowers a blocking receive, charging the receive overhead once
+// the data has arrived.
 func (tr *TaskRank) emitRecv(box sim.Mbox) {
 	cfg := tr.world.cfg
 	tr.prog.Get(box, 1)
@@ -171,7 +181,8 @@ func (tr *TaskRank) emitRecv(box sim.Mbox) {
 	}
 }
 
-// emitEagerCopy lowers Rank.eagerCopy.
+// emitEagerCopy charges the sender-side memory copy of an eager send when
+// the model includes it.
 func (tr *TaskRank) emitEagerCopy(bytes float64) {
 	cfg := tr.world.cfg
 	if cfg.MemcpyBandwidth > 0 {
@@ -179,8 +190,10 @@ func (tr *TaskRank) emitEagerCopy(bytes float64) {
 	}
 }
 
-// collPrims implementation: the same algorithms in coll.go drive these
-// compile-time emitters.
+// The collective primitives: protocol-following point-to-point operations
+// on the dedicated collective namespace, so tree messages never interleave
+// with application messages. The algorithms of coll.go are written against
+// them.
 
 func (tr *TaskRank) sendColl(dst int, bytes float64) {
 	tr.emitSend(tr.world.collBox(tr.rank, dst), bytes)
@@ -208,6 +221,9 @@ func (tr *TaskRank) sendRecvColl(dst int, bytes float64, src int) {
 	}
 }
 
+// putColl is a fully blocking send on the collective namespace, bypassing
+// the eager/rendezvous protocol split: the chain broadcast's head uses it to
+// pace segment injection.
 func (tr *TaskRank) putColl(dst int, bytes float64) {
 	tr.prog.Put(tr.world.collBox(tr.rank, dst), bytes, 0)
 	tr.prog.WaitReg(0)

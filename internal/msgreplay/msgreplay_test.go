@@ -26,21 +26,41 @@ func testWorld(t *testing.T, n int, cfg Config) (*World, *sim.Engine) {
 	return w, e
 }
 
+// step lowers part of a rank's program through its compiler.
+type step = func(tr *TaskRank, p *sim.Prog)
+
+// spawn starts rank of w running steps, one per feed call. A step that
+// emits no ops may record the engine time: the machine feeds again at once,
+// so it reads the time the previous step's ops completed.
+func spawn(w *World, rank int, steps ...step) {
+	tr := w.TaskRank(rank)
+	i := 0
+	w.SpawnProg(rank, func(p *sim.Prog) (bool, error) {
+		if i == len(steps) {
+			return false, nil
+		}
+		steps[i](tr, p)
+		i++
+		return true, nil
+	})
+}
+
+// at returns a step recording the simulated time into *t.
+func at(e *sim.Engine, t *float64) step {
+	return func(*TaskRank, *sim.Prog) { *t = e.Now() }
+}
+
 func TestSmallSendIsAsyncButNotDetached(t *testing.T) {
 	// The sender returns immediately, but the transfer only starts when the
 	// receiver posts: a late receiver pays full latency + transfer.
 	w, e := testWorld(t, 2, Config{})
-	var sendEnd, recvWait float64
-	w.Spawn(0, func(r *Rank) {
-		r.Send(1, 2048) // small
-		sendEnd = r.Proc().Now()
-	})
-	w.Spawn(1, func(r *Rank) {
-		r.Proc().Sleep(1)
-		before := r.Proc().Now()
-		r.Recv(0)
-		recvWait = r.Proc().Now() - before
-	})
+	var sendEnd, before, after float64
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 1, 2048) }, at(e, &sendEnd)) // small
+	spawn(w, 1,
+		func(_ *TaskRank, p *sim.Prog) { p.Sleep(1) },
+		at(e, &before),
+		func(tr *TaskRank, p *sim.Prog) { tr.Recv(p, 0) },
+		at(e, &after))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +68,7 @@ func TestSmallSendIsAsyncButNotDetached(t *testing.T) {
 		t.Fatalf("async send end = %v, want 0", sendEnd)
 	}
 	wantWait := 2.1e-5 + 2048/1e9
-	if math.Abs(recvWait-wantWait) > 1e-9 {
+	if recvWait := after - before; math.Abs(recvWait-wantWait) > 1e-9 {
 		t.Fatalf("recv wait = %v, want %v (transfer starts at match)", recvWait, wantWait)
 	}
 }
@@ -56,13 +76,10 @@ func TestSmallSendIsAsyncButNotDetached(t *testing.T) {
 func TestLargeSendBlocks(t *testing.T) {
 	w, e := testWorld(t, 2, Config{})
 	var sendEnd float64
-	w.Spawn(0, func(r *Rank) {
-		r.Send(1, 1<<20)
-		sendEnd = r.Proc().Now()
-	})
-	w.Spawn(1, func(r *Rank) {
-		r.Proc().Sleep(0.5)
-		r.Recv(0)
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 1, 1<<20) }, at(e, &sendEnd))
+	spawn(w, 1, func(tr *TaskRank, p *sim.Prog) {
+		p.Sleep(0.5)
+		tr.Recv(p, 0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -74,11 +91,11 @@ func TestLargeSendBlocks(t *testing.T) {
 
 func TestIsendWaitBalanced(t *testing.T) {
 	w, e := testWorld(t, 2, Config{})
-	w.Spawn(0, func(r *Rank) {
-		c := r.Isend(1, 100)
-		r.Wait(c)
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) {
+		tr.Isend(p, 1, 100)
+		p.WaitPending()
 	})
-	w.Spawn(1, func(r *Rank) { r.Recv(0) })
+	spawn(w, 1, func(tr *TaskRank, p *sim.Prog) { tr.Recv(p, 0) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +104,12 @@ func TestIsendWaitBalanced(t *testing.T) {
 func TestIrecvWait(t *testing.T) {
 	w, e := testWorld(t, 2, Config{})
 	var end float64
-	w.Spawn(0, func(r *Rank) {
-		c := r.Irecv(1)
-		r.Compute(1e9) // overlap
-		r.Wait(c)
-		end = r.Proc().Now()
-	})
-	w.Spawn(1, func(r *Rank) { r.Send(0, 500) })
+	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) {
+		tr.Irecv(p, 1)
+		tr.Compute(p, 1e9) // overlap
+		p.WaitPending()
+	}, at(e, &end))
+	spawn(w, 1, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 0, 500) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +123,10 @@ func TestMonolithicCollectiveSynchronizesAll(t *testing.T) {
 	w, e := testWorld(t, n, Config{RefLatency: 1e-3, RefBandwidth: 1e9})
 	ends := make([]float64, n)
 	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, func(r *Rank) {
-			r.Proc().Sleep(float64(i) * 0.1)
-			r.Bcast(1024, 0)
-			ends[i] = r.Proc().Now()
-		})
+		spawn(w, i, func(tr *TaskRank, p *sim.Prog) {
+			p.Sleep(float64(i) * 0.1)
+			tr.Bcast(p, 1024, 0)
+		}, at(e, &ends[i]))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -131,26 +145,22 @@ func TestCollectiveFormulas(t *testing.T) {
 	cfg := Config{RefLatency: 1e-3, RefBandwidth: 1e8}
 	cases := []struct {
 		name string
-		call func(r *Rank)
+		call step
 		want float64
 	}{
-		{"barrier", func(r *Rank) { r.Barrier() }, 3 * 1e-3},
-		{"bcast", func(r *Rank) { r.Bcast(1e6, 0) }, 3 * (1e-3 + 1e6/1e8)},
-		{"reduce", func(r *Rank) { r.Reduce(1e6, 0) }, 3 * (1e-3 + 1e6/1e8)},
-		{"allreduce", func(r *Rank) { r.AllReduce(1e6) }, 6 * (1e-3 + 1e6/1e8)},
-		{"alltoall", func(r *Rank) { r.AllToAll(1e6) }, 7 * (1e-3 + 1e6/1e8)},
-		{"gather", func(r *Rank) { r.Gather(1e6, 0) }, 7 * (1e-3 + 1e6/1e8)},
-		{"allgather", func(r *Rank) { r.AllGather(1e6) }, 7 * (1e-3 + 1e6/1e8)},
+		{"barrier", func(tr *TaskRank, p *sim.Prog) { tr.Barrier(p) }, 3 * 1e-3},
+		{"bcast", func(tr *TaskRank, p *sim.Prog) { tr.Bcast(p, 1e6, 0) }, 3 * (1e-3 + 1e6/1e8)},
+		{"reduce", func(tr *TaskRank, p *sim.Prog) { tr.Reduce(p, 1e6, 0) }, 3 * (1e-3 + 1e6/1e8)},
+		{"allreduce", func(tr *TaskRank, p *sim.Prog) { tr.AllReduce(p, 1e6) }, 6 * (1e-3 + 1e6/1e8)},
+		{"alltoall", func(tr *TaskRank, p *sim.Prog) { tr.AllToAll(p, 1e6) }, 7 * (1e-3 + 1e6/1e8)},
+		{"gather", func(tr *TaskRank, p *sim.Prog) { tr.Gather(p, 1e6, 0) }, 7 * (1e-3 + 1e6/1e8)},
+		{"allgather", func(tr *TaskRank, p *sim.Prog) { tr.AllGather(p, 1e6) }, 7 * (1e-3 + 1e6/1e8)},
 	}
 	for _, tc := range cases {
 		w, e := testWorld(t, n, cfg)
 		ends := make([]float64, n)
 		for i := 0; i < n; i++ {
-			i := i
-			w.Spawn(i, func(r *Rank) {
-				tc.call(r)
-				ends[i] = r.Proc().Now()
-			})
+			spawn(w, i, tc.call, at(e, &ends[i]))
 		}
 		if err := e.Run(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -171,6 +181,9 @@ func TestConfigValidation(t *testing.T) {
 	e := sim.NewEngine(p)
 	if _, err := NewWorld(e, nil, Config{}); err == nil {
 		t.Error("expected error for empty hosts")
+	}
+	if _, err := NewWorld(e, []*sim.Host{nil}, Config{}); err == nil {
+		t.Error("expected error for nil host")
 	}
 	if _, err := NewWorld(e, p.Hosts(), Config{RefLatency: -1}); err == nil {
 		t.Error("expected error for negative latency")

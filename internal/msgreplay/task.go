@@ -6,11 +6,12 @@ import (
 	"tireplay/internal/sim"
 )
 
-// TaskRank compiles one rank's MSG-style replay calls into sim micro-ops,
-// mirroring the Rank methods op for op: the same mailbox space, the same
-// eager/blocking split, the same shared barrier and monolithic collective
-// formulas. Registers: 0 for blocking sends, 1 for blocking receives; the
-// pending FIFO carries isend/irecv across actions.
+// TaskRank compiles one rank's MSG-style replay calls into sim micro-ops:
+// small messages are fire-and-forget asynchronous sends whose transfer
+// starts only at match time, large ones block, and collectives synchronize
+// every rank on the shared barrier before charging a monolithic formula.
+// Registers: 0 for blocking sends, 1 for blocking receives; the pending
+// FIFO carries isend/irecv across actions.
 type TaskRank struct {
 	world *World
 	rank  int
@@ -24,16 +25,14 @@ func (w *World) TaskRank(rank int) *TaskRank {
 	return &TaskRank{world: w, rank: rank}
 }
 
-// Rank returns the compiled rank's index.
-func (tr *TaskRank) Rank() int { return tr.rank }
-
-// Compute compiles Rank.Compute.
+// Compute executes instructions at the host speed.
 func (tr *TaskRank) Compute(p *sim.Prog, instr float64) {
 	p.Exec(instr)
 }
 
-// Send compiles Rank.Send: small messages are fire-and-forget asynchronous
-// sends, large ones block.
+// Send reproduces the original action_send: below the threshold the message
+// becomes a fire-and-forget asynchronous send (the transfer starts only at
+// match time); at or above it, a blocking task send.
 func (tr *TaskRank) Send(p *sim.Prog, dst int, bytes float64) {
 	if bytes < tr.world.cfg.eagerThreshold() {
 		p.PutDiscard(tr.world.box(tr.rank, dst), bytes)
@@ -43,23 +42,27 @@ func (tr *TaskRank) Send(p *sim.Prog, dst int, bytes float64) {
 	p.WaitReg(0)
 }
 
-// Isend compiles Rank.Isend onto the pending FIFO.
+// Isend posts an asynchronous send onto the pending FIFO, so explicit
+// isend/wait trace pairs stay balanced.
 func (tr *TaskRank) Isend(p *sim.Prog, dst int, bytes float64) {
 	p.PutPending(tr.world.box(tr.rank, dst), bytes)
 }
 
-// Recv compiles Rank.Recv.
+// Recv blocks until a message from src is fully received; with unpinned
+// mailboxes this always pays the full latency + size/bandwidth from match
+// time, the root cause of the linearly growing error of Figure 3.
 func (tr *TaskRank) Recv(p *sim.Prog, src int) {
 	p.Get(tr.world.box(src, tr.rank), 1)
 	p.WaitReg(1)
 }
 
-// Irecv compiles Rank.Irecv onto the pending FIFO.
+// Irecv posts an asynchronous receive onto the pending FIFO.
 func (tr *TaskRank) Irecv(p *sim.Prog, src int) {
 	p.GetPending(tr.world.box(src, tr.rank))
 }
 
-// collective compiles Rank.collective: synchronize, then charge d.
+// collective synchronizes all ranks, then charges everyone the monolithic
+// duration d computed from the reference network figures.
 func (tr *TaskRank) collective(p *sim.Prog, d float64) {
 	p.Await(tr.world.barrier)
 	if d > 0 {
@@ -67,47 +70,47 @@ func (tr *TaskRank) collective(p *sim.Prog, d float64) {
 	}
 }
 
-// Barrier compiles Rank.Barrier.
+// Barrier applies the monolithic model: log2(P) latency hops.
 func (tr *TaskRank) Barrier(p *sim.Prog) {
 	tr.collective(p, tr.world.log2ceil()*tr.world.cfg.RefLatency)
 }
 
-// Bcast compiles Rank.Bcast.
+// Bcast charges log2(P) full hops.
 func (tr *TaskRank) Bcast(p *sim.Prog, bytes float64, root int) {
 	tr.collective(p, tr.world.log2ceil()*tr.world.perHop(bytes))
 }
 
-// Reduce compiles Rank.Reduce.
+// Reduce charges log2(P) full hops.
 func (tr *TaskRank) Reduce(p *sim.Prog, bytes float64, root int) {
 	tr.collective(p, tr.world.log2ceil()*tr.world.perHop(bytes))
 }
 
-// AllReduce compiles Rank.AllReduce.
+// AllReduce charges 2*log2(P) full hops (reduce then broadcast).
 func (tr *TaskRank) AllReduce(p *sim.Prog, bytes float64) {
 	tr.collective(p, 2*tr.world.log2ceil()*tr.world.perHop(bytes))
 }
 
-// AllToAll compiles Rank.AllToAll.
+// AllToAll charges P-1 full hops.
 func (tr *TaskRank) AllToAll(p *sim.Prog, bytes float64) {
 	tr.collective(p, float64(tr.world.Size()-1)*tr.world.perHop(bytes))
 }
 
-// Gather compiles Rank.Gather.
+// Gather charges P-1 full hops.
 func (tr *TaskRank) Gather(p *sim.Prog, bytes float64, root int) {
 	tr.collective(p, float64(tr.world.Size()-1)*tr.world.perHop(bytes))
 }
 
-// AllGather compiles Rank.AllGather.
+// AllGather charges P-1 full hops.
 func (tr *TaskRank) AllGather(p *sim.Prog, bytes float64) {
 	tr.collective(p, float64(tr.world.Size()-1)*tr.world.perHop(bytes))
 }
 
-// AllToAllV compiles Rank.AllToAllV: the same vectorHops charge.
+// AllToAllV charges one hop per peer at that peer's send volume.
 func (tr *TaskRank) AllToAllV(p *sim.Prog, vols []float64) {
 	tr.collective(p, tr.world.vectorHops(vols, tr.rank))
 }
 
-// AllGatherV compiles Rank.AllGatherV.
+// AllGatherV charges one hop per remote block at that block's size.
 func (tr *TaskRank) AllGatherV(p *sim.Prog, vols []float64) {
 	tr.collective(p, tr.world.vectorHops(vols, tr.rank))
 }

@@ -5,6 +5,7 @@ import (
 
 	"tireplay/internal/core"
 	"tireplay/internal/platform"
+	"tireplay/internal/sim"
 )
 
 func smokePlatform(t *testing.T, n int) *platform.Platform {
@@ -21,39 +22,41 @@ func smokePlatform(t *testing.T, n int) *platform.Platform {
 }
 
 // The new workloads must replay to completion — the waitany/waitsome drains
-// and vector collectives included — with bit-identical simulated times and
-// action counts under both schedulers.
+// and vector collectives included — with the simulated times, action counts
+// and kernel counters the goroutine scheduler recorded for them before that
+// scheduler was deleted.
 func TestNewWorkloadsReplayBothModes(t *testing.T) {
 	plat := smokePlatform(t, 9)
 	for _, tc := range []struct {
-		name string
-		mk   func() (Workload, error)
+		name    string
+		mk      func() (Workload, error)
+		time    float64
+		actions int64
+		engine  sim.Stats
 	}{
-		{"bt-4", func() (Workload, error) { return NewBT(ClassS, 4, 2) }},
-		{"sp-9", func() (Workload, error) { return NewSP(ClassS, 9, 2) }},
-		{"ft-5", func() (Workload, error) { return NewFT(ClassS, 5, 2) }}, // 64 % 5 != 0: uneven transpose
-		{"bt-1", func() (Workload, error) { return NewBT(ClassS, 1, 2) }},
-		{"ft-1", func() (Workload, error) { return NewFT(ClassS, 1, 2) }},
+		{"bt-4", func() (Workload, error) { return NewBT(ClassS, 4, 2) },
+			0.0008131679999999996, 180, sim.Stats{ContextSwitches: 87, TimersFired: 112, CommsStarted: 56, CommsCompleted: 56, ShareRecomputes: 47, Events: 90, ComponentsResolved: 29, FlowsResolved: 63, MaxComponentFlows: 16}},
+		{"sp-9", func() (Workload, error) { return NewSP(ClassS, 9, 2) },
+			0.0006728914999999997, 681, sim.Stats{ContextSwitches: 363, TimersFired: 406, CommsStarted: 136, CommsCompleted: 136, ShareRecomputes: 92, Events: 217, ComponentsResolved: 77, FlowsResolved: 210, MaxComponentFlows: 36}},
+		// 64 % 5 != 0: uneven transpose.
+		{"ft-5", func() (Workload, error) { return NewFT(ClassS, 5, 2) },
+			0.015532980000000004, 55, sim.Stats{ContextSwitches: 108, TimersFired: 96, CommsStarted: 76, CommsCompleted: 76, ShareRecomputes: 77, Events: 88, ComponentsResolved: 53, FlowsResolved: 126, MaxComponentFlows: 5}},
+		{"bt-1", func() (Workload, error) { return NewBT(ClassS, 1, 2) },
+			0.001181952, 17, sim.Stats{ContextSwitches: 15, TimersFired: 14, Events: 14}},
+		{"ft-1", func() (Workload, error) { return NewFT(ClassS, 1, 2) },
+			0.060817408, 9, sim.Stats{ContextSwitches: 5, TimersFired: 4, Events: 4}},
 	} {
 		w, err := tc.mk()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var times []float64
-		var actions []int64
-		for _, goroutines := range []bool{false, true} {
-			res, err := core.Replay(AsProvider(w), plat, core.Config{GoroutineProcs: goroutines})
-			if err != nil {
-				t.Fatalf("%s goroutines=%v: %v", tc.name, goroutines, err)
-			}
-			if res.SimulatedTime <= 0 {
-				t.Fatalf("%s: non-positive simulated time %v", tc.name, res.SimulatedTime)
-			}
-			times = append(times, res.SimulatedTime)
-			actions = append(actions, res.Actions)
+		res, err := core.Replay(AsProvider(w), plat, core.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if times[0] != times[1] || actions[0] != actions[1] {
-			t.Fatalf("%s: schedulers disagree: times %v actions %v", tc.name, times, actions)
+		if res.SimulatedTime != tc.time || res.Actions != tc.actions || res.Engine != tc.engine {
+			t.Fatalf("%s: time %v, %d actions, %+v; recorded %v, %d actions, %+v",
+				tc.name, res.SimulatedTime, res.Actions, res.Engine, tc.time, tc.actions, tc.engine)
 		}
 	}
 }

@@ -263,16 +263,31 @@ func TestReadSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// once returns a Feed that emits ops, then runs after once they have all
+// completed (the machine feeds again at that simulated time) and finishes.
+func once(ops func(*sim.Prog), after ...func()) sim.Feed {
+	fed := false
+	return func(p *sim.Prog) (bool, error) {
+		if fed {
+			for _, f := range after {
+				f()
+			}
+			return false, nil
+		}
+		fed = true
+		ops(p)
+		return true, nil
+	}
+}
+
 // End-to-end: platform used as router in the engine gives expected times.
 func TestPlatformInEngine(t *testing.T) {
 	p := flat(t, 2)
 	e := sim.NewEngine(p)
+	mb := e.NewPairSpace("t", nil).Box(0, 1)
+	e.SpawnProg("s", p.Host(0), once(func(pr *sim.Prog) { pr.Put(mb, 1.25e6, 0); pr.WaitReg(0) }))
 	var end float64
-	e.Spawn("s", p.Host(0), func(pr *sim.Proc) { pr.Put("mb", 1.25e6) })
-	e.Spawn("r", p.Host(1), func(pr *sim.Proc) {
-		pr.Get("mb")
-		end = pr.Now()
-	})
+	e.SpawnProg("r", p.Host(1), once(func(pr *sim.Prog) { pr.Get(mb, 0); pr.WaitReg(0) }, func() { end = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -370,11 +370,13 @@ func TestSpecTopologyValidationFuzz(t *testing.T) {
 func TestTopologyPlatformInEngine(t *testing.T) {
 	p := fattree(t, 2, 2)
 	e := sim.NewEngine(p)
+	space := e.NewPairSpace("t", nil)
+	a, b := space.Box(0, 1), space.Box(2, 3)
 	var end1, end2 float64
-	e.Spawn("s1", p.Host(0), func(pr *sim.Proc) { pr.Put("a", 1.25e6) })
-	e.Spawn("r1", p.Host(1), func(pr *sim.Proc) { pr.Get("a"); end1 = pr.Now() })
-	e.Spawn("s2", p.Host(2), func(pr *sim.Proc) { pr.Put("b", 1.25e6) })
-	e.Spawn("r2", p.Host(3), func(pr *sim.Proc) { pr.Get("b"); end2 = pr.Now() })
+	e.SpawnProg("s1", p.Host(0), once(func(pr *sim.Prog) { pr.Put(a, 1.25e6, 0); pr.WaitReg(0) }))
+	e.SpawnProg("r1", p.Host(1), once(func(pr *sim.Prog) { pr.Get(a, 0); pr.WaitReg(0) }, func() { end1 = e.Now() }))
+	e.SpawnProg("s2", p.Host(2), once(func(pr *sim.Prog) { pr.Put(b, 1.25e6, 0); pr.WaitReg(0) }))
+	e.SpawnProg("r2", p.Host(3), once(func(pr *sim.Prog) { pr.Get(b, 0); pr.WaitReg(0) }, func() { end2 = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -177,12 +177,8 @@ type Scenario struct {
 	// trace instead of the perfect one.
 	Acquisition *AcquisitionSpec `json:"acquisition,omitempty"`
 
-	// Backend names the registered replay backend; "" selects SMPI.
+	// Backend names the replay backend, "smpi" or "msg"; "" selects SMPI.
 	Backend string `json:"backend,omitempty"`
-	// GoroutineProcs replays on the legacy goroutine-per-rank scheduler
-	// instead of continuation state machines. Simulated results are
-	// bit-identical; the knob exists for differential testing.
-	GoroutineProcs bool `json:"goroutine_procs,omitempty"`
 	// MPI configures the SMPI backend's communication model.
 	MPI mpi.ModelConfig `json:"mpi,omitempty"`
 	// MSG configures the legacy backend.
@@ -460,12 +456,7 @@ func (s *Scenario) Run(ctx context.Context) (*core.Result, error) {
 		}
 	}
 
-	cfg := core.Config{
-		Backend:        s.Backend,
-		MPI:            s.MPI,
-		MSG:            s.MSG,
-		GoroutineProcs: s.GoroutineProcs,
-	}
+	cfg := core.Config{Backend: s.Backend, MPI: s.MPI, MSG: s.MSG}
 	switch {
 	case s.Network != nil:
 		cfg.Network = s.Network
@@ -496,13 +487,18 @@ func (s *Scenario) Run(ctx context.Context) (*core.Result, error) {
 	return res, nil
 }
 
-// ReadAll decodes a JSON array of scenarios from r.
+// ReadAll strictly decodes a JSON array of non-null scenarios from r.
 func ReadAll(r io.Reader) ([]*Scenario, error) {
 	var out []*Scenario
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&out); err != nil {
 		return nil, fmt.Errorf("scenario: decoding: %w", err)
+	}
+	for i, s := range out {
+		if s == nil {
+			return nil, fmt.Errorf("scenario: decoding: entry %d is null", i)
+		}
 	}
 	return out, nil
 }

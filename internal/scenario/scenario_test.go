@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tireplay/internal/core"
@@ -364,20 +365,23 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// typoedFields are scenario files with one misspelled knob each, top level
+// or nested, and the field the decoding error must name.
+var typoedFields = []struct {
+	json, field string
+}{
+	{`[{"bckend": "smpi"}]`, "bckend"},
+	{`[{"workload": {"benchmark": "lu", "class": "S", "prcs": 4}}]`, "prcs"},
+	{`[{"mpi": {"eager_treshold": 1024}}]`, "eager_treshold"},
+	{`[{"msg": {"ref_lat": 1e-5}}]`, "ref_lat"},
+	{`[{"platform": {"topology": "flat", "hosts": 4, "sped": 1e9}}]`, "sped"},
+}
+
 // TestStrictDecodingNamesOffendingField: a typoed knob anywhere in a
 // scenario file — top level or inside a nested config — must fail loudly
 // with an error naming the field, never silently select defaults.
 func TestStrictDecodingNamesOffendingField(t *testing.T) {
-	cases := []struct {
-		json, field string
-	}{
-		{`[{"bckend": "smpi"}]`, "bckend"},
-		{`[{"workload": {"benchmark": "lu", "class": "S", "prcs": 4}}]`, "prcs"},
-		{`[{"mpi": {"eager_treshold": 1024}}]`, "eager_treshold"},
-		{`[{"msg": {"ref_lat": 1e-5}}]`, "ref_lat"},
-		{`[{"platform": {"topology": "flat", "hosts": 4, "sped": 1e9}}]`, "sped"},
-	}
-	for _, tc := range cases {
+	for _, tc := range typoedFields {
 		_, err := ReadAll(bytes.NewReader([]byte(tc.json)))
 		if err == nil {
 			t.Errorf("%s: decoded without error", tc.json)
@@ -389,18 +393,42 @@ func TestStrictDecodingNamesOffendingField(t *testing.T) {
 	}
 }
 
+// TestRetiredGoroutineProcsRejected: the goroutine scheduler is gone, and a
+// scenario still selecting it must fail decoding naming the field rather
+// than run on a scheduler it did not ask for.
+func TestRetiredGoroutineProcsRejected(t *testing.T) {
+	_, err := ReadAll(strings.NewReader(`[{"goroutine_procs": true}]`))
+	const want = `scenario: decoding: json: unknown field "goroutine_procs"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// TestReadAllRejectsNullEntry: a null array entry has no scenario to run
+// and must be reported by index, not handed to the runner as a nil pointer.
+func TestReadAllRejectsNullEntry(t *testing.T) {
+	_, err := ReadAll(strings.NewReader(`[{"name": "a"}, null]`))
+	const want = "scenario: decoding: entry 1 is null"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// quickBatchJSON is a one-scenario batch file that runs in milliseconds.
+const quickBatchJSON = `[
+  {
+    "name": "quick",
+    "platform": {"name": "c", "topology": "flat", "hosts": 4, "speed": 1e9,
+      "link_bandwidth": 1.25e8, "link_latency": 2e-5,
+      "backbone_bandwidth": 1.25e9, "backbone_latency": 1e-6},
+    "workload": {"benchmark": "cg", "class": "S", "procs": 4, "iterations": 2}
+  }
+]`
+
 func TestLoadScenarioFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "batch.json")
-	if err := os.WriteFile(path, []byte(`[
-	  {
-	    "name": "quick",
-	    "platform": {"name": "c", "topology": "flat", "hosts": 4, "speed": 1e9,
-	      "link_bandwidth": 1.25e8, "link_latency": 2e-5,
-	      "backbone_bandwidth": 1.25e9, "backbone_latency": 1e-6},
-	    "workload": {"benchmark": "cg", "class": "S", "procs": 4, "iterations": 2}
-	  }
-	]`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(quickBatchJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	scenarios, err := Load(path)

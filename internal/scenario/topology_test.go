@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tireplay/internal/platform"
+	"tireplay/internal/sim"
 )
 
 // topoSpecs returns 16-host zoo platforms as Spec JSON — the scenario layer
@@ -47,47 +48,47 @@ func topoSpecs(t *testing.T) map[string]*platform.Spec {
 }
 
 // TestTopologySchedulerBackendParity replays the same workload on every zoo
-// topology under both backends and both schedulers and requires the
-// goroutine and continuation runs to be bit-identical — simulated time,
-// action count, and every kernel counter.
+// topology under both backends and requires the result — simulated time,
+// action count, and every kernel counter — to equal what the goroutine
+// scheduler recorded for it before that scheduler was deleted.
 func TestTopologySchedulerBackendParity(t *testing.T) {
+	golden := map[string]struct {
+		time    float64
+		actions int64
+		engine  sim.Stats
+	}{
+		"dragonfly/smpi": {0.027701362, 12064, sim.Stats{ContextSwitches: 10544, TimersFired: 10528, CommsStarted: 9728, CommsCompleted: 9728, ShareRecomputes: 1823, Events: 1898, ComponentsResolved: 9728, FlowsResolved: 9728, MaxComponentFlows: 1}},
+		"dragonfly/msg":  {0.06327347400000023, 12064, sim.Stats{ContextSwitches: 7178, TimersFired: 5632, CommsStarted: 3200, CommsCompleted: 3200, ShareRecomputes: 500, Events: 652, ComponentsResolved: 3200, FlowsResolved: 3200, MaxComponentFlows: 1}},
+		"fattree/smpi":   {0.026485362000000116, 12064, sim.Stats{ContextSwitches: 10544, TimersFired: 10528, CommsStarted: 9728, CommsCompleted: 9728, ShareRecomputes: 1215, Events: 1266, ComponentsResolved: 9728, FlowsResolved: 9728, MaxComponentFlows: 1}},
+		"fattree/msg":    {0.0628234740000002, 12064, sim.Stats{ContextSwitches: 7178, TimersFired: 5632, CommsStarted: 3200, CommsCompleted: 3200, ShareRecomputes: 400, Events: 552, ComponentsResolved: 3200, FlowsResolved: 3200, MaxComponentFlows: 1}},
+		"torus/smpi":     {0.026789362000000178, 12064, sim.Stats{ContextSwitches: 10544, TimersFired: 10528, CommsStarted: 9728, CommsCompleted: 9728, ShareRecomputes: 1215, Events: 1266, ComponentsResolved: 9728, FlowsResolved: 9728, MaxComponentFlows: 1}},
+		"torus/msg":      {0.06292347400000027, 12064, sim.Stats{ContextSwitches: 7178, TimersFired: 5632, CommsStarted: 3200, CommsCompleted: 3200, ShareRecomputes: 400, Events: 552, ComponentsResolved: 3200, FlowsResolved: 3200, MaxComponentFlows: 1}},
+	}
 	for name, spec := range topoSpecs(t) {
 		for _, backend := range []string{"smpi", "msg"} {
 			t.Run(name+"/"+backend, func(t *testing.T) {
-				run := func(goroutines bool) *Scenario {
-					s := &Scenario{
-						Name:     name,
-						Platform: spec,
-						Workload: &WorkloadSpec{Benchmark: "cg", Class: "S", Procs: 16, Iterations: 2},
-						Backend:  backend,
-					}
-					s.GoroutineProcs = goroutines
-					if backend == "msg" {
-						s.MSG.RefLatency, s.MSG.RefBandwidth = 6.5e-5, 1.25e8
-					}
-					return s
+				s := &Scenario{
+					Name:     name,
+					Platform: spec,
+					Workload: &WorkloadSpec{Benchmark: "cg", Class: "S", Procs: 16, Iterations: 2},
+					Backend:  backend,
 				}
-				cont, err := run(false).Run(context.Background())
+				if backend == "msg" {
+					s.MSG.RefLatency, s.MSG.RefBandwidth = 6.5e-5, 1.25e8
+				}
+				res, err := s.Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
-				goro, err := run(true).Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
+				want := golden[name+"/"+backend]
+				if res.SimulatedTime != want.time {
+					t.Fatalf("simulated time %v, recorded %v", res.SimulatedTime, want.time)
 				}
-				if cont.SimulatedTime <= 0 || cont.Actions <= 0 {
-					t.Fatalf("degenerate result: %+v", cont)
+				if res.Actions != want.actions {
+					t.Fatalf("actions %d, recorded %d", res.Actions, want.actions)
 				}
-				if cont.SimulatedTime != goro.SimulatedTime {
-					t.Fatalf("schedulers disagree: continuation %v, goroutine %v",
-						cont.SimulatedTime, goro.SimulatedTime)
-				}
-				if cont.Actions != goro.Actions {
-					t.Fatalf("action counts disagree: %d vs %d", cont.Actions, goro.Actions)
-				}
-				if cont.Engine != goro.Engine {
-					t.Fatalf("engine stats disagree:\ncontinuation %+v\ngoroutine    %+v",
-						cont.Engine, goro.Engine)
+				if res.Engine != want.engine {
+					t.Fatalf("engine stats diverge:\n got:      %+v\n recorded: %+v", res.Engine, want.engine)
 				}
 			})
 		}

@@ -23,57 +23,23 @@ func alltoallSize(src, dst, ranks int) float64 {
 	return 65536 * (1 + rng.Float64())
 }
 
-// runLargeAlltoAll simulates a pairwise-exchange alltoall (the algorithm of
-// mpi.Rank.AllToAll, with heterogeneous payloads) on a full-bisection
-// cluster and returns the engine stats.
-func runLargeAlltoAll(b *testing.B, ranks int, opts ...sim.Option) sim.Stats {
-	b.Helper()
+// runLargeAlltoAll simulates a pairwise-exchange alltoall (the schedule of
+// mpi.TaskRank.AllToAll, with heterogeneous payloads) on a full-bisection
+// cluster and returns the end time and engine stats. Each rank is compiled,
+// one exchange per feed call, into MPI_Sendrecv's isend + recv + wait.
+func runLargeAlltoAll(tb testing.TB, ranks int, opts ...sim.Option) (float64, sim.Stats) {
+	tb.Helper()
 	plat, err := platform.NewCrossbarCluster(platform.CrossbarConfig{
 		Name: "xbar", Hosts: ranks, Speed: 1e9,
 		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e := sim.NewEngine(plat, opts...)
 	w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
 	if err != nil {
-		b.Fatal(err)
-	}
-	for rank := 0; rank < ranks; rank++ {
-		w.Spawn(rank, func(r *mpi.Rank) {
-			p := r.Size()
-			me := r.Rank()
-			for i := 1; i < p; i++ {
-				dst := (me + i) % p
-				src := (me - i + p) % p
-				r.SendRecv(dst, alltoallSize(me, dst, p), src)
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	return e.Stats()
-}
-
-// runLargeAlltoAllTask is the continuation-mode twin of runLargeAlltoAll:
-// each rank is compiled, one exchange per feed call, into the micro-op
-// equivalent of SendRecv (isend + recv + wait) through the mpi TaskRank
-// compiler — the same schedule, with no goroutine stacks or resume channels.
-func runLargeAlltoAllTask(b *testing.B, ranks int) sim.Stats {
-	b.Helper()
-	plat, err := platform.NewCrossbarCluster(platform.CrossbarConfig{
-		Name: "xbar", Hosts: ranks, Speed: 1e9,
-		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := sim.NewEngine(plat)
-	w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
-	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for rank := 0; rank < ranks; rank++ {
 		me := rank
@@ -92,21 +58,19 @@ func runLargeAlltoAllTask(b *testing.B, ranks int) sim.Stats {
 		})
 	}
 	if err := e.Run(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return e.Stats()
+	return e.Now(), e.Stats()
 }
 
 // BenchmarkLargeAlltoAll measures the kernel hot paths at scale on a
 // desynchronized alltoall. At 128/256 ranks it compares the incremental
 // per-component sharing solver against the historical from-scratch pass (the
 // flows-resolved metric shows why the gap widens: the incremental solver
-// re-solves a near-constant handful of flows per recompute). At 1024 ranks it
-// compares the two schedulers head to head — goroutine-per-rank versus
-// continuation state machines — and at 4096 ranks it runs the continuation
-// kernel alone: the goroutine scheduler's per-rank stacks and channel
-// handoffs make that size unpleasant on a laptop, which is precisely the
-// scaling wall the continuation rework removes.
+// re-solves a near-constant handful of flows per recompute). At 1024 and
+// 4096 ranks it measures the scheduler at scale: continuation machines need
+// no per-rank stacks or handoffs, which is what lets the kernel reach
+// thousands of ranks.
 func BenchmarkLargeAlltoAll(b *testing.B) {
 	for _, ranks := range []int{128, 256} {
 		for _, mode := range []struct {
@@ -119,32 +83,17 @@ func BenchmarkLargeAlltoAll(b *testing.B) {
 			b.Run(fmt.Sprintf("ranks=%d/%s", ranks, mode.name), func(b *testing.B) {
 				var st sim.Stats
 				for i := 0; i < b.N; i++ {
-					st = runLargeAlltoAll(b, ranks, mode.opts...)
+					_, st = runLargeAlltoAll(b, ranks, mode.opts...)
 				}
 				b.ReportMetric(float64(st.FlowsResolved)/float64(st.ShareRecomputes), "flows-resolved/recompute")
 			})
 		}
 	}
-	for _, sc := range []struct {
-		ranks      int
-		goroutines bool
-	}{
-		{1024, true},
-		{1024, false},
-		{4096, false},
-	} {
-		name := "continuation"
-		if sc.goroutines {
-			name = "goroutine"
-		}
-		b.Run(fmt.Sprintf("ranks=%d/%s", sc.ranks, name), func(b *testing.B) {
+	for _, ranks := range []int{1024, 4096} {
+		b.Run(fmt.Sprintf("ranks=%d/continuation", ranks), func(b *testing.B) {
 			var st sim.Stats
 			for i := 0; i < b.N; i++ {
-				if sc.goroutines {
-					st = runLargeAlltoAll(b, sc.ranks)
-				} else {
-					st = runLargeAlltoAllTask(b, sc.ranks)
-				}
+				_, st = runLargeAlltoAll(b, ranks)
 			}
 			b.ReportMetric(float64(st.ContextSwitches), "context-switches")
 		})
@@ -166,49 +115,22 @@ func alltoallvVols(me, ranks int) []float64 {
 	return vols
 }
 
-// runLargeAlltoAllV drives the real vector collective — mpi.Rank.AllToAllV's
-// pairwise schedule with per-peer volumes — under the goroutine scheduler.
-func runLargeAlltoAllV(b *testing.B, ranks int) sim.Stats {
-	b.Helper()
+// runLargeAlltoAllV drives the real vector collective — the pairwise
+// schedule mpi.TaskRank.AllToAllV lowers to, with per-peer volumes — and
+// returns the end time and engine stats.
+func runLargeAlltoAllV(tb testing.TB, ranks int) (float64, sim.Stats) {
+	tb.Helper()
 	plat, err := platform.NewCrossbarCluster(platform.CrossbarConfig{
 		Name: "xbar", Hosts: ranks, Speed: 1e9,
 		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e := sim.NewEngine(plat)
 	w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
 	if err != nil {
-		b.Fatal(err)
-	}
-	for rank := 0; rank < ranks; rank++ {
-		me := rank
-		w.Spawn(rank, func(r *mpi.Rank) {
-			r.AllToAllV(alltoallvVols(me, ranks))
-		})
-	}
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	return e.Stats()
-}
-
-// runLargeAlltoAllVTask is the continuation twin: the TaskRank compiler emits
-// the identical pairwise schedule as micro-ops, no goroutine stacks.
-func runLargeAlltoAllVTask(b *testing.B, ranks int) sim.Stats {
-	b.Helper()
-	plat, err := platform.NewCrossbarCluster(platform.CrossbarConfig{
-		Name: "xbar", Hosts: ranks, Speed: 1e9,
-		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := sim.NewEngine(plat)
-	w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
-	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for rank := 0; rank < ranks; rank++ {
 		me := rank
@@ -224,149 +146,59 @@ func runLargeAlltoAllVTask(b *testing.B, ranks int) sim.Stats {
 		})
 	}
 	if err := e.Run(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return e.Stats()
+	return e.Now(), e.Stats()
 }
 
-// BenchmarkLargeAlltoAllV measures the vector collective at 256 ranks under
-// both schedulers: 255 desynchronized pairwise exchanges per rank, every one
-// with its own payload — the transpose traffic FT-class replays put through
-// the kernel, and a CI guard on the vector-collective hot path.
+// BenchmarkLargeAlltoAllV measures the vector collective at 256 ranks: 255
+// desynchronized pairwise exchanges per rank, every one with its own
+// payload — the transpose traffic FT-class replays put through the kernel,
+// and a CI guard on the vector-collective hot path.
 func BenchmarkLargeAlltoAllV(b *testing.B) {
 	const ranks = 256
-	for _, sc := range []struct {
-		name string
-		run  func(*testing.B, int) sim.Stats
-	}{
-		{"continuation", runLargeAlltoAllVTask},
-		{"goroutine", runLargeAlltoAllV},
-	} {
-		b.Run(fmt.Sprintf("ranks=%d/%s", ranks, sc.name), func(b *testing.B) {
-			var st sim.Stats
-			for i := 0; i < b.N; i++ {
-				st = sc.run(b, ranks)
-			}
-			b.ReportMetric(float64(st.CommsCompleted), "comms")
-		})
-	}
+	b.Run(fmt.Sprintf("ranks=%d/continuation", ranks), func(b *testing.B) {
+		var st sim.Stats
+		for i := 0; i < b.N; i++ {
+			_, st = runLargeAlltoAllV(b, ranks)
+		}
+		b.ReportMetric(float64(st.CommsCompleted), "comms")
+	})
 }
 
-// TestLargeAlltoAllVSchedulersAgree is the correctness companion: on the
-// vector-collective workload both schedulers must agree bit-identically.
+// recordedRun is an end time and the engine counters, as recorded from the
+// goroutine-per-rank scheduler on the same workload before that scheduler
+// was deleted: the continuation machines reproduced it bit for bit.
+type recordedRun struct {
+	ranks int
+	end   float64
+	stats sim.Stats
+}
+
+// TestLargeAlltoAllVSchedulersAgree is the correctness companion of the
+// vector benchmark: it must reproduce the goroutine scheduler's result.
 func TestLargeAlltoAllVSchedulersAgree(t *testing.T) {
-	ranks := 48
+	want := recordedRun{48, 0.011845898550212206, sim.Stats{ContextSwitches: 3437, TimersFired: 2256, CommsStarted: 2256, CommsCompleted: 2256, ShareRecomputes: 3266, Events: 3267, ComponentsResolved: 2256, FlowsResolved: 2256, MaxComponentFlows: 1}}
 	if testing.Short() {
-		ranks = 16
+		want = recordedRun{16, 0.003940412477164212, sim.Stats{ContextSwitches: 387, TimersFired: 240, CommsStarted: 240, CommsCompleted: 240, ShareRecomputes: 333, Events: 334, ComponentsResolved: 240, FlowsResolved: 240, MaxComponentFlows: 1}}
 	}
-	run := func(task bool) (float64, sim.Stats) {
-		plat, err := platform.NewCrossbarCluster(platform.CrossbarConfig{
-			Name: "xbar", Hosts: ranks, Speed: 1e9,
-			LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := sim.NewEngine(plat)
-		w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rank := 0; rank < ranks; rank++ {
-			me := rank
-			if task {
-				tr := w.TaskRank(rank)
-				done := false
-				w.SpawnProg(rank, func(p *sim.Prog) (bool, error) {
-					if done {
-						return false, nil
-					}
-					done = true
-					tr.AllToAllV(p, alltoallvVols(me, ranks))
-					return true, nil
-				})
-			} else {
-				w.Spawn(rank, func(r *mpi.Rank) {
-					r.AllToAllV(alltoallvVols(me, ranks))
-				})
-			}
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return e.Now(), e.Stats()
-	}
-	endC, statsC := run(true)
-	endG, statsG := run(false)
-	if endC != endG {
-		t.Fatalf("end time %v (continuation) != %v (goroutine)", endC, endG)
-	}
-	if statsC != statsG {
-		t.Fatalf("stats diverge:\n continuation: %+v\n goroutine:    %+v", statsC, statsG)
+	end, st := runLargeAlltoAllV(t, want.ranks)
+	if end != want.end || st != want.stats {
+		t.Fatalf("got end %v, %+v\nrecorded end %v, %+v", end, st, want.end, want.stats)
 	}
 }
 
 // TestLargeAlltoAllSchedulersAgree is the correctness companion of the
-// scheduler benchmark: on the same workload, goroutine and continuation
-// execution must agree bit-identically on end time and on every engine
-// counter.
+// scheduler benchmark: on the same workload it must reproduce the goroutine
+// scheduler's end time and every engine counter.
 func TestLargeAlltoAllSchedulersAgree(t *testing.T) {
-	ranks := 48
+	want := recordedRun{48, 0.004728047227183458, sim.Stats{ContextSwitches: 3444, TimersFired: 2256, CommsStarted: 2256, CommsCompleted: 2256, ShareRecomputes: 3236, Events: 3237, ComponentsResolved: 2256, FlowsResolved: 2256, MaxComponentFlows: 1}}
 	if testing.Short() {
-		ranks = 16
+		want = recordedRun{16, 0.0015231143449905534, sim.Stats{ContextSwitches: 386, TimersFired: 240, CommsStarted: 240, CommsCompleted: 240, ShareRecomputes: 334, Events: 335, ComponentsResolved: 240, FlowsResolved: 240, MaxComponentFlows: 1}}
 	}
-	run := func(continuation bool) (float64, sim.Stats) {
-		plat, err := platform.NewCrossbarCluster(platform.CrossbarConfig{
-			Name: "xbar", Hosts: ranks, Speed: 1e9,
-			LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := sim.NewEngine(plat)
-		w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rank := 0; rank < ranks; rank++ {
-			me := rank
-			if continuation {
-				tr := w.TaskRank(rank)
-				i := 0
-				w.SpawnProg(rank, func(p *sim.Prog) (bool, error) {
-					if i++; i >= ranks {
-						return false, nil
-					}
-					dst := (me + i) % ranks
-					src := (me - i + ranks) % ranks
-					tr.Isend(p, dst, alltoallSize(me, dst, ranks))
-					tr.Recv(p, src)
-					p.WaitPending()
-					return true, nil
-				})
-			} else {
-				w.Spawn(rank, func(r *mpi.Rank) {
-					p := r.Size()
-					for i := 1; i < p; i++ {
-						dst := (me + i) % p
-						src := (me - i + p) % p
-						r.SendRecv(dst, alltoallSize(me, dst, p), src)
-					}
-				})
-			}
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return e.Now(), e.Stats()
-	}
-	endC, statsC := run(true)
-	endG, statsG := run(false)
-	if endC != endG {
-		t.Fatalf("end time %v (continuation) != %v (goroutine)", endC, endG)
-	}
-	if statsC != statsG {
-		t.Fatalf("stats diverge:\n continuation: %+v\n goroutine:    %+v", statsC, statsG)
+	end, st := runLargeAlltoAll(t, want.ranks)
+	if end != want.end || st != want.stats {
+		t.Fatalf("got end %v, %+v\nrecorded end %v, %+v", end, st, want.end, want.stats)
 	}
 }
 
@@ -378,37 +210,8 @@ func TestLargeAlltoAllModesAgree(t *testing.T) {
 	if testing.Short() {
 		ranks = 12
 	}
-	run := func(opts ...sim.Option) (float64, sim.Stats) {
-		plat, err := platform.NewCrossbarCluster(platform.CrossbarConfig{
-			Name: "xbar", Hosts: ranks, Speed: 1e9,
-			LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := sim.NewEngine(plat, opts...)
-		w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rank := 0; rank < ranks; rank++ {
-			w.Spawn(rank, func(r *mpi.Rank) {
-				p := r.Size()
-				me := r.Rank()
-				for i := 1; i < p; i++ {
-					dst := (me + i) % p
-					src := (me - i + p) % p
-					r.SendRecv(dst, alltoallSize(me, dst, p), src)
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return e.Now(), e.Stats()
-	}
-	incEnd, incStats := run()
-	refEnd, refStats := run(sim.WithFromScratchSharing())
+	incEnd, incStats := runLargeAlltoAll(t, ranks)
+	refEnd, refStats := runLargeAlltoAll(t, ranks, sim.WithFromScratchSharing())
 	if incEnd != refEnd {
 		t.Fatalf("end time %v (incremental) != %v (from-scratch)", incEnd, refEnd)
 	}

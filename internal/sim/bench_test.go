@@ -3,24 +3,9 @@ package sim
 import "testing"
 
 // BenchmarkContextSwitch measures the scheduler handoff — one process
-// resumed through a long run of short sleeps — under both schedulers: the
-// goroutine path pays two channel operations and a stack switch per resume,
-// the continuation path a direct function call into the state machine.
+// resumed through a long run of short sleeps: a direct function call into
+// the process's machine per resume.
 func BenchmarkContextSwitch(b *testing.B) {
-	b.Run("goroutine", func(b *testing.B) {
-		e := NewEngine(pairRouter{&Link{Bandwidth: 1e9, Latency: 0}})
-		h := &Host{Name: "h", Speed: 1e9}
-		n := b.N
-		e.Spawn("p", h, func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Sleep(1e-9)
-			}
-		})
-		b.ResetTimer()
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	})
 	b.Run("continuation", func(b *testing.B) {
 		e := NewEngine(pairRouter{&Link{Bandwidth: 1e9, Latency: 0}})
 		h := &Host{Name: "h", Speed: 1e9}
@@ -45,18 +30,25 @@ func BenchmarkPingPong(b *testing.B) {
 	link := &Link{Name: "l", Bandwidth: 1e9, Latency: 1e-6}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
+	space := e.NewPairSpace("t", nil)
+	ab, ba := space.Box(0, 1), space.Box(1, 0)
 	n := b.N
-	e.Spawn("a", hs[0], func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Put("ab", 1024)
-			p.Get("ba")
+	i, j := 0, 0
+	e.SpawnProg("a", hs[0], func(p *Prog) (bool, error) {
+		if i++; i > n {
+			return false, nil
 		}
+		put(p, ab, 1024)
+		get(p, ba)
+		return true, nil
 	})
-	e.Spawn("b", hs[1], func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Get("ab")
-			p.Put("ba", 1024)
+	e.SpawnProg("b", hs[1], func(p *Prog) (bool, error) {
+		if j++; j > n {
+			return false, nil
 		}
+		get(p, ab)
+		put(p, ba, 1024)
+		return true, nil
 	})
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
@@ -71,19 +63,19 @@ func BenchmarkMaxMinSharing(b *testing.B) {
 		link := &Link{Name: "bb", Bandwidth: 1e10, Latency: 1e-6}
 		e := NewEngine(pairRouter{link})
 		hs := newTestHosts(64, 1e9)
+		mb := boxes(e, 32)
 		for j := 0; j < 32; j++ {
-			j := j
-			mb := string(rune('A' + j))
-			e.Spawn("s", hs[j], func(p *Proc) {
+			mb := mb[j]
+			e.SpawnProg("s", hs[j], script(func(p *Prog) {
 				for k := 0; k < 8; k++ {
-					p.Put(mb, 1e6)
+					put(p, mb, 1e6)
 				}
-			})
-			e.Spawn("r", hs[32+j], func(p *Proc) {
+			}))
+			e.SpawnProg("r", hs[32+j], script(func(p *Prog) {
 				for k := 0; k < 8; k++ {
-					p.Get(mb)
+					get(p, mb)
 				}
-			})
+			}))
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
@@ -96,18 +88,23 @@ func BenchmarkDetachedSends(b *testing.B) {
 	link := &Link{Name: "l", Bandwidth: 1e9, Latency: 1e-6}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
-	e.PinMailbox("mb", hs[1])
+	mb := e.NewPairSpace("t", hs).Box(0, 1) // pinned to hs[1]
 	n := b.N
-	e.Spawn("s", hs[0], func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.PutDetached("mb", 1024, nil)
-			p.Sleep(1e-6)
+	i, j := 0, 0
+	e.SpawnProg("s", hs[0], func(p *Prog) (bool, error) {
+		if i++; i > n {
+			return false, nil
 		}
+		p.PutDetached(mb, 1024)
+		p.Sleep(1e-6)
+		return true, nil
 	})
-	e.Spawn("r", hs[1], func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Get("mb")
+	e.SpawnProg("r", hs[1], func(p *Prog) (bool, error) {
+		if j++; j > n {
+			return false, nil
 		}
+		get(p, mb)
+		return true, nil
 	})
 	b.ResetTimer()
 	if err := e.Run(); err != nil {

@@ -186,59 +186,53 @@ func BenchmarkTopologies(b *testing.B) {
 	}
 }
 
-// TestTopologySchedulersAgree replays the benchmark workloads at 32 ranks
-// under both schedulers on every zoo topology and requires bit-identical
-// end times and kernel counters — the same parity contract the crossbar
-// suite pins, now over structured routes.
+// TestTopologySchedulersAgree replays the alltoall benchmark workload at 32
+// ranks on every zoo topology and requires the end time and kernel counters
+// the goroutine-per-rank scheduler recorded before it was deleted — the
+// same parity contract the crossbar suite pins, over structured routes.
 func TestTopologySchedulersAgree(t *testing.T) {
+	recorded := map[string]struct {
+		end   float64
+		stats sim.Stats
+	}{
+		"fattree":   {0.0035450428813991043, sim.Stats{ContextSwitches: 1513, TimersFired: 992, CommsStarted: 992, CommsCompleted: 992, ShareRecomputes: 1643, Events: 1644, ComponentsResolved: 992, FlowsResolved: 992, MaxComponentFlows: 1}},
+		"dragonfly": {0.003808542247209014, sim.Stats{ContextSwitches: 1507, TimersFired: 992, CommsStarted: 992, CommsCompleted: 992, ShareRecomputes: 1653, Events: 1654, ComponentsResolved: 1601, FlowsResolved: 5023, MaxComponentFlows: 16}},
+		"torus":     {0.003297981166340106, sim.Stats{ContextSwitches: 1526, TimersFired: 992, CommsStarted: 992, CommsCompleted: 992, ShareRecomputes: 1631, Events: 1632, ComponentsResolved: 992, FlowsResolved: 992, MaxComponentFlows: 1}},
+	}
 	for _, topo := range []string{"fattree", "dragonfly", "torus"} {
 		t.Run(topo, func(t *testing.T) {
 			const ranks = 32
-			run := func(continuation bool) (float64, sim.Stats) {
-				plat := topoPlatform(t, topo, ranks)
-				e := sim.NewEngine(plat)
-				w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for rank := 0; rank < ranks; rank++ {
-					me := rank
-					if continuation {
-						tr := w.TaskRank(rank)
-						i := 0
-						w.SpawnProg(rank, func(p *sim.Prog) (bool, error) {
-							if i++; i >= ranks {
-								return false, nil
-							}
-							dst := (me + i) % ranks
-							src := (me - i + ranks) % ranks
-							tr.Isend(p, dst, alltoallSize(me, dst, ranks))
-							tr.Recv(p, src)
-							p.WaitPending()
-							return true, nil
-						})
-					} else {
-						w.Spawn(rank, func(r *mpi.Rank) {
-							for i := 1; i < ranks; i++ {
-								dst := (me + i) % ranks
-								src := (me - i + ranks) % ranks
-								r.SendRecv(dst, alltoallSize(me, dst, ranks), src)
-							}
-						})
+			plat := topoPlatform(t, topo, ranks)
+			e := sim.NewEngine(plat)
+			w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank := 0; rank < ranks; rank++ {
+				me := rank
+				tr := w.TaskRank(rank)
+				i := 0
+				w.SpawnProg(rank, func(p *sim.Prog) (bool, error) {
+					if i++; i >= ranks {
+						return false, nil
 					}
-				}
-				if err := e.Run(); err != nil {
-					t.Fatal(err)
-				}
-				return e.Now(), e.Stats()
+					dst := (me + i) % ranks
+					src := (me - i + ranks) % ranks
+					tr.Isend(p, dst, alltoallSize(me, dst, ranks))
+					tr.Recv(p, src)
+					p.WaitPending()
+					return true, nil
+				})
 			}
-			endC, statsC := run(true)
-			endG, statsG := run(false)
-			if endC != endG {
-				t.Fatalf("end time %v (continuation) != %v (goroutine)", endC, endG)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
 			}
-			if statsC != statsG {
-				t.Fatalf("stats diverge:\n continuation: %+v\n goroutine:    %+v", statsC, statsG)
+			want := recorded[topo]
+			if e.Now() != want.end {
+				t.Fatalf("end time %v, recorded %v", e.Now(), want.end)
+			}
+			if st := e.Stats(); st != want.stats {
+				t.Fatalf("stats diverge:\n got:      %+v\n recorded: %+v", st, want.stats)
 			}
 		})
 	}

@@ -42,8 +42,6 @@ type Comm struct {
 	ID int64
 	// Size is the payload size in bytes.
 	Size float64
-	// Payload is an arbitrary value carried from sender to receiver.
-	Payload any
 	// Detached reports whether the sender fire-and-forgot this transfer
 	// (eager mode small messages in the paper: "the send corresponds to the
 	// time of a copy of the data in the memory").
@@ -104,8 +102,7 @@ func (c *Comm) StartTime() float64 { return c.startTime }
 // FinishTime returns the simulated completion time of the transfer.
 func (c *Comm) FinishTime() float64 { return c.finishTime }
 
-// newComm hands out a Comm, recycling completed ones when the engine runs
-// in pooled (pure continuation) mode.
+// newComm hands out a Comm, recycling completed ones.
 func (e *Engine) newComm() *Comm {
 	if n := len(e.commPool); n > 0 {
 		c := e.commPool[n-1]
@@ -123,9 +120,8 @@ func (e *Engine) newComm() *Comm {
 	return &Comm{engine: e}
 }
 
-// retain marks one more holder of c (a continuation machine register or
-// pending queue slot). Goroutine processes never retain, which keeps every
-// Comm they can still reference out of the pool.
+// retain marks one more holder of c (a machine register or pending queue
+// slot).
 func (c *Comm) retain() { c.refs++ }
 
 // removeWaiter deletes one registration of p from c's waiter list,
@@ -147,15 +143,12 @@ func (c *Comm) release() {
 }
 
 // maybeRecycle returns a comm to the engine pool once it is completed,
-// unreferenced, and out of every mailbox queue. Recycling is gated on the
-// engine running only continuation machines: arbitrary goroutine bodies may
-// legally hold a *Comm forever.
+// unreferenced, and out of every mailbox queue.
 func (c *Comm) maybeRecycle() {
 	e := c.engine
-	if !e.pooled || c.refs != 0 || c.queued || c.state != CommDone {
+	if c.refs != 0 || c.queued || c.state != CommDone {
 		return
 	}
-	c.Payload = nil
 	c.sender, c.receiver = nil, nil
 	c.waiters = nil
 	c.waiterBuf = [2]*Proc{}
@@ -164,7 +157,7 @@ func (c *Comm) maybeRecycle() {
 
 // postSend registers a send on mailbox mb. If a receive is already waiting
 // the comm starts immediately; otherwise (or if detached) it is queued.
-func (e *Engine) postSend(mb *mailbox, p *Proc, size float64, payload any, detached bool) *Comm {
+func (e *Engine) postSend(mb *mailbox, p *Proc, size float64, detached bool) *Comm {
 	if len(mb.recvs) > 0 {
 		c := mb.recvs[0]
 		// Pop by shifting rather than re-slicing the head off: the slice keeps
@@ -176,7 +169,6 @@ func (e *Engine) postSend(mb *mailbox, p *Proc, size float64, payload any, detac
 		mb.recvs = mb.recvs[:n]
 		c.queued = false
 		c.Size = size
-		c.Payload = payload
 		c.Detached = detached
 		c.src = p.Host
 		c.sender = p
@@ -190,7 +182,6 @@ func (e *Engine) postSend(mb *mailbox, p *Proc, size float64, payload any, detac
 	c.ID = e.commSeq
 	c.box = mb.box
 	c.Size = size
-	c.Payload = payload
 	c.Detached = detached
 	c.src = p.Host
 	c.sender = p

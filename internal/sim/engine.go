@@ -33,9 +33,10 @@ type Stats struct {
 	MaxComponentFlows int64 `json:"max_component_flows"`
 }
 
-// Engine is a sequential discrete-event simulator. Simulated processes run
-// as goroutines but the engine resumes exactly one at a time, so simulated
-// programs need no synchronization and runs are fully deterministic.
+// Engine is a sequential discrete-event simulator. Simulated processes are
+// continuation machines (see Prog) that the engine steps inline, exactly
+// one at a time in deterministic FIFO order, so simulated programs need no
+// synchronization and runs are fully deterministic.
 type Engine struct {
 	now        float64
 	router     Router
@@ -48,30 +49,16 @@ type Engine struct {
 	timers   timerHeap
 	timerSeq int64
 	commSeq  int64
-	procSeq  int64
 
 	// Mailbox registries: every live mailbox keyed by integer id, the pair
-	// namespaces, the named-mailbox (space 0) name table, and the recycle
-	// pool for drained mailboxes.
-	boxes        map[Mbox]*mailbox
-	spaces       []*PairSpace
-	namedIDs     map[string]Mbox
-	namedNames   []string
-	mailboxHosts map[string]*Host
+	// namespaces, and the recycle pool for drained mailboxes.
+	boxes   map[Mbox]*mailbox
+	spaces  []*PairSpace
+	boxPool []*mailbox
 
-	// Object recycling for the continuation kernel. pooled starts true and
-	// is permanently cleared the moment a goroutine process or an external
-	// step function is spawned — those may retain *Comm handles forever, so
-	// their engines must never reuse comms. Drained mailboxes are recycled
-	// either way.
-	pooled   bool
+	// Recycled comms. Machines release every comm they reference (see
+	// progMachine), so a completed, unreferenced comm is always reusable.
 	commPool []*Comm
-	boxPool  []*mailbox
-
-	// goroutineProcs records that WithGoroutineProcs selected the legacy
-	// goroutine-per-process execution mode (layers above consult it when
-	// choosing how to spawn ranks).
-	goroutineProcs bool
 
 	// Fluid-network state: all active flows, the per-link registries tying
 	// them into the solver's sub-components, the min-heap of projected
@@ -97,10 +84,8 @@ type Engine struct {
 	stallSeeds  []*flow
 	fromScratch bool
 
-	yield   chan struct{}
-	current *Proc
-	err     error
-	stats   Stats
+	err   error
+	stats Stats
 }
 
 // Option configures an Engine.
@@ -120,30 +105,13 @@ func WithFromScratchSharing() Option {
 	return func(e *Engine) { e.fromScratch = true }
 }
 
-// WithGoroutineProcs selects the legacy goroutine-per-process execution mode
-// for layers that support both (the replay core spawns goroutine rank bodies
-// instead of compiled continuation programs when set). The two modes produce
-// bit-identical simulated times and stats; the goroutine mode exists for
-// differential testing and as the ergonomic API for hand-written process
-// bodies.
-func WithGoroutineProcs() Option {
-	return func(e *Engine) { e.goroutineProcs = true }
-}
-
-// GoroutineProcs reports whether WithGoroutineProcs was set.
-func (e *Engine) GoroutineProcs() bool { return e.goroutineProcs }
-
 // NewEngine creates an engine that routes communications with router.
 func NewEngine(router Router, opts ...Option) *Engine {
 	e := &Engine{
-		router:       router,
-		netModel:     DefaultModel{},
-		boxes:        make(map[Mbox]*mailbox),
-		namedIDs:     make(map[string]Mbox),
-		mailboxHosts: make(map[string]*Host),
-		linkStates:   make(map[*Link]*linkState),
-		yield:        make(chan struct{}),
-		pooled:       true,
+		router:     router,
+		netModel:   DefaultModel{},
+		boxes:      make(map[Mbox]*mailbox),
+		linkStates: make(map[*Link]*linkState),
 	}
 	e.routerInto, _ = router.(RouterInto)
 	for _, o := range opts {

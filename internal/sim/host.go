@@ -1,21 +1,22 @@
 // Package sim implements the discrete-event simulation kernel the replay
 // framework is built on. It plays the role SimGrid's SURF/SIMIX layers play
-// in the paper: simulated processes run as goroutines scheduled in lockstep
-// (exactly one at a time, in deterministic FIFO order), computations are
-// modelled as timers, and communications as fluid flows that share link
-// bandwidth under bounded max-min fairness.
+// in the paper: simulated processes are continuation machines interpreting
+// micro-op programs, stepped in lockstep (exactly one at a time, in
+// deterministic FIFO order), computations are modelled as timers, and
+// communications as fluid flows that share link bandwidth under bounded
+// max-min fairness.
 package sim
 
 import "fmt"
 
 // Host is a computing resource. One simulated process is typically pinned to
 // one host (one core), so computations do not contend with each other: an
-// Execute of n instructions at rate r lasts exactly n/r seconds.
+// Exec of n instructions at rate r lasts exactly n/r seconds.
 type Host struct {
 	// Name identifies the host in routes and error messages.
 	Name string
 	// Speed is the default compute rate in instructions per second used by
-	// Proc.Execute. Calibration (Section 3.4 of the paper) determines this
+	// Prog.Exec. Calibration (Section 3.4 of the paper) determines this
 	// value for simulated platforms.
 	Speed float64
 }

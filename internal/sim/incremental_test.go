@@ -178,7 +178,7 @@ func (r crossRouter) Route(src, dst *Host) Route {
 }
 
 // runEquivalenceWorkload executes one randomized multi-component workload
-// and returns the end time plus every comm's finish time.
+// and returns the end time plus every transfer's finish time.
 func runEquivalenceWorkload(seed uint64, opts ...Option) (float64, []float64) {
 	rng := stats.NewRNG(seed)
 	n := 6 + int(rng.Uint64()%6) // sender/receiver pairs
@@ -210,30 +210,28 @@ func runEquivalenceWorkload(seed uint64, opts ...Option) (float64, []float64) {
 	}
 
 	e := NewEngine(r, opts...)
-	comms := make([][]*Comm, n)
+	mb := boxes(e, n)
+	// A blocking send's sender resumes the moment its transfer completes,
+	// so the time each send returns is that transfer's finish time.
+	perSender := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("s%d", i), hosts[i], func(p *Proc) {
-			for k := 0; k < rounds; k++ {
-				p.Sleep(pauses[i][k])
-				c := p.Put(fmt.Sprintf("mb%d", i), sizes[i][k])
-				comms[i] = append(comms[i], c)
-			}
-		})
-		e.Spawn(fmt.Sprintf("r%d", i), hosts[n+i], func(p *Proc) {
-			for k := 0; k < rounds; k++ {
-				p.Get(fmt.Sprintf("mb%d", i))
-			}
-		})
+		var send, recv []func(*Prog)
+		for k := 0; k < rounds; k++ {
+			pause, size := pauses[i][k], sizes[i][k]
+			send = append(send,
+				func(p *Prog) { p.Sleep(pause); put(p, mb[i], size) },
+				func(*Prog) { perSender[i] = append(perSender[i], e.Now()) })
+			recv = append(recv, func(p *Prog) { get(p, mb[i]) })
+		}
+		e.SpawnProg(fmt.Sprintf("s%d", i), hosts[i], script(send...))
+		e.SpawnProg(fmt.Sprintf("r%d", i), hosts[n+i], script(recv...))
 	}
 	if err := e.Run(); err != nil {
 		panic(err)
 	}
 	var finishes []float64
-	for _, cs := range comms {
-		for _, c := range cs {
-			finishes = append(finishes, c.FinishTime())
-		}
+	for _, fs := range perSender {
+		finishes = append(finishes, fs...)
 	}
 	return e.Now(), finishes
 }
@@ -269,22 +267,18 @@ func TestEngineIncrementalEquivalence(t *testing.T) {
 // (per the equivalence tests) producing the same times.
 func TestIncrementalResolvesFewerFlows(t *testing.T) {
 	run := func(opts ...Option) Stats {
-		rng := stats.NewRNG(99)
-		_ = rng
 		e, hosts := equivalenceEngine(opts...)
 		n := len(hosts) / 2
+		mb := boxes(e, n)
 		for i := 0; i < n; i++ {
-			i := i
-			e.Spawn(fmt.Sprintf("s%d", i), hosts[i], func(p *Proc) {
-				for k := 0; k < 6; k++ {
-					p.Put(fmt.Sprintf("mb%d", i), 1e5*float64(1+(i+k)%5))
-				}
-			})
-			e.Spawn(fmt.Sprintf("r%d", i), hosts[n+i], func(p *Proc) {
-				for k := 0; k < 6; k++ {
-					p.Get(fmt.Sprintf("mb%d", i))
-				}
-			})
+			var send, recv []func(*Prog)
+			for k := 0; k < 6; k++ {
+				size := 1e5 * float64(1+(i+k)%5)
+				send = append(send, func(p *Prog) { put(p, mb[i], size) })
+				recv = append(recv, func(p *Prog) { get(p, mb[i]) })
+			}
+			e.SpawnProg(fmt.Sprintf("s%d", i), hosts[i], script(send...))
+			e.SpawnProg(fmt.Sprintf("r%d", i), hosts[n+i], script(recv...))
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)

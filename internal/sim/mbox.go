@@ -2,13 +2,12 @@ package sim
 
 import "fmt"
 
-// Mbox identifies a mailbox without a string name. Named mailboxes (the
-// string API used by tests and small models) get sequential ids in space 0;
-// pair spaces (one per backend namespace, e.g. MPI's application and
-// collective namespaces) encode (space, src rank, dst rank) directly into
-// the integer, so a P-rank world needs no per-pair setup at all — the
-// historical per-pair name precomputation and pinning was O(P²) strings and
-// map entries, several GiB at 4096 ranks.
+// Mbox identifies a mailbox without a string name. Pair spaces (one per
+// backend namespace, e.g. MPI's application and collective namespaces)
+// encode (space, src rank, dst rank) directly into the integer, so a P-rank
+// world needs no per-pair setup at all — the historical per-pair name
+// precomputation and pinning was O(P²) strings and map entries, several GiB
+// at 4096 ranks.
 type Mbox uint64
 
 const (
@@ -18,8 +17,8 @@ const (
 
 // PairSpace is a family of mailboxes indexed by a directed rank pair. When
 // hosts is non-nil, the mailbox (src,dst) is pinned to hosts[dst]: detached
-// (eager) sends start their transfer before the receive is posted, exactly
-// what PinMailbox provides for named mailboxes.
+// (eager) sends start their transfer before the receive is posted, which is
+// exactly the behaviour the paper's SMPI backend models for small messages.
 type PairSpace struct {
 	id     uint64
 	prefix string
@@ -71,18 +70,6 @@ func (e *Engine) box(m Mbox) *mailbox {
 	return mb
 }
 
-// namedBox resolves a string-named mailbox (space 0), assigning it an id on
-// first use.
-func (e *Engine) namedBox(name string) *mailbox {
-	id, ok := e.namedIDs[name]
-	if !ok {
-		e.namedNames = append(e.namedNames, name)
-		id = Mbox(len(e.namedNames))
-		e.namedIDs[name] = id
-	}
-	return e.box(id)
-}
-
 // reapBox recycles a mailbox whose queues have both drained. The next post
 // to the same Mbox simply recreates it, so this is purely a memory bound:
 // long replays touch quadratically many pairs but keep only the active ones
@@ -101,37 +88,16 @@ func (e *Engine) reapBox(mb *mailbox) {
 // boxName renders a mailbox id for diagnostics. Pair names are formatted on
 // demand and never stored.
 func (e *Engine) boxName(m Mbox) string {
-	sid := uint64(m) >> (2 * mboxRankBits)
-	if sid == 0 {
-		if m == 0 {
-			return "<none>"
-		}
-		return e.namedNames[m-1]
-	}
-	s := e.spaces[sid-1]
+	s := e.spaces[uint64(m)>>(2*mboxRankBits)-1]
 	return fmt.Sprintf("%s:%d>%d", s.prefix, (uint64(m)>>mboxRankBits)&mboxRankMask, uint64(m)&mboxRankMask)
 }
 
 // pinnedHost returns the host mb is pinned to, or nil: the declared
 // destination of receives, which lets detached sends start early.
 func (e *Engine) pinnedHost(mb *mailbox) *Host {
-	sid := uint64(mb.box) >> (2 * mboxRankBits)
-	if sid == 0 {
-		return e.mailboxHosts[e.namedNames[mb.box-1]]
-	}
-	s := e.spaces[sid-1]
+	s := e.spaces[uint64(mb.box)>>(2*mboxRankBits)-1]
 	if s.hosts == nil {
 		return nil
 	}
 	return s.hosts[uint64(mb.box)&mboxRankMask]
-}
-
-// PinMailbox declares that receives on the named mailbox will always be
-// posted from host h. This lets detached (eager) sends start their transfer
-// before the receive is posted, which is exactly the behaviour the paper's
-// SMPI backend models for small messages. Pair spaces pin whole namespaces
-// at creation instead (NewPairSpace).
-func (e *Engine) PinMailbox(name string, h *Host) {
-	e.mailboxHosts[name] = h
-	e.namedBox(name) // ensure the name is registered for pinnedHost lookups
 }

@@ -1,12 +1,12 @@
 package sim
 
 // A Prog is a short straight-line program of kernel micro-ops — the
-// compilation target for trace actions. Replay backends lower each action
-// (compute, the eager/rendezvous protocol stages of a send, a whole
-// collective schedule) into ops; the engine interprets them inline from the
-// event loop via SpawnProg. Because the ops are exactly the calls the
-// goroutine primitives would have made, in the same order, the schedule —
-// and hence every simulated time and stat — is bit-identical between modes.
+// compilation target for trace actions and the only way a simulated process
+// is expressed. Replay backends lower each action (compute, the
+// eager/rendezvous protocol stages of a send, a whole collective schedule)
+// into ops; the engine interprets them inline from the event loop, one
+// process's machine at a time, so simulated programs need no goroutines or
+// synchronization and runs are fully deterministic.
 
 type progOpKind uint8
 
@@ -39,8 +39,7 @@ type progOp struct {
 }
 
 // Prog accumulates micro-ops. A backend's compiler appends one action's
-// worth of ops per Feed call; the builder methods mirror the Proc
-// primitives they stand for.
+// worth of ops per Feed call.
 type Prog struct {
 	ops  []progOp
 	nreg int
@@ -59,43 +58,50 @@ func (p *Prog) reg(r int) int8 {
 	return int8(r)
 }
 
-// Exec compiles Proc.Execute(instr) (compute at host speed).
+// Exec computes instr instructions at the host's calibrated speed.
 func (p *Prog) Exec(instr float64) {
 	p.ops = append(p.ops, progOp{kind: opExec, amt: instr})
 }
 
-// Sleep compiles Proc.Sleep(d).
+// Sleep suspends the process for d simulated seconds.
 func (p *Prog) Sleep(d float64) {
 	p.ops = append(p.ops, progOp{kind: opSleep, amt: d})
 }
 
-// Put compiles Proc.PutAsync into register r (pair with WaitReg).
+// Put posts a send of bytes on mb into register r (pair with WaitReg).
+// The transfer starts when a matching receive is posted.
 func (p *Prog) Put(mb Mbox, bytes float64, r int) {
 	p.ops = append(p.ops, progOp{kind: opPut, reg: p.reg(r), mb: mb, amt: bytes})
 }
 
-// PutPending compiles Proc.PutAsync onto the pending FIFO (Isend).
+// PutPending posts a send onto the pending FIFO (Isend).
 func (p *Prog) PutPending(mb Mbox, bytes float64) {
 	p.ops = append(p.ops, progOp{kind: opPut, reg: regPend, mb: mb, amt: bytes})
 }
 
-// PutDiscard compiles a fire-and-forget Proc.PutAsync (the MSG prototype's
-// small-message send: asynchronous, never waited on).
+// PutDiscard posts a send nobody waits on (the MSG prototype's
+// small-message send: asynchronous, but the transfer still starts only at
+// match time).
 func (p *Prog) PutDiscard(mb Mbox, bytes float64) {
 	p.ops = append(p.ops, progOp{kind: opPut, reg: regDiscard, mb: mb, amt: bytes})
 }
 
-// PutDetached compiles Proc.PutDetached (the eager protocol's sender side).
+// PutDetached posts a fire-and-forget send: the sender never waits and the
+// transfer proceeds on its own, starting at once when mb is pinned to its
+// receiving host (see NewPairSpace). This models the eager protocol's
+// sender side ("the send corresponds to the time of a copy of the data in
+// the memory" — the copy itself, if modelled, is charged separately by the
+// MPI layer).
 func (p *Prog) PutDetached(mb Mbox, bytes float64) {
 	p.ops = append(p.ops, progOp{kind: opPutDetached, reg: regDiscard, mb: mb, amt: bytes})
 }
 
-// Get compiles Proc.GetAsync into register r (pair with WaitReg).
+// Get posts a receive on mb into register r (pair with WaitReg).
 func (p *Prog) Get(mb Mbox, r int) {
 	p.ops = append(p.ops, progOp{kind: opGet, reg: p.reg(r), mb: mb})
 }
 
-// GetPending compiles Proc.GetAsync onto the pending FIFO (Irecv).
+// GetPending posts a receive onto the pending FIFO (Irecv).
 func (p *Prog) GetPending(mb Mbox) {
 	p.ops = append(p.ops, progOp{kind: opGet, reg: regPend, mb: mb})
 }
@@ -107,7 +113,7 @@ func (p *Prog) PushPendingDone() {
 	p.ops = append(p.ops, progOp{kind: opPushDone})
 }
 
-// WaitReg compiles Proc.WaitComm on register r.
+// WaitReg blocks until the comm in register r completes, then releases it.
 func (p *Prog) WaitReg(r int) {
 	p.ops = append(p.ops, progOp{kind: opWaitReg, reg: p.reg(r)})
 }
@@ -130,34 +136,41 @@ func (p *Prog) WaitAnyPending() {
 	p.ops = append(p.ops, progOp{kind: opWaitAnyPend})
 }
 
-// Await compiles Barrier.Await.
+// Await blocks until every party has arrived at b (see Barrier.Arrive).
 func (p *Prog) Await(b *Barrier) {
 	p.ops = append(p.ops, progOp{kind: opAwait, bar: b})
 }
 
 // Feed refills prog with the micro-ops of the next trace action. It returns
-// false when the rank's stream is exhausted (the task finishes) and a
-// non-nil error to abort the whole simulation with that error (equivalent to
-// Proc.Fail — the chain survives intact). A call that appends no ops (e.g.
-// an init/finalize marker) is fine; the machine just asks again.
+// false when the rank's stream is exhausted (the process finishes) and a
+// non-nil error to abort the whole simulation with that error (Engine.Run
+// returns it with its chain intact). A call that appends no ops (e.g. an
+// init/finalize marker) is fine; the machine just asks again at once.
 type Feed func(prog *Prog) (more bool, err error)
 
-// SpawnProg creates a continuation process interpreting the micro-op
-// programs produced by feed. Unlike SpawnTask, the machine provably releases
-// every Comm it references, so comm recycling stays enabled.
+// SpawnProg creates a process named name pinned to host, interpreting the
+// micro-op programs produced by feed. It may be called before Run or from a
+// running process's feed.
 func (e *Engine) SpawnProg(name string, host *Host, feed Feed) *Proc {
+	if host == nil {
+		panic("sim: SpawnProg with nil host")
+	}
 	if feed == nil {
 		panic("sim: SpawnProg with nil feed")
 	}
-	m := &progMachine{feed: feed}
-	return e.spawnStep(name, host, m.step)
+	p := &Proc{Name: name, Host: host, engine: e, state: procRunnable}
+	p.m.feed = feed
+	e.procs = append(e.procs, p)
+	e.runq.push(p)
+	e.nalive++
+	return p
 }
 
 // progMachine interprets a rank's micro-op stream: it executes ops until one
 // blocks, refilling the program from feed when all ops are consumed. pc is
 // only advanced past an op once it no longer needs re-examination, so a
-// blocked wait re-checks its comm on every wake — the same re-registration
-// the goroutine WaitComm loop performs.
+// blocked wait re-checks its comm on every wake and re-registers until it
+// completes.
 type progMachine struct {
 	prog    Prog
 	pc      int
@@ -167,15 +180,15 @@ type progMachine struct {
 	feed    Feed
 }
 
-func (m *progMachine) step(t *Task) Step {
-	p := t.p
+// step executes ops until one blocks (it returns false) or the feed is
+// exhausted or fails (it returns true).
+func (m *progMachine) step(p *Proc) (done bool) {
 	e := p.engine
 	for {
 		if m.pc >= len(m.prog.ops) {
-			// Program drained: this is exactly the moment the goroutine
-			// driver would read the next trace action, so lowering here
-			// keeps action counting and compile-time panics at identical
-			// points in simulated time.
+			// Program drained: lower the next trace action, so action
+			// counting and lowering panics land at the simulated time the
+			// previous action completes.
 			m.prog.Reset()
 			m.pc = 0
 			for i, c := range m.regs {
@@ -186,10 +199,11 @@ func (m *progMachine) step(t *Task) Step {
 			}
 			more, err := m.feed(&m.prog)
 			if err != nil {
-				panic(simFault{err})
+				e.fail(err)
+				return true
 			}
 			if !more {
-				return Done
+				return true
 			}
 			if n := m.prog.nreg; n > len(m.regs) {
 				m.regs = append(m.regs, make([]*Comm, n-len(m.regs))...)
@@ -199,8 +213,6 @@ func (m *progMachine) step(t *Task) Step {
 		op := &m.prog.ops[m.pc]
 		switch op.kind {
 		case opExec:
-			// Mirrors Proc.ExecuteAtRate at the host's calibrated speed,
-			// faults included.
 			if op.amt < 0 {
 				p.faultf("Execute(%g): negative amount", op.amt)
 			}
@@ -216,7 +228,7 @@ func (m *progMachine) step(t *Task) Step {
 			e.afterWake(d, p)
 			p.state = procBlocked
 			p.blockedOn = blockInfo{what: "sleep", amt: d}
-			return Blocked
+			return false
 		case opSleep:
 			if op.amt < 0 {
 				p.faultf("Sleep(%g): negative duration", op.amt)
@@ -225,12 +237,12 @@ func (m *progMachine) step(t *Task) Step {
 			e.afterWake(op.amt, p)
 			p.state = procBlocked
 			p.blockedOn = blockInfo{what: "sleep", amt: op.amt}
-			return Blocked
+			return false
 		case opPut, opPutDetached:
 			if op.amt < 0 {
 				p.faultf("send of negative size %g", op.amt)
 			}
-			c := e.postSend(e.box(op.mb), p, op.amt, nil, op.kind == opPutDetached)
+			c := e.postSend(e.box(op.mb), p, op.amt, op.kind == opPutDetached)
 			m.dispose(c, op.reg)
 			m.pc++
 		case opGet:
@@ -244,7 +256,7 @@ func (m *progMachine) step(t *Task) Step {
 			c := m.regs[op.reg]
 			if !c.Done() {
 				m.block(p, c)
-				return Blocked
+				return false
 			}
 			m.regs[op.reg] = nil
 			c.release()
@@ -254,7 +266,7 @@ func (m *progMachine) step(t *Task) Step {
 			if c != nil {
 				if !c.Done() {
 					m.block(p, c)
-					return Blocked
+					return false
 				}
 				m.pending[m.head] = nil
 				c.release()
@@ -268,8 +280,8 @@ func (m *progMachine) step(t *Task) Step {
 			// Scrub stale registrations from a previous block on this op:
 			// the completion that woke us cleared its own waiter list, but
 			// the other comms still hold ours, and a stale entry would wake
-			// this process out of whatever it blocks on next. Mirrors the
-			// deregistration pass in Proc.WaitAnyComm exactly.
+			// this process out of whatever it blocks on next (wake only
+			// checks that the process is blocked, not on what).
 			for i := m.head; i < len(m.pending); i++ {
 				if c := m.pending[i]; c != nil && !c.Done() {
 					c.removeWaiter(p)
@@ -294,7 +306,7 @@ func (m *progMachine) step(t *Task) Step {
 				}
 				p.state = procBlocked
 				p.blockedOn = blockInfo{what: "waitany", n: n}
-				return Blocked
+				return false
 			}
 			if c := m.pending[sel]; c != nil {
 				m.pending[sel] = nil
@@ -326,15 +338,15 @@ func (m *progMachine) step(t *Task) Step {
 				m.popPending()
 			}
 			if blocked {
-				return Blocked
+				return false
 			}
 			m.pc++
 		case opAwait:
 			// Advance before arriving: being woken IS the release, so the
 			// machine must not re-arrive on resume.
 			m.pc++
-			if !op.bar.Arrive(t) {
-				return Blocked
+			if !op.bar.Arrive(p) {
+				return false
 			}
 		}
 	}
@@ -353,8 +365,7 @@ func (m *progMachine) dispose(c *Comm, reg int8) {
 	}
 }
 
-// block registers the machine's process as a waiter on c, exactly like one
-// iteration of the goroutine WaitComm loop.
+// block registers the machine's process as a waiter on c.
 func (m *progMachine) block(p *Proc, c *Comm) {
 	if c.waiters == nil {
 		c.waiters = c.waiterBuf[:0]

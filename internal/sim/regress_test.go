@@ -59,16 +59,13 @@ func TestStalledFlowDeadlockDiagnostic(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e6, Latency: 0}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
-	var c *Comm
-	e.Spawn("s", hs[0], func(p *Proc) {
-		c = p.PutAsync("mb", 1e6)
-		p.WaitComm(c)
-	})
-	e.Spawn("r", hs[1], func(p *Proc) { p.Get("mb") })
-	e.Spawn("freeze", hs[0], func(p *Proc) {
-		p.Sleep(0.1)
-		e.applyRate(c.fl, 0)
-	})
+	mb := boxes(e, 1)[0]
+	e.SpawnProg("s", hs[0], script(func(p *Prog) { put(p, mb, 1e6) }))
+	e.SpawnProg("r", hs[1], script(func(p *Prog) { get(p, mb) }))
+	e.SpawnProg("freeze", hs[0], script(
+		func(p *Prog) { p.Sleep(0.1) },
+		func(*Prog) { e.applyRate(e.active[0], 0) },
+	))
 	err := e.Run()
 	var d *DeadlockError
 	if !errors.As(err, &d) {
@@ -99,26 +96,25 @@ func TestStalledFlowReexaminedOnRecompute(t *testing.T) {
 		{hs[2], hs[3]}: {Links: []*Link{l2}},
 	}
 	e := NewEngine(r)
-	var c *Comm
+	mb := boxes(e, 2)
 	var sendEnd float64
-	e.Spawn("sA", hs[0], func(p *Proc) {
-		c = p.PutAsync("a", 1e6)
-		p.WaitComm(c)
-		sendEnd = p.Now()
-	})
-	e.Spawn("rA", hs[1], func(p *Proc) { p.Get("a") })
+	e.SpawnProg("sA", hs[0], script(
+		func(p *Prog) { put(p, mb[0], 1e6) },
+		func(*Prog) { sendEnd = e.Now() },
+	))
+	e.SpawnProg("rA", hs[1], script(func(p *Prog) { get(p, mb[0]) }))
 	// Freeze A's flow at t=0.1 with 9e5 bytes left.
-	e.Spawn("freeze", hs[0], func(p *Proc) {
-		p.Sleep(0.1)
-		e.applyRate(c.fl, 0)
-	})
+	e.SpawnProg("freeze", hs[0], script(
+		func(p *Prog) { p.Sleep(0.1) },
+		func(*Prog) { e.applyRate(e.active[0], 0) },
+	))
 	// An unrelated transfer on a disjoint link arrives at t=0.2; the
 	// recompute it triggers must also re-solve A's component.
-	e.Spawn("sB", hs[2], func(p *Proc) {
+	e.SpawnProg("sB", hs[2], script(func(p *Prog) {
 		p.Sleep(0.2)
-		p.Put("b", 1e5)
-	})
-	e.Spawn("rB", hs[3], func(p *Proc) { p.Get("b") })
+		put(p, mb[1], 1e5)
+	}))
+	e.SpawnProg("rB", hs[3], script(func(p *Prog) { get(p, mb[1]) }))
 	if err := e.Run(); err != nil {
 		t.Fatalf("expected recovery, got %v", err)
 	}

@@ -39,37 +39,62 @@ func approx(t *testing.T, got, want float64, what string) {
 	}
 }
 
+// script returns a Feed that runs one closure per call and then finishes.
+// A closure that emits no ops may record e.Now(): the machine feeds again
+// at once, so it reads the time the previous closure's ops completed.
+func script(steps ...func(p *Prog)) Feed {
+	i := 0
+	return func(p *Prog) (bool, error) {
+		if i == len(steps) {
+			return false, nil
+		}
+		steps[i](p)
+		i++
+		return true, nil
+	}
+}
+
+// put and get emit a blocking send and a blocking receive on mb.
+func put(p *Prog, mb Mbox, bytes float64) { p.Put(mb, bytes, 0); p.WaitReg(0) }
+func get(p *Prog, mb Mbox)                { p.Get(mb, 1); p.WaitReg(1) }
+
+// boxes returns n unpinned mailboxes of a fresh pair space.
+func boxes(e *Engine, n int) []Mbox {
+	s := e.NewPairSpace("t", nil)
+	bs := make([]Mbox, n)
+	for i := range bs {
+		bs[i] = s.Box(i, i)
+	}
+	return bs
+}
+
 func TestSleepAdvancesClock(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e9, Latency: 1e-4}
 	e := NewEngine(pairRouter{link})
 	h := &Host{Name: "h", Speed: 1e9}
-	var end float64
-	e.Spawn("p", h, func(p *Proc) {
-		p.Sleep(1.5)
-		p.Sleep(0.25)
-		end = p.Now()
-	})
+	var mid, end float64
+	e.SpawnProg("p", h, script(
+		func(p *Prog) { p.Sleep(1.5) },
+		func(*Prog) { mid = e.Now() },
+		func(p *Prog) { p.Sleep(0.25) },
+		func(*Prog) { end = e.Now() },
+	))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	approx(t, mid, 1.5, "first wake")
 	approx(t, end, 1.75, "end time")
 	approx(t, e.Now(), 1.75, "engine time")
+	// One context switch per resume: the start and one per wake.
+	if cs := e.Stats().ContextSwitches; cs != 3 {
+		t.Fatalf("context switches = %d, want 3", cs)
+	}
 }
 
 func TestExecuteUsesHostSpeed(t *testing.T) {
 	e := NewEngine(pairRouter{&Link{Bandwidth: 1, Latency: 0}})
 	h := &Host{Name: "h", Speed: 2e9}
-	e.Spawn("p", h, func(p *Proc) { p.Execute(4e9) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	approx(t, e.Now(), 2.0, "execute time")
-}
-
-func TestExecuteAtRateOverridesSpeed(t *testing.T) {
-	e := NewEngine(pairRouter{&Link{Bandwidth: 1, Latency: 0}})
-	h := &Host{Name: "h", Speed: 1e9}
-	e.Spawn("p", h, func(p *Proc) { p.ExecuteAtRate(1e9, 0.5e9) })
+	e.SpawnProg("p", h, script(func(p *Prog) { p.Exec(4e9) }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +104,7 @@ func TestExecuteAtRateOverridesSpeed(t *testing.T) {
 func TestExecuteZeroAmountIsFree(t *testing.T) {
 	e := NewEngine(pairRouter{&Link{Bandwidth: 1, Latency: 0}})
 	h := &Host{Name: "h", Speed: 1e9}
-	e.Spawn("p", h, func(p *Proc) { p.Execute(0) })
+	e.SpawnProg("p", h, script(func(p *Prog) { p.Exec(0) }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +117,13 @@ func TestPingTime(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 1e-3}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
-	e.Spawn("sender", hs[0], func(p *Proc) { p.Put("mb", 1e6) })
+	mb := boxes(e, 1)[0]
+	e.SpawnProg("sender", hs[0], script(func(p *Prog) { put(p, mb, 1e6) }))
 	var recvEnd float64
-	e.Spawn("receiver", hs[1], func(p *Proc) {
-		p.Get("mb")
-		recvEnd = p.Now()
-	})
+	e.SpawnProg("receiver", hs[1], script(
+		func(p *Prog) { get(p, mb) },
+		func(*Prog) { recvEnd = e.Now() },
+	))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +134,16 @@ func TestBlockingSendWaitsForReceiver(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 0}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
+	mb := boxes(e, 1)[0]
 	var sendEnd float64
-	e.Spawn("sender", hs[0], func(p *Proc) {
-		p.Put("mb", 1e6) // 0.01 s transfer
-		sendEnd = p.Now()
-	})
-	e.Spawn("receiver", hs[1], func(p *Proc) {
+	e.SpawnProg("sender", hs[0], script(
+		func(p *Prog) { put(p, mb, 1e6) }, // 0.01 s transfer
+		func(*Prog) { sendEnd = e.Now() },
+	))
+	e.SpawnProg("receiver", hs[1], script(func(p *Prog) {
 		p.Sleep(5) // receiver shows up late
-		p.Get("mb")
-	})
+		get(p, mb)
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +156,12 @@ func TestTwoFlowsShareLink(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 0}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(4, 1e9)
+	mb := boxes(e, 2)
 	ends := make([]float64, 2)
-	e.Spawn("s0", hs[0], func(p *Proc) { p.Put("a", 1e6); ends[0] = p.Now() })
-	e.Spawn("s1", hs[1], func(p *Proc) { p.Put("b", 1e6); ends[1] = p.Now() })
-	e.Spawn("r0", hs[2], func(p *Proc) { p.Get("a") })
-	e.Spawn("r1", hs[3], func(p *Proc) { p.Get("b") })
+	e.SpawnProg("s0", hs[0], script(func(p *Prog) { put(p, mb[0], 1e6) }, func(*Prog) { ends[0] = e.Now() }))
+	e.SpawnProg("s1", hs[1], script(func(p *Prog) { put(p, mb[1], 1e6) }, func(*Prog) { ends[1] = e.Now() }))
+	e.SpawnProg("r0", hs[2], script(func(p *Prog) { get(p, mb[0]) }))
+	e.SpawnProg("r1", hs[3], script(func(p *Prog) { get(p, mb[1]) }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +180,12 @@ func TestMaxMinTwoBottlenecks(t *testing.T) {
 		{hs[2], hs[3]}: {Links: []*Link{l1, l2}},
 	}
 	e := NewEngine(r)
+	mb := boxes(e, 2)
 	endA, endB := 0.0, 0.0
-	e.Spawn("sA", hs[0], func(p *Proc) { p.Put("a", 60); endA = p.Now() })
-	e.Spawn("sB", hs[2], func(p *Proc) { p.Put("b", 60); endB = p.Now() })
-	e.Spawn("rA", hs[1], func(p *Proc) { p.Get("a") })
-	e.Spawn("rB", hs[3], func(p *Proc) { p.Get("b") })
+	e.SpawnProg("sA", hs[0], script(func(p *Prog) { put(p, mb[0], 60) }, func(*Prog) { endA = e.Now() }))
+	e.SpawnProg("sB", hs[2], script(func(p *Prog) { put(p, mb[1], 60) }, func(*Prog) { endB = e.Now() }))
+	e.SpawnProg("rA", hs[1], script(func(p *Prog) { get(p, mb[0]) }))
+	e.SpawnProg("rB", hs[3], script(func(p *Prog) { get(p, mb[1]) }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +207,9 @@ func TestRateCapLimitsFlow(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 0}
 	e := NewEngine(pairRouter{link}, WithNetworkModel(capModel{cap: 1e6}))
 	hs := newTestHosts(2, 1e9)
-	e.Spawn("s", hs[0], func(p *Proc) { p.Put("mb", 1e6) })
-	e.Spawn("r", hs[1], func(p *Proc) { p.Get("mb") })
+	mb := boxes(e, 1)[0]
+	e.SpawnProg("s", hs[0], script(func(p *Prog) { put(p, mb, 1e6) }))
+	e.SpawnProg("r", hs[1], script(func(p *Prog) { get(p, mb) }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,17 +222,19 @@ func TestDetachedSendWithPinnedMailboxStartsEarly(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 1e-3}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
-	e.PinMailbox("mb", hs[1])
+	mb := e.NewPairSpace("t", hs).Box(0, 1) // pinned to hs[1]
 	var sendEnd, recvEnd float64
-	e.Spawn("s", hs[0], func(p *Proc) {
-		p.PutDetached("mb", 1e6, nil) // in flight: done at 0.011
-		sendEnd = p.Now()
-	})
-	e.Spawn("r", hs[1], func(p *Proc) {
-		p.Sleep(1)
-		p.Get("mb")
-		recvEnd = p.Now()
-	})
+	e.SpawnProg("s", hs[0], script(
+		func(p *Prog) { p.PutDetached(mb, 1e6) }, // in flight: done at 0.011
+		func(*Prog) { sendEnd = e.Now() },
+	))
+	e.SpawnProg("r", hs[1], script(
+		func(p *Prog) {
+			p.Sleep(1)
+			get(p, mb)
+		},
+		func(*Prog) { recvEnd = e.Now() },
+	))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +246,16 @@ func TestDetachedSendReceiverWaitsForArrival(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 1e-3}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
-	e.PinMailbox("mb", hs[1])
+	mb := e.NewPairSpace("t", hs).Box(0, 1) // pinned to hs[1]
 	var recvEnd float64
-	e.Spawn("s", hs[0], func(p *Proc) {
+	e.SpawnProg("s", hs[0], script(func(p *Prog) {
 		p.Sleep(0.5)
-		p.PutDetached("mb", 1e6, nil)
-	})
-	e.Spawn("r", hs[1], func(p *Proc) {
-		p.Get("mb") // posted first; data arrives at 0.5+0.011
-		recvEnd = p.Now()
-	})
+		p.PutDetached(mb, 1e6)
+	}))
+	e.SpawnProg("r", hs[1], script(
+		func(p *Prog) { get(p, mb) }, // posted first; data arrives at 0.5+0.011
+		func(*Prog) { recvEnd = e.Now() },
+	))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +266,16 @@ func TestDetachedSendUnpinnedWaitsForMatch(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 1e-3}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
+	mb := boxes(e, 1)[0]
 	var recvEnd float64
-	e.Spawn("s", hs[0], func(p *Proc) { p.PutDetached("mb", 1e6, nil) })
-	e.Spawn("r", hs[1], func(p *Proc) {
-		p.Sleep(1)
-		p.Get("mb") // transfer starts only now (unpinned mailbox)
-		recvEnd = p.Now()
-	})
+	e.SpawnProg("s", hs[0], script(func(p *Prog) { p.PutDetached(mb, 1e6) }))
+	e.SpawnProg("r", hs[1], script(
+		func(p *Prog) {
+			p.Sleep(1)
+			get(p, mb) // transfer starts only now (unpinned mailbox)
+		},
+		func(*Prog) { recvEnd = e.Now() },
+	))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,37 +286,21 @@ func TestZeroSizeCommCompletesAfterLatency(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 2e-3}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
-	e.Spawn("s", hs[0], func(p *Proc) { p.Put("mb", 0) })
-	e.Spawn("r", hs[1], func(p *Proc) { p.Get("mb") })
+	mb := boxes(e, 1)[0]
+	e.SpawnProg("s", hs[0], script(func(p *Prog) { put(p, mb, 0) }))
+	e.SpawnProg("r", hs[1], script(func(p *Prog) { get(p, mb) }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	approx(t, e.Now(), 2e-3, "zero-size comm time")
 }
 
-func TestPayloadDelivered(t *testing.T) {
-	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 0}
-	e := NewEngine(pairRouter{link})
-	hs := newTestHosts(2, 1e9)
-	var got any
-	e.Spawn("s", hs[0], func(p *Proc) {
-		c := p.PutPayload("mb", 8, "hello")
-		p.WaitComm(c)
-	})
-	e.Spawn("r", hs[1], func(p *Proc) { got = p.Get("mb").Payload })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != "hello" {
-		t.Fatalf("payload = %v, want hello", got)
-	}
-}
-
 func TestDeadlockDetected(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e8, Latency: 0}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(1, 1e9)
-	e.Spawn("r", hs[0], func(p *Proc) { p.Get("never") })
+	mb := boxes(e, 1)[0]
+	e.SpawnProg("r", hs[0], script(func(p *Prog) { get(p, mb) }))
 	err := e.Run()
 	var d *DeadlockError
 	if !errors.As(err, &d) {
@@ -295,7 +314,7 @@ func TestDeadlockDetected(t *testing.T) {
 func TestNegativeComputeFaults(t *testing.T) {
 	e := NewEngine(pairRouter{&Link{Bandwidth: 1, Latency: 0}})
 	hs := newTestHosts(1, 1e9)
-	e.Spawn("p", hs[0], func(p *Proc) { p.Execute(-1) })
+	e.SpawnProg("p", hs[0], script(func(p *Prog) { p.Exec(-1) }))
 	if err := e.Run(); err == nil {
 		t.Fatal("expected error for negative compute")
 	}
@@ -304,9 +323,10 @@ func TestNegativeComputeFaults(t *testing.T) {
 func TestPanicInBodyBecomesError(t *testing.T) {
 	e := NewEngine(pairRouter{&Link{Bandwidth: 1, Latency: 0}})
 	hs := newTestHosts(1, 1e9)
-	e.Spawn("p", hs[0], func(p *Proc) { panic("boom") })
-	if err := e.Run(); err == nil {
-		t.Fatal("expected error from panicking body")
+	e.SpawnProg("p", hs[0], script(func(*Prog) { panic("boom") }))
+	err := e.Run()
+	if err == nil || err.Error() != "sim: process p panicked: boom" {
+		t.Fatalf("err = %v, want the process panic report", err)
 	}
 }
 
@@ -314,8 +334,9 @@ func TestZeroBandwidthLinkIsError(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 0, Latency: 0}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
-	e.Spawn("s", hs[0], func(p *Proc) { p.Put("mb", 10) })
-	e.Spawn("r", hs[1], func(p *Proc) { p.Get("mb") })
+	mb := boxes(e, 1)[0]
+	e.SpawnProg("s", hs[0], script(func(p *Prog) { put(p, mb, 10) }))
+	e.SpawnProg("r", hs[1], script(func(p *Prog) { get(p, mb) }))
 	if err := e.Run(); err == nil {
 		t.Fatal("expected error for zero-bandwidth link")
 	}
@@ -325,26 +346,30 @@ func TestWaitAllAndTest(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e6, Latency: 0}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
-	var tested, after bool
-	e.Spawn("s", hs[0], func(p *Proc) {
-		c1 := p.PutAsync("a", 1e6)
-		c2 := p.PutAsync("b", 1e6)
-		tested = p.TestComm(c1) // nothing matched yet
-		p.WaitAll([]*Comm{c1, c2})
-		after = p.TestComm(c1) && p.TestComm(c2)
-	})
-	e.Spawn("r", hs[1], func(p *Proc) {
-		p.Get("a")
-		p.Get("b")
-	})
+	mb := boxes(e, 2)
+	var s *Proc
+	var pendingBefore, pendingAfter int
+	s = e.SpawnProg("s", hs[0], script(
+		func(p *Prog) {
+			p.PutPending(mb[0], 1e6)
+			p.PutPending(mb[1], 1e6)
+		},
+		func(*Prog) { pendingBefore = len(s.m.pending) - s.m.head }, // nothing matched yet
+		func(p *Prog) { p.WaitAllPending() },
+		func(*Prog) { pendingAfter = len(s.m.pending) - s.m.head },
+	))
+	e.SpawnProg("r", hs[1], script(func(p *Prog) {
+		get(p, mb[0])
+		get(p, mb[1])
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tested {
-		t.Error("TestComm returned true before match")
+	if pendingBefore != 2 {
+		t.Errorf("%d sends outstanding before the wait, want 2", pendingBefore)
 	}
-	if !after {
-		t.Error("TestComm returned false after WaitAll")
+	if pendingAfter != 0 {
+		t.Errorf("%d sends outstanding after the waitall, want 0", pendingAfter)
 	}
 	// Sequential matching: both 1e6 B flows share sequentially-ish; total
 	// bytes 2e6 over 1e6 B/s => 2 s regardless of interleaving.
@@ -355,13 +380,13 @@ func TestSpawnFromRunningProcess(t *testing.T) {
 	e := NewEngine(pairRouter{&Link{Bandwidth: 1e9, Latency: 0}})
 	hs := newTestHosts(2, 1e9)
 	var childRan bool
-	e.Spawn("parent", hs[0], func(p *Proc) {
-		p.Engine().Spawn("child", hs[1], func(c *Proc) {
-			c.Sleep(1)
-			childRan = true
-		})
+	e.SpawnProg("parent", hs[0], script(func(p *Prog) {
+		e.SpawnProg("child", hs[1], script(
+			func(c *Prog) { c.Sleep(1) },
+			func(*Prog) { childRan = true },
+		))
 		p.Sleep(2)
-	})
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -376,20 +401,16 @@ func TestDeterministicRuns(t *testing.T) {
 		link := &Link{Name: "l", Bandwidth: 1e7, Latency: 1e-4}
 		e := NewEngine(pairRouter{link})
 		hs := newTestHosts(8, 1e9)
+		mb := boxes(e, 4)
 		for i := 0; i < 4; i++ {
-			i := i
-			e.Spawn("s", hs[i], func(p *Proc) {
-				for k := 0; k < 10; k++ {
-					p.Put(string(rune('a'+i)), float64(1000*(k+1)))
-					p.Execute(1e6)
-				}
-			})
-			e.Spawn("r", hs[4+i], func(p *Proc) {
-				for k := 0; k < 10; k++ {
-					p.Get(string(rune('a' + i)))
-					p.Execute(2e6)
-				}
-			})
+			var send, recv []func(*Prog)
+			for k := 0; k < 10; k++ {
+				size := float64(1000 * (k + 1))
+				send = append(send, func(p *Prog) { put(p, mb[i], size); p.Exec(1e6) })
+				recv = append(recv, func(p *Prog) { get(p, mb[i]); p.Exec(2e6) })
+			}
+			e.SpawnProg("s", hs[i], script(send...))
+			e.SpawnProg("r", hs[4+i], script(recv...))
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -410,15 +431,21 @@ func TestCommStateTransitions(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e6, Latency: 0.5}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
+	mb := boxes(e, 1)[0]
 	var c *Comm
 	var stPending, stDone CommState
-	e.Spawn("s", hs[0], func(p *Proc) {
-		c = p.PutAsync("mb", 1e6)
-		stPending = c.State()
-		p.WaitComm(c)
-		stDone = c.State()
-	})
-	e.Spawn("r", hs[1], func(p *Proc) { p.Get("mb") })
+	var finish float64
+	var s *Proc
+	s = e.SpawnProg("s", hs[0], script(
+		func(p *Prog) { p.PutPending(mb, 1e6) },
+		func(*Prog) {
+			c = s.m.pending[s.m.head]
+			stPending = c.State()
+		},
+		func(p *Prog) { p.WaitPending() },
+		func(*Prog) { stDone, finish = c.State(), c.FinishTime() },
+	))
+	e.SpawnProg("r", hs[1], script(func(p *Prog) { get(p, mb) }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -428,15 +455,16 @@ func TestCommStateTransitions(t *testing.T) {
 	if stDone != CommDone {
 		t.Errorf("state after wait = %v, want done", stDone)
 	}
-	approx(t, c.FinishTime(), 1.5, "finish time")
+	approx(t, finish, 1.5, "finish time")
 }
 
 func TestStatsCount(t *testing.T) {
 	link := &Link{Name: "l", Bandwidth: 1e9, Latency: 0}
 	e := NewEngine(pairRouter{link})
 	hs := newTestHosts(2, 1e9)
-	e.Spawn("s", hs[0], func(p *Proc) { p.Put("mb", 1); p.Put("mb", 1) })
-	e.Spawn("r", hs[1], func(p *Proc) { p.Get("mb"); p.Get("mb") })
+	mb := boxes(e, 1)[0]
+	e.SpawnProg("s", hs[0], script(func(p *Prog) { put(p, mb, 1); put(p, mb, 1) }))
+	e.SpawnProg("r", hs[1], script(func(p *Prog) { get(p, mb); get(p, mb) }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

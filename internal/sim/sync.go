@@ -9,7 +9,6 @@ import "fmt"
 type Barrier struct {
 	engine  *Engine
 	n       int
-	gen     int64
 	count   int
 	waiting []*Proc
 }
@@ -22,25 +21,22 @@ func (e *Engine) NewBarrier(n int) *Barrier {
 	return &Barrier{engine: e, n: n}
 }
 
-// Await blocks p until n processes have arrived. It returns true on the
-// process that arrived last (useful to compute a shared quantity exactly
-// once per round). The barrier is reusable: generations keep successive
-// rounds apart.
-func (b *Barrier) Await(p *Proc) bool {
+// Arrive registers p at the barrier. It returns true when p is the last
+// arriver (the barrier is passed and every waiter is woken) and false when
+// p is now blocked. Being woken is the release: a woken process must not
+// arrive again for the same round. The barrier is reusable.
+func (b *Barrier) Arrive(p *Proc) bool {
 	b.count++
 	if b.count == b.n {
 		b.count = 0
-		b.gen++
 		for _, w := range b.waiting {
 			b.engine.wake(w)
 		}
 		b.waiting = b.waiting[:0]
 		return true
 	}
-	my := b.gen
 	b.waiting = append(b.waiting, p)
-	for b.gen == my {
-		p.block(blockInfo{what: "barrier", n: b.count, m: b.n})
-	}
+	p.state = procBlocked
+	p.blockedOn = blockInfo{what: "barrier", n: b.count, m: b.n}
 	return false
 }

@@ -19,10 +19,9 @@
 //     compiled TIB binary cache, and an importer registry (DUMPI ASCII,
 //     TAU profiles, custom formats) folding foreign acquisitions into the
 //     same pipeline;
-//   - replay backends behind a uniform interface: the accurate SMPI-style
+//   - two replay backends lowered by one driver: the accurate SMPI-style
 //     backend (eager/rendezvous protocols, collectives as point-to-point
-//     trees), the legacy MSG-style baseline the paper improves upon, and
-//     any custom backend plugged in with RegisterBackend;
+//     trees) and the legacy MSG-style baseline the paper improves upon;
 //   - workload models of the NAS Parallel Benchmarks (LU, CG, EP, MG, BT,
 //     SP, FT) that generate traces of any class/process count;
 //   - emulated ground-truth clusters (bordereau, graphene) and the
@@ -170,21 +169,8 @@ const (
 	MSG = core.MSG
 )
 
-// Backend extension surface: every replay implementation is driven through
-// the RankOps interface by one shared driver loop, and selected by
-// registered name.
-type (
-	// RankOps is the per-rank operation set a replay backend provides.
-	RankOps = core.RankOps
-	// Request is an opaque handle to an outstanding nonblocking operation.
-	Request = core.Request
-	// BackendWorld is one backend's replay context (ranks bound to hosts).
-	BackendWorld = core.World
-	// Backend builds replay worlds and is selected by name.
-	Backend = core.Backend
-	// TraceError reports a malformed trace detected during replay.
-	TraceError = core.TraceError
-)
+// TraceError reports a malformed trace detected during replay.
+type TraceError = core.TraceError
 
 // Malformed-trace error causes, matchable with errors.Is on the error
 // returned by Replay or Scenario.Run.
@@ -193,11 +179,7 @@ var (
 	ErrUnsupportedAction    = core.ErrUnsupportedAction
 )
 
-// RegisterBackend makes a custom replay backend selectable by name in
-// ReplayConfig.Backend and Scenario.Backend.
-func RegisterBackend(name string, b Backend) { core.Register(name, b) }
-
-// Backends returns the sorted names of all registered replay backends.
+// Backends returns the sorted names of the replay backends.
 func Backends() []string { return core.Backends() }
 
 // Scenario and batch-runner types.
@@ -610,8 +592,7 @@ func ImportCompileTraces(format, path, tibPath string, opts TraceImportOptions) 
 }
 
 // RegisterTraceImporter makes a custom trace format importable by name (and
-// by sniffing) in ImportTraces and Scenario.TraceFormat, mirroring
-// RegisterBackend on the ingestion side.
+// by sniffing) in ImportTraces and Scenario.TraceFormat.
 func RegisterTraceImporter(name string, sniff func(path string) bool, open func(path string, opts TraceImportOptions) (TraceProvider, error)) {
 	trace.RegisterImporter(name, sniff, open)
 }
