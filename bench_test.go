@@ -124,14 +124,9 @@ func replayBench(b *testing.B, backend tireplay.ReplayConfig) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		plat, _, err := tireplay.Cluster(tireplay.ClusterSpec{
-			Name: "bench", Hosts: 16, Speed: 2.5e9,
-			LinkBandwidth: 1.25e8, LinkLatency: 2e-5,
-			BackboneBandwidth: 1.25e9, BackboneLatency: 1e-6,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		spec := facadePlatformSpec(16)
+		spec.Name, spec.Speed = "bench", 2.5e9
+		plat := facadePlatform(b, spec)
 		res, err := tireplay.Replay(tireplay.PerfectTrace(lu), plat, backend)
 		if err != nil {
 			b.Fatal(err)

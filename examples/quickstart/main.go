@@ -50,12 +50,13 @@ func main() {
 		stats.Ranks, stats.Instructions, stats.P2PMessages, stats.EagerMessages)
 
 	// 4. Describe the target platform: 8 nodes at 2 Ginstr/s behind a
-	// gigabit switch.
-	plat, _, err := tireplay.Cluster(tireplay.ClusterSpec{
-		Name: "target", Hosts: 8, Speed: 2e9,
+	// gigabit switch. The spec has no network factors, so model is nil.
+	spec := tireplay.PlatformSpec{
+		Name: "target", Topology: "flat", Hosts: 8, Speed: 2e9,
 		LinkBandwidth: 1.25e8, LinkLatency: 2e-5,
 		BackboneBandwidth: 1.25e9, BackboneLatency: 1e-6,
-	})
+	}
+	plat, model, err := spec.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := tireplay.Replay(prov, plat, tireplay.ReplayConfig{Backend: tireplay.SMPI})
+	res, err := tireplay.Replay(prov, plat, tireplay.ReplayConfig{Backend: tireplay.SMPI, Network: model})
 	if err != nil {
 		log.Fatal(err)
 	}

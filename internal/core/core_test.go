@@ -13,11 +13,12 @@ import (
 
 func testPlatform(t *testing.T, n int) *platform.Platform {
 	t.Helper()
-	p, err := platform.NewFlatCluster(platform.FlatConfig{
-		Name: "test", Hosts: n, Speed: 1e9,
+	spec := platform.Spec{
+		Name: "test", Topology: "flat", Hosts: n, Speed: 1e9,
 		LinkBandwidth: 1e9, LinkLatency: 1e-5,
 		BackboneBandwidth: 1e10, BackboneLatency: 1e-6,
-	})
+	}
+	p, _, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestReplayMemcpyModelledIncreasesSenderTime(t *testing.T) {
 }
 
 func TestReplayPiecewiseNetworkModel(t *testing.T) {
-	model, err := platform.NewPiecewiseModel([]platform.Segment{
+	model, err := platform.NewPiecewiseModel([]platform.SegmentSpec{
 		{MaxBytes: 65536, LatFactor: 2, BwFactor: 0.5},
 		{MaxBytes: math.MaxFloat64, LatFactor: 1, BwFactor: 0.95},
 	})

@@ -67,8 +67,8 @@ type Cluster struct {
 }
 
 // Platform materializes the cluster's network for n ranks, together with
-// its piece-wise-linear factor model — Spec(n), built.
-func (c *Cluster) Platform(n int) (*platform.Platform, *platform.PiecewiseModel, error) {
+// its piece-wise-linear factor model (nil without factors) — Spec(n), built.
+func (c *Cluster) Platform(n int) (*platform.Platform, sim.NetworkModel, error) {
 	return c.Spec(n).Build()
 }
 

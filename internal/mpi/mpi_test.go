@@ -12,11 +12,12 @@ import (
 // 1 GB/s links, 10 GB/s backbone, 10 us link latency.
 func testWorld(t *testing.T, n int, cfg ModelConfig) (*World, *sim.Engine) {
 	t.Helper()
-	p, err := platform.NewFlatCluster(platform.FlatConfig{
-		Name: "t", Hosts: n, Speed: 1e9,
+	spec := platform.Spec{
+		Name: "t", Topology: "flat", Hosts: n, Speed: 1e9,
 		LinkBandwidth: 1e9, LinkLatency: 1e-5,
 		BackboneBandwidth: 1e10, BackboneLatency: 1e-6,
-	})
+	}
+	p, _, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,10 +394,14 @@ func TestComputeUsesHostSpeed(t *testing.T) {
 }
 
 func TestWorldValidation(t *testing.T) {
-	p, _ := platform.NewFlatCluster(platform.FlatConfig{
-		Name: "t", Hosts: 2, Speed: 1e9,
+	spec := platform.Spec{
+		Name: "t", Topology: "flat", Hosts: 2, Speed: 1e9,
 		LinkBandwidth: 1e9, BackboneBandwidth: 1e10,
-	})
+	}
+	p, _, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := sim.NewEngine(p)
 	if _, err := NewWorld(e, nil, ModelConfig{}); err == nil {
 		t.Error("expected error for empty hosts")

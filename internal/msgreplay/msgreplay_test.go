@@ -10,11 +10,12 @@ import (
 
 func testWorld(t *testing.T, n int, cfg Config) (*World, *sim.Engine) {
 	t.Helper()
-	p, err := platform.NewFlatCluster(platform.FlatConfig{
-		Name: "m", Hosts: n, Speed: 1e9,
+	spec := platform.Spec{
+		Name: "m", Topology: "flat", Hosts: n, Speed: 1e9,
 		LinkBandwidth: 1e9, LinkLatency: 1e-5,
 		BackboneBandwidth: 1e10, BackboneLatency: 1e-6,
-	})
+	}
+	p, _, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +175,14 @@ func TestCollectiveFormulas(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	p, _ := platform.NewFlatCluster(platform.FlatConfig{
-		Name: "m", Hosts: 1, Speed: 1e9,
+	spec := platform.Spec{
+		Name: "m", Topology: "flat", Hosts: 1, Speed: 1e9,
 		LinkBandwidth: 1e9, BackboneBandwidth: 1e10,
-	})
+	}
+	p, _, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := sim.NewEngine(p)
 	if _, err := NewWorld(e, nil, Config{}); err == nil {
 		t.Error("expected error for empty hosts")

@@ -10,11 +10,12 @@ import (
 
 func smokePlatform(t *testing.T, n int) *platform.Platform {
 	t.Helper()
-	p, err := platform.NewFlatCluster(platform.FlatConfig{
-		Name: "smoke", Hosts: n, Speed: 1e9,
+	spec := platform.Spec{
+		Name: "smoke", Topology: "flat", Hosts: n, Speed: 1e9,
 		LinkBandwidth: 1e9, LinkLatency: 1e-5,
 		BackboneBandwidth: 1e10, BackboneLatency: 1e-6,
-	})
+	}
+	p, _, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,31 +1,36 @@
 // Package platform describes simulated execution platforms: hosts, links,
-// and routing between them. It provides builders for the cluster shapes
-// used in the paper — a flat cluster where all nodes hang off a single
-// switch (bordereau) and a hierarchical cluster with per-cabinet switches
-// joined by a backbone (graphene) — plus a full-bisection crossbar, the
-// structured topology zoo (k-ary fat trees, dragonflies, and 2D/3D tori
-// materialized from internal/topo with real deterministic routing), and
-// the piece-wise-linear network factor model the SMPI backend relies on.
+// and routing between them, plus the piece-wise-linear network factor model
+// the SMPI backend relies on. Spec is the only way to build a platform: it
+// picks one of the shapes of internal/topo — the paper's flat cluster
+// where all nodes hang off a single switch (bordereau) and hierarchical
+// cluster with per-cabinet switches joined by a backbone (graphene), a
+// full-bisection crossbar, and the topology zoo of k-ary fat trees,
+// dragonflies, and 2D/3D tori — and one materializer turns it into
+// sim.Host and sim.Link objects routed over the shape's integer ids.
 package platform
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"tireplay/internal/sim"
+	"tireplay/internal/topo"
 )
 
-// Platform is a set of hosts with a routing function. It implements
-// sim.Router.
+// Platform is a set of hosts joined by the links of a topology. It
+// implements sim.Router. Routing reuses one scratch buffer, so scenarios
+// sharing a *Platform must not run concurrently.
 type Platform struct {
 	// Name of the platform (e.g. "bordereau").
 	Name string
 
 	hosts   []*sim.Host
-	byName  map[string]*sim.Host
-	links   []*sim.Link
-	routeFn func(buf []*sim.Link, src, dst *sim.Host) sim.Route
+	links   []*sim.Link // indexed by topology link id
+	topo    topo.Topology
+	scratch []int
 
 	// LoopbackLatency is the latency of a host talking to itself (intra-node
 	// communication); such routes cross no link.
@@ -50,6 +55,49 @@ func checkLatencies(name string, ls ...latency) error {
 	return nil
 }
 
+// linkParams carries the bandwidth/latency pair a topology link class gets,
+// plus the prefix of the Spec JSON fields they come from ("link" for
+// link_bandwidth and link_latency), for error messages.
+type linkParams struct {
+	bandwidth, latency float64
+	field              string
+}
+
+// materialize turns a topology into a Platform: one sim.Host per endpoint,
+// with its index as ID, and one sim.Link per topology link, with the
+// parameters of its class.
+func materialize(name string, t topo.Topology, speed float64, params map[topo.Class]linkParams, loopback float64) (*Platform, error) {
+	descs := t.Links()
+	for _, d := range descs {
+		pr, ok := params[d.Class]
+		if !ok || pr.bandwidth <= 0 {
+			return nil, fmt.Errorf(`platform: %s: %q must be positive for %s links`, name, pr.field+"_bandwidth", d.Class)
+		}
+	}
+	lats := []latency{{"loopback_latency", loopback}}
+	for _, c := range slices.Sorted(maps.Keys(params)) {
+		lats = append(lats, latency{params[c].field + "_latency", params[c].latency})
+	}
+	if err := checkLatencies(name, lats...); err != nil {
+		return nil, err
+	}
+	p := &Platform{
+		Name:            name,
+		hosts:           make([]*sim.Host, t.Hosts()),
+		links:           make([]*sim.Link, len(descs)),
+		topo:            t,
+		LoopbackLatency: loopback,
+	}
+	for i := range p.hosts {
+		p.hosts[i] = &sim.Host{Name: fmt.Sprintf("%s-%d", name, i), Speed: speed, ID: i}
+	}
+	for id, d := range descs {
+		pr := params[d.Class]
+		p.links[id] = &sim.Link{Name: name + "-" + d.Name, Bandwidth: pr.bandwidth, Latency: pr.latency}
+	}
+	return p, nil
+}
+
 // Hosts returns the platform's hosts in rank order.
 func (p *Platform) Hosts() []*sim.Host { return p.hosts }
 
@@ -57,31 +105,39 @@ func (p *Platform) Hosts() []*sim.Host { return p.hosts }
 // mapping errors are programming bugs.
 func (p *Platform) Host(i int) *sim.Host { return p.hosts[i] }
 
-// HostByName looks a host up by name.
-func (p *Platform) HostByName(name string) (*sim.Host, bool) {
-	h, ok := p.byName[name]
-	return h, ok
-}
-
 // Links returns every link of the platform (for inspection and tests).
 func (p *Platform) Links() []*sim.Link { return p.links }
 
 // Size returns the number of hosts.
 func (p *Platform) Size() int { return len(p.hosts) }
 
-// Route implements sim.Router.
-func (p *Platform) Route(src, dst *sim.Host) sim.Route {
-	return p.RouteInto(nil, src, dst)
+// owns reports whether h is one of the platform's hosts.
+func (p *Platform) owns(h *sim.Host) bool {
+	return h != nil && uint(h.ID) < uint(len(p.hosts)) && p.hosts[h.ID] == h
 }
 
-// RouteInto implements sim.RouterInto: the route's links are appended to
-// buf, so the engine can reuse one buffer per transfer slot instead of
-// allocating a slice on every routing call.
-func (p *Platform) RouteInto(buf []*sim.Link, src, dst *sim.Host) sim.Route {
+// Route implements sim.Router: it appends the links from src to dst to buf
+// and sums their latencies left to right. A host talking to itself crosses
+// no link and pays LoopbackLatency. Routing between hosts of another
+// platform panics, as rank→host mapping errors are programming bugs.
+func (p *Platform) Route(buf []*sim.Link, src, dst *sim.Host) sim.Route {
 	if src == dst {
 		return sim.Route{Links: buf, Latency: p.LoopbackLatency}
 	}
-	return p.routeFn(buf, src, dst)
+	if !p.owns(src) || !p.owns(dst) {
+		panic(fmt.Sprintf("platform %s: route between foreign hosts %s and %s", p.Name, src, dst))
+	}
+	p.scratch = p.topo.AppendRoute(p.scratch[:0], src.ID, dst.ID)
+	// One grow up front: appending link by link would reallocate a fresh
+	// comm's buffer two or three times.
+	buf = slices.Grow(buf, len(p.scratch))
+	lat := 0.0
+	for _, id := range p.scratch {
+		l := p.links[id]
+		buf = append(buf, l)
+		lat += l.Latency
+	}
+	return sim.Route{Links: buf, Latency: lat}
 }
 
 // SetSpeed sets the compute rate of every host, in instructions per second.
@@ -92,280 +148,26 @@ func (p *Platform) SetSpeed(speed float64) {
 	}
 }
 
-// FlatConfig parameterizes a single-switch cluster.
-type FlatConfig struct {
-	Name string
-	// Hosts is the number of nodes.
-	Hosts int
-	// Speed is the per-host compute rate (instructions/s); may be
-	// overwritten later by calibration.
-	Speed float64
-	// LinkBandwidth/LinkLatency describe each node's private link to the
-	// switch.
-	LinkBandwidth float64
-	LinkLatency   float64
-	// BackboneBandwidth/BackboneLatency describe the switch fabric crossed
-	// by every inter-node transfer.
-	BackboneBandwidth float64
-	BackboneLatency   float64
-	// LoopbackLatency for intra-node transfers.
-	LoopbackLatency float64
-}
-
-// NewFlatCluster builds a bordereau-like cluster: every pair of distinct
-// hosts communicates through its two private links and a shared backbone.
-func NewFlatCluster(cfg FlatConfig) (*Platform, error) {
-	if cfg.Hosts <= 0 {
-		return nil, fmt.Errorf("platform: flat cluster needs at least one host, got %d", cfg.Hosts)
-	}
-	if cfg.LinkBandwidth <= 0 || cfg.BackboneBandwidth <= 0 {
-		return nil, fmt.Errorf("platform: non-positive bandwidth in flat cluster config")
-	}
-	if err := checkLatencies(cfg.Name, latency{"link_latency", cfg.LinkLatency},
-		latency{"backbone_latency", cfg.BackboneLatency}, latency{"loopback_latency", cfg.LoopbackLatency}); err != nil {
-		return nil, err
-	}
-	p := &Platform{
-		Name:            cfg.Name,
-		byName:          make(map[string]*sim.Host, cfg.Hosts),
-		LoopbackLatency: cfg.LoopbackLatency,
-	}
-	backbone := &sim.Link{
-		Name:      cfg.Name + "-backbone",
-		Bandwidth: cfg.BackboneBandwidth,
-		Latency:   cfg.BackboneLatency,
-	}
-	p.links = append(p.links, backbone)
-	private := make(map[*sim.Host]*sim.Link, cfg.Hosts)
-	for i := 0; i < cfg.Hosts; i++ {
-		h := &sim.Host{Name: fmt.Sprintf("%s-%d", cfg.Name, i), Speed: cfg.Speed}
-		l := &sim.Link{
-			Name:      fmt.Sprintf("%s-%d-up", cfg.Name, i),
-			Bandwidth: cfg.LinkBandwidth,
-			Latency:   cfg.LinkLatency,
-		}
-		p.hosts = append(p.hosts, h)
-		p.byName[h.Name] = h
-		p.links = append(p.links, l)
-		private[h] = l
-	}
-	p.routeFn = func(buf []*sim.Link, src, dst *sim.Host) sim.Route {
-		ls, ok1 := private[src]
-		ld, ok2 := private[dst]
-		if !ok1 || !ok2 {
-			panic(fmt.Sprintf("platform %s: route between foreign hosts %s and %s", cfg.Name, src, dst))
-		}
-		return sim.Route{
-			Links:   append(buf, ls, backbone, ld),
-			Latency: ls.Latency + backbone.Latency + ld.Latency,
-		}
-	}
-	return p, nil
-}
-
-// CrossbarConfig parameterizes a full-bisection cluster.
-type CrossbarConfig struct {
-	Name string
-	// Hosts is the number of nodes.
-	Hosts int
-	// Speed is the per-host compute rate (instructions/s).
-	Speed float64
-	// LinkBandwidth/LinkLatency describe each node's uplink into and
-	// downlink out of the switching fabric.
-	LinkBandwidth float64
-	LinkLatency   float64
-	// LoopbackLatency for intra-node transfers.
-	LoopbackLatency float64
-}
-
-// NewCrossbarCluster builds a full-bisection (non-blocking crossbar)
-// cluster: each node owns a dedicated uplink and downlink, and the fabric
-// itself never contends, so a transfer crosses exactly the sender's uplink
-// and the receiver's downlink. Disjoint transfers thus share no link at
-// all — the topology of modern fat-tree clusters at full bisection, and the
-// shape under which the kernel's per-component incremental solver pays off
-// most.
-func NewCrossbarCluster(cfg CrossbarConfig) (*Platform, error) {
-	if cfg.Hosts <= 0 {
-		return nil, fmt.Errorf("platform: crossbar cluster needs at least one host, got %d", cfg.Hosts)
-	}
-	if cfg.LinkBandwidth <= 0 {
-		return nil, fmt.Errorf("platform: non-positive bandwidth in crossbar cluster config")
-	}
-	if err := checkLatencies(cfg.Name, latency{"link_latency", cfg.LinkLatency},
-		latency{"loopback_latency", cfg.LoopbackLatency}); err != nil {
-		return nil, err
-	}
-	p := &Platform{
-		Name:            cfg.Name,
-		byName:          make(map[string]*sim.Host, cfg.Hosts),
-		LoopbackLatency: cfg.LoopbackLatency,
-	}
-	type ports struct{ up, down *sim.Link }
-	links := make(map[*sim.Host]ports, cfg.Hosts)
-	for i := 0; i < cfg.Hosts; i++ {
-		h := &sim.Host{Name: fmt.Sprintf("%s-%d", cfg.Name, i), Speed: cfg.Speed}
-		up := &sim.Link{
-			Name:      fmt.Sprintf("%s-%d-up", cfg.Name, i),
-			Bandwidth: cfg.LinkBandwidth,
-			Latency:   cfg.LinkLatency,
-		}
-		down := &sim.Link{
-			Name:      fmt.Sprintf("%s-%d-down", cfg.Name, i),
-			Bandwidth: cfg.LinkBandwidth,
-			Latency:   cfg.LinkLatency,
-		}
-		p.hosts = append(p.hosts, h)
-		p.byName[h.Name] = h
-		p.links = append(p.links, up, down)
-		links[h] = ports{up, down}
-	}
-	p.routeFn = func(buf []*sim.Link, src, dst *sim.Host) sim.Route {
-		ls, ok1 := links[src]
-		ld, ok2 := links[dst]
-		if !ok1 || !ok2 {
-			panic(fmt.Sprintf("platform %s: route between foreign hosts %s and %s", cfg.Name, src, dst))
-		}
-		return sim.Route{
-			Links:   append(buf, ls.up, ld.down),
-			Latency: ls.up.Latency + ld.down.Latency,
-		}
-	}
-	return p, nil
-}
-
-// HierConfig parameterizes a cabinet-based hierarchical cluster.
-type HierConfig struct {
-	Name string
-	// Cabinets is the number of cabinets; HostsPerCabinet nodes sit in each.
-	Cabinets        int
-	HostsPerCabinet int
-	Speed           float64
-	// Node private links.
-	LinkBandwidth float64
-	LinkLatency   float64
-	// Cabinet switch crossed by all intra-cabinet traffic.
-	CabinetBandwidth float64
-	CabinetLatency   float64
-	// Backbone joining the cabinet switches.
-	BackboneBandwidth float64
-	BackboneLatency   float64
-	LoopbackLatency   float64
-}
-
-// NewHierarchicalCluster builds a graphene-like cluster: nodes are scattered
-// across cabinets interconnected by a hierarchy of switches. Intra-cabinet
-// routes cross the two private links and the cabinet switch; inter-cabinet
-// routes additionally cross both cabinet uplinks and the backbone.
-func NewHierarchicalCluster(cfg HierConfig) (*Platform, error) {
-	if cfg.Cabinets <= 0 || cfg.HostsPerCabinet <= 0 {
-		return nil, fmt.Errorf("platform: hierarchical cluster needs positive cabinet/host counts")
-	}
-	if cfg.LinkBandwidth <= 0 || cfg.CabinetBandwidth <= 0 || cfg.BackboneBandwidth <= 0 {
-		return nil, fmt.Errorf("platform: non-positive bandwidth in hierarchical cluster config")
-	}
-	if err := checkLatencies(cfg.Name, latency{"link_latency", cfg.LinkLatency},
-		latency{"cabinet_latency", cfg.CabinetLatency}, latency{"backbone_latency", cfg.BackboneLatency},
-		latency{"loopback_latency", cfg.LoopbackLatency}); err != nil {
-		return nil, err
-	}
-	p := &Platform{
-		Name:            cfg.Name,
-		byName:          make(map[string]*sim.Host),
-		LoopbackLatency: cfg.LoopbackLatency,
-	}
-	backbone := &sim.Link{
-		Name:      cfg.Name + "-backbone",
-		Bandwidth: cfg.BackboneBandwidth,
-		Latency:   cfg.BackboneLatency,
-	}
-	p.links = append(p.links, backbone)
-	type nodeInfo struct {
-		private *sim.Link
-		cabinet int
-	}
-	cabSwitch := make([]*sim.Link, cfg.Cabinets)
-	cabUp := make([]*sim.Link, cfg.Cabinets)
-	for c := 0; c < cfg.Cabinets; c++ {
-		cabSwitch[c] = &sim.Link{
-			Name:      fmt.Sprintf("%s-cab%d-switch", cfg.Name, c),
-			Bandwidth: cfg.CabinetBandwidth,
-			Latency:   cfg.CabinetLatency,
-		}
-		cabUp[c] = &sim.Link{
-			Name:      fmt.Sprintf("%s-cab%d-up", cfg.Name, c),
-			Bandwidth: cfg.CabinetBandwidth,
-			Latency:   cfg.CabinetLatency,
-		}
-		p.links = append(p.links, cabSwitch[c], cabUp[c])
-	}
-	nodes := make(map[*sim.Host]nodeInfo)
-	for c := 0; c < cfg.Cabinets; c++ {
-		for i := 0; i < cfg.HostsPerCabinet; i++ {
-			id := c*cfg.HostsPerCabinet + i
-			h := &sim.Host{Name: fmt.Sprintf("%s-%d", cfg.Name, id), Speed: cfg.Speed}
-			l := &sim.Link{
-				Name:      fmt.Sprintf("%s-%d-up", cfg.Name, id),
-				Bandwidth: cfg.LinkBandwidth,
-				Latency:   cfg.LinkLatency,
-			}
-			p.hosts = append(p.hosts, h)
-			p.byName[h.Name] = h
-			p.links = append(p.links, l)
-			nodes[h] = nodeInfo{private: l, cabinet: c}
-		}
-	}
-	p.routeFn = func(buf []*sim.Link, src, dst *sim.Host) sim.Route {
-		ns, ok1 := nodes[src]
-		nd, ok2 := nodes[dst]
-		if !ok1 || !ok2 {
-			panic(fmt.Sprintf("platform %s: route between foreign hosts %s and %s", cfg.Name, src, dst))
-		}
-		if ns.cabinet == nd.cabinet {
-			sw := cabSwitch[ns.cabinet]
-			return sim.Route{
-				Links:   append(buf, ns.private, sw, nd.private),
-				Latency: ns.private.Latency + sw.Latency + nd.private.Latency,
-			}
-		}
-		links := append(buf, ns.private, cabUp[ns.cabinet], backbone, cabUp[nd.cabinet], nd.private)
-		lat := 0.0
-		for _, l := range links {
-			lat += l.Latency
-		}
-		return sim.Route{Links: links, Latency: lat}
-	}
-	return p, nil
-}
-
-// Segment is one piece of the piece-wise-linear network model: it applies to
-// messages up to MaxBytes (inclusive) and scales the base latency and
-// bandwidth of the route.
-type Segment struct {
-	// MaxBytes is the upper bound (inclusive) of the message-size range this
-	// segment covers. The last segment should use +Inf (or math.MaxFloat64).
-	MaxBytes float64
-	// LatFactor multiplies the route latency.
-	LatFactor float64
-	// BwFactor multiplies the bottleneck bandwidth to produce the per-flow
-	// rate cap.
-	BwFactor float64
-}
-
 // PiecewiseModel is the SMPI-style network model of Section 3.3: correction
 // factors that depend on the message size, accounting for protocol switches
 // (eager/rendezvous) and TCP behaviour on the cluster interconnect.
 type PiecewiseModel struct {
-	segments []Segment
+	segments []SegmentSpec // sorted by MaxBytes; unbounded is math.MaxFloat64
 }
 
 // NewPiecewiseModel builds a model from segments, which are sorted by
-// MaxBytes. At least one segment is required and factors must be positive.
-func NewPiecewiseModel(segments []Segment) (*PiecewiseModel, error) {
+// MaxBytes; a MaxBytes of 0 or less means unbounded. At least one segment
+// is required and factors must be positive.
+func NewPiecewiseModel(segments []SegmentSpec) (*PiecewiseModel, error) {
 	if len(segments) == 0 {
 		return nil, fmt.Errorf("platform: piecewise model needs at least one segment")
 	}
-	segs := append([]Segment(nil), segments...)
+	segs := append([]SegmentSpec(nil), segments...)
+	for i := range segs {
+		if segs[i].MaxBytes <= 0 {
+			segs[i].MaxBytes = math.MaxFloat64
+		}
+	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].MaxBytes < segs[j].MaxBytes })
 	for _, s := range segs {
 		if s.LatFactor <= 0 || s.BwFactor <= 0 {
@@ -376,7 +178,7 @@ func NewPiecewiseModel(segments []Segment) (*PiecewiseModel, error) {
 }
 
 // factors returns the factors applying to a message of the given size.
-func (m *PiecewiseModel) factors(size float64) Segment {
+func (m *PiecewiseModel) factors(size float64) SegmentSpec {
 	for _, s := range m.segments {
 		if size <= s.MaxBytes {
 			return s
@@ -405,4 +207,3 @@ func (m *PiecewiseModel) Effective(route sim.Route, size float64) (latency, rate
 
 var _ sim.NetworkModel = (*PiecewiseModel)(nil)
 var _ sim.Router = (*Platform)(nil)
-var _ sim.RouterInto = (*Platform)(nil)

@@ -10,17 +10,33 @@ import (
 	"tireplay/internal/sim"
 )
 
-func flat(t *testing.T, n int) *Platform {
+// build builds s, failing the test on error.
+func build(t *testing.T, s Spec) *Platform {
 	t.Helper()
-	p, err := NewFlatCluster(FlatConfig{
-		Name: "test", Hosts: n, Speed: 1e9,
-		LinkBandwidth: 1.25e9, LinkLatency: 1e-5,
-		BackboneBandwidth: 1.25e10, BackboneLatency: 1e-6,
-	})
+	p, _, err := s.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// buildErr fails the test unless building s fails with an error naming
+// field.
+func buildErr(t *testing.T, s Spec, field string) {
+	t.Helper()
+	_, _, err := s.Build()
+	if err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+		t.Errorf("%+v: err = %v, want one naming %q", s, err, field)
+	}
+}
+
+func flat(t *testing.T, n int) *Platform {
+	t.Helper()
+	return build(t, Spec{
+		Name: "test", Topology: "flat", Hosts: n, Speed: 1e9,
+		LinkBandwidth: 1.25e9, LinkLatency: 1e-5,
+		BackboneBandwidth: 1.25e10, BackboneLatency: 1e-6,
+	})
 }
 
 func TestFlatClusterShape(t *testing.T) {
@@ -32,7 +48,7 @@ func TestFlatClusterShape(t *testing.T) {
 	if len(p.Links()) != 5 {
 		t.Fatalf("links = %d, want 5", len(p.Links()))
 	}
-	r := p.Route(p.Host(0), p.Host(3))
+	r := p.Route(nil, p.Host(0), p.Host(3))
 	if len(r.Links) != 3 {
 		t.Fatalf("route links = %d, want 3 (up, backbone, down)", len(r.Links))
 	}
@@ -45,29 +61,36 @@ func TestFlatClusterShape(t *testing.T) {
 func TestFlatClusterLoopback(t *testing.T) {
 	p := flat(t, 2)
 	p.LoopbackLatency = 1e-7
-	r := p.Route(p.Host(1), p.Host(1))
+	r := p.Route(nil, p.Host(1), p.Host(1))
 	if len(r.Links) != 0 || r.Latency != 1e-7 {
 		t.Fatalf("loopback route = %+v", r)
 	}
 }
 
 func TestFlatClusterRejectsBadConfig(t *testing.T) {
-	if _, err := NewFlatCluster(FlatConfig{Hosts: 0}); err == nil {
-		t.Error("expected error for zero hosts")
-	}
-	if _, err := NewFlatCluster(FlatConfig{Hosts: 2, LinkBandwidth: 0, BackboneBandwidth: 1}); err == nil {
-		t.Error("expected error for zero link bandwidth")
-	}
+	buildErr(t, Spec{Topology: "flat", Hosts: 0, LinkBandwidth: 1, BackboneBandwidth: 1}, "hosts")
+	buildErr(t, Spec{Topology: "flat", Hosts: 2, LinkBandwidth: 0, BackboneBandwidth: 1}, "link_bandwidth")
+	buildErr(t, Spec{Topology: "flat", Hosts: 2, LinkBandwidth: 1, BackboneBandwidth: 0}, "backbone_bandwidth")
 }
 
-func TestHostByName(t *testing.T) {
-	p := flat(t, 3)
-	h, ok := p.HostByName("test-2")
-	if !ok || h != p.Host(2) {
-		t.Fatalf("HostByName = %v,%v", h, ok)
+// TestRouteForeignHostPanics pins the one foreign-host check: a host of
+// another platform, even with the same index, or one made by hand is
+// rejected, while a host talking to itself needs no check.
+func TestRouteForeignHostPanics(t *testing.T) {
+	p, other := flat(t, 2), flat(t, 2)
+	for _, h := range []*sim.Host{other.Host(1), {Name: "stray"}, {Name: "far", ID: 7}} {
+		func() {
+			defer func() {
+				want := "platform test: route between foreign hosts test-0 and " + h.Name
+				if r := recover(); r != want {
+					t.Errorf("routing to %s: panic %v, want %q", h.Name, r, want)
+				}
+			}()
+			p.Route(nil, p.Host(0), h)
+		}()
 	}
-	if _, ok := p.HostByName("nope"); ok {
-		t.Fatal("found nonexistent host")
+	if r := p.Route(nil, other.Host(0), other.Host(0)); len(r.Links) != 0 {
+		t.Fatalf("loopback route = %+v", r)
 	}
 }
 
@@ -83,16 +106,12 @@ func TestSetSpeed(t *testing.T) {
 
 func hier(t *testing.T) *Platform {
 	t.Helper()
-	p, err := NewHierarchicalCluster(HierConfig{
-		Name: "g", Cabinets: 4, HostsPerCabinet: 36, Speed: 1e9,
+	return build(t, Spec{
+		Name: "g", Topology: "hierarchical", Cabinets: 4, HostsPerCabinet: 36, Speed: 1e9,
 		LinkBandwidth: 1.25e9, LinkLatency: 1e-5,
 		CabinetBandwidth: 1.25e10, CabinetLatency: 2e-6,
 		BackboneBandwidth: 2.5e10, BackboneLatency: 3e-6,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 func TestHierarchicalClusterShape(t *testing.T) {
@@ -101,12 +120,12 @@ func TestHierarchicalClusterShape(t *testing.T) {
 		t.Fatalf("size = %d, want 144", p.Size())
 	}
 	// Intra-cabinet: hosts 0 and 1 are both in cabinet 0.
-	r := p.Route(p.Host(0), p.Host(1))
+	r := p.Route(nil, p.Host(0), p.Host(1))
 	if len(r.Links) != 3 {
 		t.Fatalf("intra-cabinet route links = %d, want 3", len(r.Links))
 	}
 	// Inter-cabinet: hosts 0 (cab 0) and 40 (cab 1).
-	r = p.Route(p.Host(0), p.Host(40))
+	r = p.Route(nil, p.Host(0), p.Host(40))
 	if len(r.Links) != 5 {
 		t.Fatalf("inter-cabinet route links = %d, want 5", len(r.Links))
 	}
@@ -117,8 +136,21 @@ func TestHierarchicalClusterShape(t *testing.T) {
 }
 
 func TestHierarchicalRejectsBadConfig(t *testing.T) {
-	if _, err := NewHierarchicalCluster(HierConfig{Cabinets: 0, HostsPerCabinet: 1}); err == nil {
-		t.Error("expected error for zero cabinets")
+	ok := Spec{Topology: "hierarchical", Cabinets: 1, HostsPerCabinet: 1,
+		LinkBandwidth: 1, CabinetBandwidth: 1, BackboneBandwidth: 1}
+	for _, c := range []struct {
+		field string
+		set   func(*Spec)
+	}{
+		{"cabinets", func(s *Spec) { s.Cabinets = 0 }},
+		{"hosts_per_cabinet", func(s *Spec) { s.HostsPerCabinet = -1 }},
+		{"link_bandwidth", func(s *Spec) { s.LinkBandwidth = 0 }},
+		{"cabinet_bandwidth", func(s *Spec) { s.CabinetBandwidth = 0 }},
+		{"backbone_bandwidth", func(s *Spec) { s.BackboneBandwidth = -1 }},
+	} {
+		s := ok
+		c.set(&s)
+		buildErr(t, s, c.field)
 	}
 }
 
@@ -126,8 +158,8 @@ func TestRouteSymmetryProperty(t *testing.T) {
 	p := hier(t)
 	f := func(a, b uint8) bool {
 		i, j := int(a)%p.Size(), int(b)%p.Size()
-		ri := p.Route(p.Host(i), p.Host(j))
-		rj := p.Route(p.Host(j), p.Host(i))
+		ri := p.Route(nil, p.Host(i), p.Host(j))
+		rj := p.Route(nil, p.Host(j), p.Host(i))
 		// Latency symmetric and same link count.
 		return ri.Latency == rj.Latency && len(ri.Links) == len(rj.Links)
 	}
@@ -137,7 +169,7 @@ func TestRouteSymmetryProperty(t *testing.T) {
 }
 
 func TestPiecewiseModelSelection(t *testing.T) {
-	m, err := NewPiecewiseModel([]Segment{
+	m, err := NewPiecewiseModel([]SegmentSpec{
 		{MaxBytes: 1024, LatFactor: 2, BwFactor: 0.5},
 		{MaxBytes: 65536, LatFactor: 1.5, BwFactor: 0.9},
 		{MaxBytes: math.MaxFloat64, LatFactor: 1, BwFactor: 0.97},
@@ -164,7 +196,7 @@ func TestPiecewiseModelSelection(t *testing.T) {
 }
 
 func TestPiecewiseModelSortsSegments(t *testing.T) {
-	m, err := NewPiecewiseModel([]Segment{
+	m, err := NewPiecewiseModel([]SegmentSpec{
 		{MaxBytes: math.MaxFloat64, LatFactor: 1, BwFactor: 1},
 		{MaxBytes: 10, LatFactor: 3, BwFactor: 0.1},
 	})
@@ -177,11 +209,29 @@ func TestPiecewiseModelSortsSegments(t *testing.T) {
 	}
 }
 
+// TestPiecewiseModelUnboundedSegment: a MaxBytes of 0 or less means
+// unbounded, so such a segment sorts last and covers every larger message.
+func TestPiecewiseModelUnboundedSegment(t *testing.T) {
+	m, err := NewPiecewiseModel([]SegmentSpec{
+		{MaxBytes: 0, LatFactor: 1, BwFactor: 0.97},
+		{MaxBytes: 1024, LatFactor: 2, BwFactor: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := m.factors(512); s.LatFactor != 2 {
+		t.Fatalf("factors(512) = %+v, want the bounded segment", s)
+	}
+	if s := m.factors(1e12); s.LatFactor != 1 || s.MaxBytes != math.MaxFloat64 {
+		t.Fatalf("factors(1e12) = %+v, want the unbounded segment", s)
+	}
+}
+
 func TestPiecewiseModelValidation(t *testing.T) {
 	if _, err := NewPiecewiseModel(nil); err == nil {
 		t.Error("expected error for empty segments")
 	}
-	if _, err := NewPiecewiseModel([]Segment{{MaxBytes: 1, LatFactor: 0, BwFactor: 1}}); err == nil {
+	if _, err := NewPiecewiseModel([]SegmentSpec{{MaxBytes: 1, LatFactor: 0, BwFactor: 1}}); err == nil {
 		t.Error("expected error for zero factor")
 	}
 }
@@ -189,7 +239,7 @@ func TestPiecewiseModelValidation(t *testing.T) {
 // Property: factor lookup is piecewise-constant and never panics across a
 // wide size range, and latency scaling is monotone in route latency.
 func TestPiecewiseFactorsTotalProperty(t *testing.T) {
-	m, err := NewPiecewiseModel([]Segment{
+	m, err := NewPiecewiseModel([]SegmentSpec{
 		{MaxBytes: 64, LatFactor: 3, BwFactor: 0.3},
 		{MaxBytes: 65536, LatFactor: 1.8, BwFactor: 0.8},
 		{MaxBytes: math.MaxFloat64, LatFactor: 1, BwFactor: 0.95},
@@ -299,13 +349,10 @@ func TestPlatformInEngine(t *testing.T) {
 }
 
 func TestCrossbarClusterShape(t *testing.T) {
-	p, err := NewCrossbarCluster(CrossbarConfig{
-		Name: "xbar", Hosts: 4, Speed: 1e9,
+	p := build(t, Spec{
+		Name: "xbar", Topology: "crossbar", Hosts: 4, Speed: 1e9,
 		LinkBandwidth: 1.25e9, LinkLatency: 1e-5,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if p.Size() != 4 {
 		t.Fatalf("size = %d, want 4", p.Size())
 	}
@@ -313,7 +360,7 @@ func TestCrossbarClusterShape(t *testing.T) {
 	if len(p.Links()) != 8 {
 		t.Fatalf("links = %d, want 8", len(p.Links()))
 	}
-	r := p.Route(p.Host(0), p.Host(3))
+	r := p.Route(nil, p.Host(0), p.Host(3))
 	if len(r.Links) != 2 {
 		t.Fatalf("route links = %d, want 2 (up, down)", len(r.Links))
 	}
@@ -321,7 +368,7 @@ func TestCrossbarClusterShape(t *testing.T) {
 		t.Fatalf("route latency = %v, want 2e-5", r.Latency)
 	}
 	// Full bisection: routes of disjoint host pairs share no link.
-	r2 := p.Route(p.Host(1), p.Host(2))
+	r2 := p.Route(nil, p.Host(1), p.Host(2))
 	for _, a := range r.Links {
 		for _, b := range r2.Links {
 			if a == b {
@@ -330,7 +377,7 @@ func TestCrossbarClusterShape(t *testing.T) {
 		}
 	}
 	// Same sender to two receivers shares exactly the uplink.
-	r3 := p.Route(p.Host(0), p.Host(2))
+	r3 := p.Route(nil, p.Host(0), p.Host(2))
 	if r.Links[0] != r3.Links[0] {
 		t.Fatal("same sender should reuse its uplink")
 	}
@@ -340,12 +387,8 @@ func TestCrossbarClusterShape(t *testing.T) {
 }
 
 func TestCrossbarClusterRejectsBadConfig(t *testing.T) {
-	if _, err := NewCrossbarCluster(CrossbarConfig{Hosts: 0, LinkBandwidth: 1}); err == nil {
-		t.Error("expected error for zero hosts")
-	}
-	if _, err := NewCrossbarCluster(CrossbarConfig{Hosts: 2}); err == nil {
-		t.Error("expected error for zero link bandwidth")
-	}
+	buildErr(t, Spec{Topology: "crossbar", Hosts: 0, LinkBandwidth: 1}, "hosts")
+	buildErr(t, Spec{Topology: "crossbar", Hosts: 2}, "link_bandwidth")
 }
 
 func TestSpecBuildCrossbar(t *testing.T) {

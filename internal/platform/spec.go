@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
+
+	"tireplay/internal/sim"
+	"tireplay/internal/topo"
 )
 
 // Spec is a serializable platform description, the equivalent of the
@@ -60,95 +62,68 @@ type Spec struct {
 	Factors []SegmentSpec `json:"factors,omitempty"`
 }
 
-// SegmentSpec is the serializable form of a Segment.
+// SegmentSpec is one piece of the piece-wise-linear network model: it
+// applies to messages up to MaxBytes (inclusive) and scales the base
+// latency and bandwidth of the route.
 type SegmentSpec struct {
-	MaxBytes  float64 `json:"max_bytes"`
+	// MaxBytes is the upper bound (inclusive) of the message-size range this
+	// segment covers; 0 or less, like math.MaxFloat64, means unbounded.
+	MaxBytes float64 `json:"max_bytes"`
+	// LatFactor multiplies the route latency.
 	LatFactor float64 `json:"lat_factor"`
-	BwFactor  float64 `json:"bw_factor"`
+	// BwFactor multiplies the bottleneck bandwidth to produce the per-flow
+	// rate cap.
+	BwFactor float64 `json:"bw_factor"`
 }
 
 // Build materializes the spec into a Platform and, when factors are present,
-// a PiecewiseModel (nil otherwise).
-func (s *Spec) Build() (*Platform, *PiecewiseModel, error) {
-	var p *Platform
-	var err error
+// a PiecewiseModel; the model is nil when the spec has no factors. Build is
+// the only code that maps a topology name to a shape.
+func (s *Spec) Build() (*Platform, sim.NetworkModel, error) {
+	link := linkParams{s.LinkBandwidth, s.LinkLatency, "link"}
+	backbone := linkParams{s.BackboneBandwidth, s.BackboneLatency, "backbone"}
+	var (
+		t      topo.Topology
+		params map[topo.Class]linkParams
+		err    error
+	)
 	switch s.Topology {
 	case "flat", "":
-		p, err = NewFlatCluster(FlatConfig{
-			Name:              s.Name,
-			Hosts:             s.Hosts,
-			Speed:             s.Speed,
-			LinkBandwidth:     s.LinkBandwidth,
-			LinkLatency:       s.LinkLatency,
-			BackboneBandwidth: s.BackboneBandwidth,
-			BackboneLatency:   s.BackboneLatency,
-			LoopbackLatency:   s.LoopbackLatency,
-		})
+		t, err = topo.NewStar(s.Hosts)
+		params = map[topo.Class]linkParams{topo.ClassHost: link, topo.ClassFabric: backbone}
 	case "crossbar":
-		p, err = NewCrossbarCluster(CrossbarConfig{
-			Name:            s.Name,
-			Hosts:           s.Hosts,
-			Speed:           s.Speed,
-			LinkBandwidth:   s.LinkBandwidth,
-			LinkLatency:     s.LinkLatency,
-			LoopbackLatency: s.LoopbackLatency,
-		})
+		t, err = topo.NewCrossbar(s.Hosts)
+		params = map[topo.Class]linkParams{topo.ClassHost: link}
 	case "hierarchical":
-		p, err = NewHierarchicalCluster(HierConfig{
-			Name:              s.Name,
-			Cabinets:          s.Cabinets,
-			HostsPerCabinet:   s.HostsPerCabinet,
-			Speed:             s.Speed,
-			LinkBandwidth:     s.LinkBandwidth,
-			LinkLatency:       s.LinkLatency,
-			CabinetBandwidth:  s.CabinetBandwidth,
-			CabinetLatency:    s.CabinetLatency,
-			BackboneBandwidth: s.BackboneBandwidth,
-			BackboneLatency:   s.BackboneLatency,
-			LoopbackLatency:   s.LoopbackLatency,
-		})
+		t, err = topo.NewCabinets(s.Cabinets, s.HostsPerCabinet)
+		params = map[topo.Class]linkParams{
+			topo.ClassHost:    link,
+			topo.ClassCabinet: {s.CabinetBandwidth, s.CabinetLatency, "cabinet"},
+			topo.ClassFabric:  backbone,
+		}
 	case "fattree":
-		p, err = NewFatTree(FatTreeConfig{
-			Name:              s.Name,
-			Radix:             s.Radix,
-			Levels:            s.Levels,
-			Speed:             s.Speed,
-			LinkBandwidth:     s.LinkBandwidth,
-			LinkLatency:       s.LinkLatency,
-			BackboneBandwidth: s.BackboneBandwidth,
-			BackboneLatency:   s.BackboneLatency,
-			LoopbackLatency:   s.LoopbackLatency,
-		})
+		t, err = topo.NewFatTree(s.Radix, s.Levels)
+		params = map[topo.Class]linkParams{topo.ClassHost: link, topo.ClassFabric: backbone}
 	case "dragonfly":
-		p, err = NewDragonfly(DragonflyConfig{
-			Name:            s.Name,
-			Groups:          s.Groups,
-			RoutersPerGroup: s.RoutersPerGroup,
-			HostsPerRouter:  s.HostsPerRouter,
-			Routing:         s.Routing,
-			Speed:           s.Speed,
-			LinkBandwidth:   s.LinkBandwidth,
-			LinkLatency:     s.LinkLatency,
-			LocalBandwidth:  s.LocalBandwidth,
-			LocalLatency:    s.LocalLatency,
-			GlobalBandwidth: s.GlobalBandwidth,
-			GlobalLatency:   s.GlobalLatency,
-			LoopbackLatency: s.LoopbackLatency,
-		})
+		var routing topo.Routing
+		if routing, err = topo.ParseRouting(s.Routing); err == nil {
+			t, err = topo.NewDragonfly(s.Groups, s.RoutersPerGroup, s.HostsPerRouter, routing)
+		}
+		params = map[topo.Class]linkParams{
+			topo.ClassHost:   link,
+			topo.ClassLocal:  {s.LocalBandwidth, s.LocalLatency, "local"},
+			topo.ClassGlobal: {s.GlobalBandwidth, s.GlobalLatency, "global"},
+		}
 	case "torus":
-		p, err = NewTorus(TorusConfig{
-			Name:              s.Name,
-			Dims:              s.TorusDims,
-			Speed:             s.Speed,
-			LinkBandwidth:     s.LinkBandwidth,
-			LinkLatency:       s.LinkLatency,
-			BackboneBandwidth: s.BackboneBandwidth,
-			BackboneLatency:   s.BackboneLatency,
-			LoopbackLatency:   s.LoopbackLatency,
-		})
+		t, err = topo.NewTorus(s.TorusDims)
+		params = map[topo.Class]linkParams{topo.ClassHost: link, topo.ClassFabric: backbone}
 	default:
 		return nil, nil, fmt.Errorf("platform: unknown topology %q", s.Topology)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := materialize(s.Name, t, s.Speed, params, s.LoopbackLatency)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,20 +137,12 @@ func (s *Spec) Build() (*Platform, *PiecewiseModel, error) {
 				s.Name, s.Hosts, s.Topology, p.Size())
 		}
 	}
-	var model *PiecewiseModel
-	if len(s.Factors) > 0 {
-		segs := make([]Segment, len(s.Factors))
-		for i, f := range s.Factors {
-			max := f.MaxBytes
-			if max <= 0 {
-				max = math.MaxFloat64
-			}
-			segs[i] = Segment{MaxBytes: max, LatFactor: f.LatFactor, BwFactor: f.BwFactor}
-		}
-		model, err = NewPiecewiseModel(segs)
-		if err != nil {
-			return nil, nil, err
-		}
+	if len(s.Factors) == 0 {
+		return p, nil, nil
+	}
+	model, err := NewPiecewiseModel(s.Factors)
+	if err != nil {
+		return nil, nil, err
 	}
 	return p, model, nil
 }

@@ -12,15 +12,11 @@ import (
 
 func fattree(t *testing.T, radix, levels int) *Platform {
 	t.Helper()
-	p, err := NewFatTree(FatTreeConfig{
-		Name: "ft", Radix: radix, Levels: levels, Speed: 1e9,
+	return build(t, Spec{
+		Name: "ft", Topology: "fattree", Radix: radix, Levels: levels, Speed: 1e9,
 		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
 		BackboneBandwidth: 5e9, BackboneLatency: 2e-6,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 func TestFatTreePlatformShape(t *testing.T) {
@@ -33,7 +29,7 @@ func TestFatTreePlatformShape(t *testing.T) {
 		t.Fatalf("links = %d, want %d", len(p.Links()), 2*16*2)
 	}
 	// Same tier-1 switch: NIC up + NIC down.
-	r := p.Route(p.Host(0), p.Host(3))
+	r := p.Route(nil, p.Host(0), p.Host(3))
 	if len(r.Links) != 2 {
 		t.Fatalf("intra-switch route links = %d, want 2", len(r.Links))
 	}
@@ -41,7 +37,7 @@ func TestFatTreePlatformShape(t *testing.T) {
 		t.Fatalf("intra-switch latency = %v, want 2e-6", r.Latency)
 	}
 	// Different tier-1 switch: NIC, up cable, down cable, NIC.
-	r = p.Route(p.Host(0), p.Host(5))
+	r = p.Route(nil, p.Host(0), p.Host(5))
 	if len(r.Links) != 4 {
 		t.Fatalf("cross-switch route links = %d, want 4", len(r.Links))
 	}
@@ -51,16 +47,13 @@ func TestFatTreePlatformShape(t *testing.T) {
 }
 
 func TestDragonflyPlatformShape(t *testing.T) {
-	p, err := NewDragonfly(DragonflyConfig{
-		Name: "df", Groups: 3, RoutersPerGroup: 2, HostsPerRouter: 2,
+	p := build(t, Spec{
+		Name: "df", Topology: "dragonfly", Groups: 3, RoutersPerGroup: 2, HostsPerRouter: 2,
 		Routing: "minimal", Speed: 1e9,
 		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
 		LocalBandwidth: 5e9, LocalLatency: 2e-6,
 		GlobalBandwidth: 1e10, GlobalLatency: 1e-5,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if p.Size() != 12 {
 		t.Fatalf("size = %d, want 12", p.Size())
 	}
@@ -69,11 +62,11 @@ func TestDragonflyPlatformShape(t *testing.T) {
 		t.Fatalf("links = %d, want 36", len(p.Links()))
 	}
 	// Same router: NICs only.
-	if r := p.Route(p.Host(0), p.Host(1)); len(r.Links) != 2 {
+	if r := p.Route(nil, p.Host(0), p.Host(1)); len(r.Links) != 2 {
 		t.Fatalf("same-router route links = %d, want 2", len(r.Links))
 	}
 	// Same group, different router: one local cable between NICs.
-	r := p.Route(p.Host(0), p.Host(2))
+	r := p.Route(nil, p.Host(0), p.Host(2))
 	if len(r.Links) != 3 {
 		t.Fatalf("intra-group route links = %d, want 3", len(r.Links))
 	}
@@ -81,7 +74,7 @@ func TestDragonflyPlatformShape(t *testing.T) {
 		t.Fatalf("intra-group latency = %v, want 4e-6", r.Latency)
 	}
 	// Inter-group minimal: at most 5 links including one global cable.
-	r = p.Route(p.Host(0), p.Host(11))
+	r = p.Route(nil, p.Host(0), p.Host(11))
 	if len(r.Links) > 5 {
 		t.Fatalf("inter-group route links = %d, want <= 5", len(r.Links))
 	}
@@ -97,14 +90,11 @@ func TestDragonflyPlatformShape(t *testing.T) {
 }
 
 func TestTorusPlatformShape(t *testing.T) {
-	p, err := NewTorus(TorusConfig{
-		Name: "tor", Dims: []int{4, 4}, Speed: 1e9,
+	p := build(t, Spec{
+		Name: "tor", Topology: "torus", TorusDims: []int{4, 4}, Speed: 1e9,
 		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
 		BackboneBandwidth: 5e9, BackboneLatency: 2e-6,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if p.Size() != 16 {
 		t.Fatalf("size = %d, want 16", p.Size())
 	}
@@ -113,12 +103,12 @@ func TestTorusPlatformShape(t *testing.T) {
 		t.Fatalf("links = %d, want 96", len(p.Links()))
 	}
 	// Nodes 0=(0,0) and 5=(1,1): two network hops.
-	r := p.Route(p.Host(0), p.Host(5))
+	r := p.Route(nil, p.Host(0), p.Host(5))
 	if len(r.Links) != 4 {
 		t.Fatalf("diagonal route links = %d, want 4", len(r.Links))
 	}
 	// Wraparound: (0,0) -> (3,0) is one hop the negative way.
-	r = p.Route(p.Host(0), p.Host(3))
+	r = p.Route(nil, p.Host(0), p.Host(3))
 	if len(r.Links) != 3 {
 		t.Fatalf("wraparound route links = %d, want 3", len(r.Links))
 	}
@@ -129,32 +119,24 @@ func TestTorusPlatformShape(t *testing.T) {
 func TestTopologyRouteSymmetry(t *testing.T) {
 	platforms := []*Platform{fattree(t, 2, 3)}
 	for _, routing := range []string{"minimal", "valiant", "adaptive"} {
-		p, err := NewDragonfly(DragonflyConfig{
-			Name: "df-" + routing, Groups: 4, RoutersPerGroup: 2, HostsPerRouter: 2,
+		platforms = append(platforms, build(t, Spec{
+			Name: "df-" + routing, Topology: "dragonfly", Groups: 4, RoutersPerGroup: 2, HostsPerRouter: 2,
 			Routing: routing, Speed: 1e9,
 			LinkBandwidth: 1e9, LinkLatency: 1e-6,
 			LocalBandwidth: 1e9, LocalLatency: 2e-6,
 			GlobalBandwidth: 1e9, GlobalLatency: 1e-5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		platforms = append(platforms, p)
+		}))
 	}
-	tor, err := NewTorus(TorusConfig{
-		Name: "tor", Dims: []int{3, 4}, Speed: 1e9,
+	platforms = append(platforms, build(t, Spec{
+		Name: "tor", Topology: "torus", TorusDims: []int{3, 4}, Speed: 1e9,
 		LinkBandwidth: 1e9, LinkLatency: 1e-6,
 		BackboneBandwidth: 1e9, BackboneLatency: 2e-6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	platforms = append(platforms, tor)
+	}))
 	for _, p := range platforms {
 		f := func(a, b uint8) bool {
 			i, j := int(a)%p.Size(), int(b)%p.Size()
-			ri := p.Route(p.Host(i), p.Host(j))
-			rj := p.Route(p.Host(j), p.Host(i))
+			ri := p.Route(nil, p.Host(i), p.Host(j))
+			rj := p.Route(nil, p.Host(j), p.Host(i))
 			// The reverse route crosses mirrored links in the opposite
 			// order, so the latency sums may differ by rounding.
 			return math.Abs(ri.Latency-rj.Latency) <= 1e-12*ri.Latency &&
@@ -167,21 +149,21 @@ func TestTopologyRouteSymmetry(t *testing.T) {
 }
 
 // TestTopologyRouteIntoReuse pins the pooled-route contract the engine
-// relies on: RouteInto appends into the caller's buffer without holding on
-// to it, and consecutive calls reuse the internal scratch without
-// corrupting earlier results.
+// relies on: Route appends into the caller's buffer without holding on to
+// it, and consecutive calls reuse the internal scratch without corrupting
+// earlier results.
 func TestTopologyRouteIntoReuse(t *testing.T) {
 	p := fattree(t, 2, 2)
 	buf := make([]*sim.Link, 0, 16)
-	r1 := p.RouteInto(buf, p.Host(0), p.Host(3))
+	r1 := p.Route(buf, p.Host(0), p.Host(3))
 	names1 := make([]string, len(r1.Links))
 	for i, l := range r1.Links {
 		names1[i] = l.Name
 	}
-	r2 := p.RouteInto(r1.Links[len(r1.Links):], p.Host(1), p.Host(2))
+	r2 := p.Route(r1.Links[len(r1.Links):], p.Host(1), p.Host(2))
 	for i, l := range r1.Links {
 		if l.Name != names1[i] {
-			t.Fatalf("second RouteInto corrupted first route at %d: %s != %s", i, l.Name, names1[i])
+			t.Fatalf("second Route corrupted first route at %d: %s != %s", i, l.Name, names1[i])
 		}
 	}
 	if len(r2.Links) == 0 {
@@ -286,7 +268,7 @@ func TestSpecHostsCrossCheck(t *testing.T) {
 }
 
 // TestSpecTopologyValidationFuzz throws randomized invalid shapes at every
-// zoo topology and requires a structured error naming an offending field —
+// topology and requires a structured error naming an offending field —
 // never a panic, never silent acceptance.
 func TestSpecTopologyValidationFuzz(t *testing.T) {
 	build := func(s *Spec) (err error) {
@@ -298,7 +280,16 @@ func TestSpecTopologyValidationFuzz(t *testing.T) {
 		_, _, err = s.Build()
 		return err
 	}
-	f := func(rawRadix, rawLevels, rawGroups, rawRouters, rawHostsPer int8, rawD0, rawD1 uint8) bool {
+	// named reports whether err names one of fields.
+	named := func(err error, fields ...string) bool {
+		for _, f := range fields {
+			if err != nil && strings.Contains(err.Error(), `"`+f+`"`) {
+				return true
+			}
+		}
+		return false
+	}
+	f := func(rawRadix, rawLevels, rawGroups, rawRouters, rawHostsPer int8, rawD0, rawD1 uint8, rawHosts, rawCabinets, rawPerCabinet int8) bool {
 		// Keep shapes small (a few negatives through one-digit positives) so
 		// the valid draws build quickly while invalid ones still appear.
 		radix, levels := int(rawRadix%8), int(rawLevels%6)
@@ -344,6 +335,23 @@ func TestSpecTopologyValidationFuzz(t *testing.T) {
 				return false
 			}
 		}
+		// The paper's clusters and the crossbar: valid draws build, invalid
+		// ones name the offending count.
+		hosts, cabinets, perCabinet := int(rawHosts%8), int(rawCabinets%8), int(rawPerCabinet%8)
+		for _, shape := range []string{"flat", "crossbar"} {
+			s := &Spec{Name: "c", Topology: shape, Hosts: hosts, Speed: 1e9, LinkBandwidth: 1e9, BackboneBandwidth: 1e9}
+			if err := build(s); (hosts >= 1) != (err == nil) || (err != nil && !named(err, "hosts")) {
+				return false
+			}
+		}
+		hier := &Spec{
+			Name: "h", Topology: "hierarchical", Cabinets: cabinets, HostsPerCabinet: perCabinet,
+			Speed: 1e9, LinkBandwidth: 1e9, CabinetBandwidth: 1e9, BackboneBandwidth: 1e9,
+		}
+		err := build(hier)
+		if (cabinets >= 1 && perCabinet >= 1) != (err == nil) || (err != nil && !named(err, "cabinets", "hosts_per_cabinet")) {
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -361,6 +369,23 @@ func TestSpecTopologyValidationFuzz(t *testing.T) {
 	} {
 		if err := build(s); err == nil {
 			t.Errorf("spec %+v accepted", s)
+		}
+	}
+	// Counts past the host limit, and products that would overflow, fail
+	// naming a field before anything is allocated.
+	for _, s := range []*Spec{
+		{Name: "c", Topology: "flat", Hosts: 1e9},
+		{Name: "c", Topology: "flat", Hosts: 1<<22 + 1},
+		{Name: "c", Topology: "crossbar", Hosts: math.MaxInt},
+		{Name: "h", Topology: "hierarchical", Cabinets: 1 << 12, HostsPerCabinet: 1 << 12},
+		{Name: "h", Topology: "hierarchical", Cabinets: 1 << 32, HostsPerCabinet: 1 << 32},
+		{Name: "h", Topology: "hierarchical", Cabinets: math.MaxInt, HostsPerCabinet: 2},
+		{Name: "h", Topology: "hierarchical", Cabinets: 3, HostsPerCabinet: math.MaxInt/2 + 1},
+	} {
+		s.Speed, s.LinkBandwidth, s.CabinetBandwidth, s.BackboneBandwidth = 1e9, 1e9, 1e9, 1e9
+		if err := build(s); !named(err, "hosts", "cabinets", "hosts_per_cabinet") {
+			t.Errorf("%s with %d hosts, %d*%d in cabinets: err = %v, want one naming a field",
+				s.Topology, s.Hosts, s.Cabinets, s.HostsPerCabinet, err)
 		}
 	}
 }

@@ -127,9 +127,9 @@ type Scenario struct {
 	Platform *platform.Spec `json:"platform,omitempty"`
 	// PlatformFile is the path of a JSON platform description.
 	PlatformFile string `json:"platform_file,omitempty"`
-	// Plat is a prebuilt platform, for programmatic use (not serialized).
-	// Scenarios sharing one *Platform must not run concurrently; the runner
-	// gives each scenario its own build when Platform/PlatformFile is used.
+	// Plat is a prebuilt platform, for programmatic use (not serialized);
+	// see platform.Platform on sharing one. The runner gives each scenario
+	// its own build when Platform/PlatformFile is used.
 	Plat *platform.Platform `json:"-"`
 
 	// HostSpeed, when positive, overrides the platform's compute rate —
@@ -316,27 +316,13 @@ func (s *Scenario) buildPlatform() (*platform.Platform, sim.NetworkModel, error)
 	case s.Plat != nil:
 		return s.Plat, nil, nil
 	case s.Platform != nil:
-		p, m, err := s.Platform.Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		if m == nil {
-			return p, nil, nil
-		}
-		return p, m, nil
+		return s.Platform.Build()
 	default:
 		spec, err := platform.LoadSpec(s.PlatformFile)
 		if err != nil {
 			return nil, nil, err
 		}
-		p, m, err := spec.Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		if m == nil {
-			return p, nil, nil
-		}
-		return p, m, nil
+		return spec.Build()
 	}
 }
 

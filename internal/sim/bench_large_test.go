@@ -23,19 +23,27 @@ func alltoallSize(src, dst, ranks int) float64 {
 	return 65536 * (1 + rng.Float64())
 }
 
+// crossbar builds the full-bisection cluster the large benchmarks run on.
+func crossbar(tb testing.TB, ranks int) *platform.Platform {
+	tb.Helper()
+	spec := platform.Spec{
+		Name: "xbar", Topology: "crossbar", Hosts: ranks, Speed: 1e9,
+		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
+	}
+	plat, _, err := spec.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plat
+}
+
 // runLargeAlltoAll simulates a pairwise-exchange alltoall (the schedule of
 // mpi.TaskRank.AllToAll, with heterogeneous payloads) on a full-bisection
 // cluster and returns the end time and engine stats. Each rank is compiled,
 // one exchange per feed call, into MPI_Sendrecv's isend + recv + wait.
 func runLargeAlltoAll(tb testing.TB, ranks int, opts ...sim.Option) (float64, sim.Stats) {
 	tb.Helper()
-	plat, err := platform.NewCrossbarCluster(platform.CrossbarConfig{
-		Name: "xbar", Hosts: ranks, Speed: 1e9,
-		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	plat := crossbar(tb, ranks)
 	e := sim.NewEngine(plat, opts...)
 	w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
 	if err != nil {
@@ -120,13 +128,7 @@ func alltoallvVols(me, ranks int) []float64 {
 // returns the end time and engine stats.
 func runLargeAlltoAllV(tb testing.TB, ranks int) (float64, sim.Stats) {
 	tb.Helper()
-	plat, err := platform.NewCrossbarCluster(platform.CrossbarConfig{
-		Name: "xbar", Hosts: ranks, Speed: 1e9,
-		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	plat := crossbar(tb, ranks)
 	e := sim.NewEngine(plat)
 	w, err := mpi.NewWorld(e, plat.Hosts(), mpi.ModelConfig{})
 	if err != nil {

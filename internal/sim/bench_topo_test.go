@@ -18,11 +18,12 @@ import (
 // interesting contention happens inside the interconnect.
 func topoPlatform(tb testing.TB, topo string, ranks int) *platform.Platform {
 	tb.Helper()
-	var (
-		p   *platform.Platform
-		err error
-	)
 	link := struct{ bw, lat float64 }{1.25e9, 1e-6}
+	spec := platform.Spec{
+		Topology: topo, Speed: 1e9,
+		LinkBandwidth: link.bw, LinkLatency: link.lat,
+		BackboneBandwidth: 4 * link.bw, BackboneLatency: 2 * link.lat,
+	}
 	switch topo {
 	case "fattree":
 		shapes := map[int][2]int{32: {2, 5}, 256: {16, 2}, 1024: {32, 2}}
@@ -30,38 +31,28 @@ func topoPlatform(tb testing.TB, topo string, ranks int) *platform.Platform {
 		if !ok {
 			tb.Fatalf("no fattree shape for %d ranks", ranks)
 		}
-		p, err = platform.NewFatTree(platform.FatTreeConfig{
-			Name: "ft", Radix: s[0], Levels: s[1], Speed: 1e9,
-			LinkBandwidth: link.bw, LinkLatency: link.lat,
-			BackboneBandwidth: 4 * link.bw, BackboneLatency: 2 * link.lat,
-		})
+		spec.Name, spec.Radix, spec.Levels = "ft", s[0], s[1]
 	case "dragonfly":
 		shapes := map[int][3]int{32: {2, 4, 4}, 256: {8, 8, 4}, 1024: {16, 8, 8}}
 		s, ok := shapes[ranks]
 		if !ok {
 			tb.Fatalf("no dragonfly shape for %d ranks", ranks)
 		}
-		p, err = platform.NewDragonfly(platform.DragonflyConfig{
-			Name: "df", Groups: s[0], RoutersPerGroup: s[1], HostsPerRouter: s[2],
-			Routing: "adaptive", Speed: 1e9,
-			LinkBandwidth: link.bw, LinkLatency: link.lat,
-			LocalBandwidth: 4 * link.bw, LocalLatency: 2 * link.lat,
-			GlobalBandwidth: 8 * link.bw, GlobalLatency: 1e-5,
-		})
+		spec.Name, spec.Groups, spec.RoutersPerGroup, spec.HostsPerRouter = "df", s[0], s[1], s[2]
+		spec.Routing = "adaptive"
+		spec.LocalBandwidth, spec.LocalLatency = 4*link.bw, 2*link.lat
+		spec.GlobalBandwidth, spec.GlobalLatency = 8*link.bw, 1e-5
 	case "torus":
 		shapes := map[int][]int{32: {4, 4, 2}, 256: {16, 16}, 1024: {16, 8, 8}}
 		s, ok := shapes[ranks]
 		if !ok {
 			tb.Fatalf("no torus shape for %d ranks", ranks)
 		}
-		p, err = platform.NewTorus(platform.TorusConfig{
-			Name: "tor", Dims: s, Speed: 1e9,
-			LinkBandwidth: link.bw, LinkLatency: link.lat,
-			BackboneBandwidth: 4 * link.bw, BackboneLatency: 2 * link.lat,
-		})
+		spec.Name, spec.TorusDims = "tor", s
 	default:
 		tb.Fatalf("unknown topology %q", topo)
 	}
+	p, _, err := spec.Build()
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -68,9 +68,9 @@ type Comm struct {
 	// flowStore is the comm's fluid stage, embedded to avoid a separate
 	// allocation per transfer; fl points at it while flowing. waiterBuf
 	// similarly backs waiters for the common one-or-two-waiter case, and
-	// linkBuf backs the route's link list when the router supports
-	// RouterInto. All three survive recycling, so a pooled comm's transfers
-	// stop allocating once the buffers have grown to their steady size.
+	// linkBuf backs the route's link list. All three survive recycling, so
+	// a pooled comm's transfers stop allocating once the buffers have grown
+	// to their steady size.
 	flowStore flow
 	waiterBuf [2]*Proc
 	linkBuf   []*Link
@@ -247,16 +247,11 @@ func (e *Engine) startComm(c *Comm) {
 	if c.src == nil || c.dst == nil {
 		panic("sim: startComm with unresolved endpoints")
 	}
-	var route Route
-	if e.routerInto != nil {
-		// The route's links land in the comm's own buffer, which outlives the
-		// flow (flowStore.links aliases it below) and is reused across
-		// recycles — no per-transfer route allocation.
-		route = e.routerInto.RouteInto(c.linkBuf[:0], c.src, c.dst)
-		c.linkBuf = route.Links
-	} else {
-		route = e.router.Route(c.src, c.dst)
-	}
+	// The route's links land in the comm's own buffer, which outlives the
+	// flow (flowStore.links aliases it below) and is reused across recycles
+	// — no per-transfer route allocation.
+	route := e.router.Route(c.linkBuf[:0], c.src, c.dst)
+	c.linkBuf = route.Links
 	for _, l := range route.Links {
 		if l.Bandwidth <= 0 {
 			e.fail(fmt.Errorf("sim: comm %d crosses link %s with non-positive bandwidth", c.ID, l.Name))

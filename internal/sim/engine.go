@@ -38,10 +38,9 @@ type Stats struct {
 // one at a time in deterministic FIFO order, so simulated programs need no
 // synchronization and runs are fully deterministic.
 type Engine struct {
-	now        float64
-	router     Router
-	routerInto RouterInto // non-nil when router supports buffer-reusing routing
-	netModel   NetworkModel
+	now      float64
+	router   Router
+	netModel NetworkModel
 
 	procs    []*Proc
 	runq     procRing
@@ -113,7 +112,6 @@ func NewEngine(router Router, opts ...Option) *Engine {
 		boxes:      make(map[Mbox]*mailbox),
 		linkStates: make(map[*Link]*linkState),
 	}
-	e.routerInto, _ = router.(RouterInto)
 	for _, o := range opts {
 		o(e)
 	}

@@ -19,6 +19,9 @@ type Host struct {
 	// Prog.Exec. Calibration (Section 3.4 of the paper) determines this
 	// value for simulated platforms.
 	Speed float64
+	// ID is the host's index in the platform that built it; only the
+	// builder sets it. Routers index their host tables by it.
+	ID int
 }
 
 func (h *Host) String() string {
@@ -55,20 +58,14 @@ type Route struct {
 	Latency float64
 }
 
-// Router resolves the route between two hosts. Implementations live in the
-// platform package (flat cluster, hierarchical cluster, ...).
+// Router resolves the route between two hosts; platform.Platform is the
+// implementation. Route appends the route's links to buf — the engine
+// passes a buffer owned by the comm being routed and reused across
+// transfers, so routing allocates nothing once it has grown — and returns
+// a Route whose Links are buf extended (possibly by nothing).
+// Implementations must not retain buf.
 type Router interface {
-	Route(src, dst *Host) Route
-}
-
-// RouterInto is an optional Router extension for allocation-free routing:
-// RouteInto appends the route's links to buf — typically a buffer owned by
-// the comm being routed and reused across transfers — and returns a Route
-// whose Links are backed by it. Implementations must always return Links
-// derived from buf (possibly empty) and must not retain the slice.
-type RouterInto interface {
-	Router
-	RouteInto(buf []*Link, src, dst *Host) Route
+	Route(buf []*Link, src, dst *Host) Route
 }
 
 // NetworkModel maps a transfer (route, size) to the effective latency and an

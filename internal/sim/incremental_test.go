@@ -163,18 +163,19 @@ type crossRouter struct {
 	hosts    map[*Host]int
 }
 
-func (r crossRouter) Route(src, dst *Host) Route {
+func (r crossRouter) Route(buf []*Link, src, dst *Host) Route {
 	s, d := r.hosts[src], r.hosts[dst]
-	ls := []*Link{r.up[s]}
+	n := len(buf)
+	buf = append(buf, r.up[s])
 	if (s+d)%3 == 0 {
-		ls = append(ls, r.backbone)
+		buf = append(buf, r.backbone)
 	}
-	ls = append(ls, r.down[d])
+	buf = append(buf, r.down[d])
 	lat := 0.0
-	for _, l := range ls {
+	for _, l := range buf[n:] {
 		lat += l.Latency
 	}
-	return Route{Links: ls, Latency: lat}
+	return Route{Links: buf, Latency: lat}
 }
 
 // runEquivalenceWorkload executes one randomized multi-component workload

@@ -49,8 +49,8 @@ type flow struct {
 
 // linkState is the engine-local registry for one link: the active flows
 // crossing it plus solver scratch. It lives on the engine rather than on the
-// Link because Link objects are shared by platforms across concurrently
-// running engines.
+// Link because a platform's links are shared by every engine that replays
+// on it.
 type linkState struct {
 	link  *Link
 	flows []*flow

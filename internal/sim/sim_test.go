@@ -10,17 +10,20 @@ import (
 // are empty (infinitely fast after zero latency).
 type pairRouter struct{ link *Link }
 
-func (r pairRouter) Route(src, dst *Host) Route {
+func (r pairRouter) Route(buf []*Link, src, dst *Host) Route {
 	if src == dst {
-		return Route{}
+		return Route{Links: buf}
 	}
-	return Route{Links: []*Link{r.link}, Latency: r.link.Latency}
+	return Route{Links: append(buf, r.link), Latency: r.link.Latency}
 }
 
 // tableRouter routes by explicit (src,dst) table.
 type tableRouter map[[2]*Host]Route
 
-func (r tableRouter) Route(src, dst *Host) Route { return r[[2]*Host{src, dst}] }
+func (r tableRouter) Route(buf []*Link, src, dst *Host) Route {
+	rt := r[[2]*Host{src, dst}]
+	return Route{Links: append(buf, rt.Links...), Latency: rt.Latency}
+}
 
 func newTestHosts(n int, speed float64) []*Host {
 	hs := make([]*Host, n)

@@ -137,7 +137,7 @@ func (t *Dragonfly) gateway(g, x int) int {
 // of every group, then the directional global links of every group pair.
 func (t *Dragonfly) Links() []LinkDesc {
 	n := 2*t.hosts + t.groups*t.routers*(t.routers-1) + t.groups*(t.groups-1)
-	descs := appendHostLinks(make([]LinkDesc, 0, n), t.hosts)
+	descs := appendHostLinks(make([]LinkDesc, 0, n), t.hosts, "h%d-up", "h%d-down")
 	for g := 0; g < t.groups; g++ {
 		for rs := 0; rs < t.routers; rs++ {
 			for rd := 0; rd < t.routers; rd++ {

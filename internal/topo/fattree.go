@@ -68,7 +68,7 @@ func (t *FatTree) cable(l, w, x int) int {
 // boundary, by the up/down pair of every switch cable — 2*hosts*levels
 // links in total.
 func (t *FatTree) Links() []LinkDesc {
-	descs := appendHostLinks(make([]LinkDesc, 0, 2*t.hosts*t.levels), t.hosts)
+	descs := appendHostLinks(make([]LinkDesc, 0, 2*t.hosts*t.levels), t.hosts, "h%d-up", "h%d-down")
 	for l := 1; l < t.levels; l++ {
 		for w := 0; w < t.tier; w++ {
 			for x := 0; x < t.radix; x++ {

@@ -2,11 +2,26 @@ package topo
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
+// hostLinks returns the ids of the link a route from host h starts on and
+// the link a route to h ends on: h's up and down link where it has two, its
+// one link in both directions on the flat and hierarchical clusters.
+func hostLinks(tp Topology, h int) (up, down int) {
+	switch s := tp.(type) {
+	case *Star:
+		return s.hostLink(h), s.hostLink(h)
+	case *Cabinets:
+		return s.hostLink(h), s.hostLink(h)
+	}
+	return hostUp(h), hostDown(h)
+}
+
 // checkLinkTable validates the Links() table itself: unique names, ids in
-// range, and the host-link prefix layout every topology shares.
+// range, and every host's links in ClassHost.
 func checkLinkTable(t *testing.T, tp Topology) []LinkDesc {
 	t.Helper()
 	descs := tp.Links()
@@ -21,7 +36,8 @@ func checkLinkTable(t *testing.T, tp Topology) []LinkDesc {
 		seen[d.Name] = true
 	}
 	for h := 0; h < tp.Hosts(); h++ {
-		if descs[hostUp(h)].Class != ClassHost || descs[hostDown(h)].Class != ClassHost {
+		up, down := hostLinks(tp, h)
+		if descs[up].Class != ClassHost || descs[down].Class != ClassHost {
 			t.Fatalf("host %d NIC links not ClassHost", h)
 		}
 	}
@@ -29,18 +45,20 @@ func checkLinkTable(t *testing.T, tp Topology) []LinkDesc {
 }
 
 // checkRoute validates the invariants shared by every topology: the route
-// exists for every distinct pair, starts at src's up link, ends at dst's
-// down link, stays in range, never repeats a link (loop freedom), and is
-// hop-symmetric with the reverse route. walk additionally verifies physical
-// adjacency hop by hop and that the path really ends at dst. It returns the
-// route for topology-specific bounds.
+// exists for every distinct pair, starts on src's host (up) link, ends on
+// dst's host (down) link, stays in range, never repeats a link (loop
+// freedom), and is hop-symmetric with the reverse route. walk additionally
+// verifies physical adjacency hop by hop and that the path really ends at
+// dst. It returns the route for topology-specific bounds.
 func checkRoute(t *testing.T, tp Topology, src, dst int, walk func(t *testing.T, route []int, src, dst int)) []int {
 	t.Helper()
 	route := tp.AppendRoute(nil, src, dst)
 	if len(route) < 2 {
 		t.Fatalf("route %d->%d too short: %v", src, dst, route)
 	}
-	if route[0] != hostUp(src) || route[len(route)-1] != hostDown(dst) {
+	up, _ := hostLinks(tp, src)
+	_, down := hostLinks(tp, dst)
+	if route[0] != up || route[len(route)-1] != down {
 		t.Fatalf("route %d->%d does not span NIC links: %v", src, dst, route)
 	}
 	nlinks := len(tp.Links())
@@ -59,6 +77,173 @@ func checkRoute(t *testing.T, tp Topology, src, dst int, walk func(t *testing.T,
 	}
 	walk(t, route, src, dst)
 	return route
+}
+
+// --- the paper's clusters and the crossbar ---
+
+// starWalk follows a flat-cluster route: into the switch over the source's
+// host link, across the backbone, out over the destination's host link.
+func starWalk(s *Star) func(t *testing.T, route []int, src, dst int) {
+	return func(t *testing.T, route []int, src, dst int) {
+		t.Helper()
+		// Position: a host, or the switch before or after its backbone.
+		const atHost, atSwitch, pastBackbone = 0, 1, 2
+		at, pos := atHost, src
+		for _, id := range route {
+			switch {
+			case at == atHost && id == s.hostLink(pos):
+				at = atSwitch
+			case at == atSwitch && id == 0:
+				at = pastBackbone
+			case at == pastBackbone && id >= 1 && id <= s.hosts:
+				at, pos = atHost, id-1
+			default:
+				t.Fatalf("route %d->%d crosses link %d at position %d/%d: %v", src, dst, id, at, pos, route)
+			}
+		}
+		if at != atHost || pos != dst {
+			t.Fatalf("route %d->%d ends at position %d/%d", src, dst, at, pos)
+		}
+	}
+}
+
+// crossbarWalk follows a crossbar route: up from the source into the
+// fabric, down from it to the destination.
+func crossbarWalk(t *testing.T, route []int, src, dst int) {
+	t.Helper()
+	atHost, pos := true, src
+	for _, id := range route {
+		h, down := id/2, id%2 == 1
+		switch {
+		case atHost && !down && h == pos:
+			atHost = false
+		case !atHost && down:
+			atHost, pos = true, h
+		default:
+			t.Fatalf("route %d->%d crosses link %d at atHost=%v pos=%d", src, dst, id, atHost, pos)
+		}
+	}
+	if !atHost || pos != dst {
+		t.Fatalf("route %d->%d ends at atHost=%v pos=%d", src, dst, atHost, pos)
+	}
+}
+
+// cabinetsWalk follows a hierarchical-cluster route. A host link joins a
+// host and its cabinet, a cabinet uplink joins the cabinet and the
+// backbone, and the cabinet switch and the backbone are crossed from their
+// ingress to their egress side.
+func cabinetsWalk(c *Cabinets) func(t *testing.T, route []int, src, dst int) {
+	return func(t *testing.T, route []int, src, dst int) {
+		t.Helper()
+		const atHost, atCabinet, cabinetEgress, atBackbone, backboneEgress = 0, 1, 2, 3, 4
+		at, pos := atHost, src // pos: a host, or a cabinet when at a cabinet
+		hostBase := 1 + 2*c.cabinets
+		for _, id := range route {
+			switch {
+			case at == atHost && id == c.hostLink(pos):
+				at, pos = atCabinet, pos/c.perCabinet
+			case at == cabinetEgress && id >= hostBase && (id-hostBase)/c.perCabinet == pos:
+				at, pos = atHost, id-hostBase
+			case at == atCabinet && id == 1+2*pos:
+				at = cabinetEgress
+			case at == atCabinet && id == 2+2*pos:
+				at = atBackbone
+			case at == atBackbone && id == 0:
+				at = backboneEgress
+			case at == backboneEgress && id >= 1 && id < hostBase && id%2 == 0:
+				at, pos = cabinetEgress, (id-2)/2
+			default:
+				t.Fatalf("route %d->%d crosses link %d at position %d/%d: %v", src, dst, id, at, pos, route)
+			}
+		}
+		if at != atHost || pos != dst {
+			t.Fatalf("route %d->%d ends at position %d/%d", src, dst, at, pos)
+		}
+	}
+}
+
+// checkAllRoutes runs checkRoute on every ordered pair of distinct hosts
+// and requires each route to have the hop count hops gives it.
+func checkAllRoutes(t *testing.T, tp Topology, walk func(t *testing.T, route []int, src, dst int), hops func(src, dst int) int) {
+	t.Helper()
+	for src := 0; src < tp.Hosts(); src++ {
+		for dst := 0; dst < tp.Hosts(); dst++ {
+			if src == dst {
+				continue
+			}
+			route := checkRoute(t, tp, src, dst, walk)
+			if want := hops(src, dst); len(route) != want {
+				t.Fatalf("route %d->%d has %d links, want %d", src, dst, len(route), want)
+			}
+		}
+	}
+}
+
+func TestStarRouteProperties(t *testing.T) {
+	for _, hosts := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
+			s, err := NewStar(hosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if descs := checkLinkTable(t, s); len(descs) != 1+hosts {
+				t.Fatalf("links = %d, want %d", len(descs), 1+hosts)
+			}
+			checkAllRoutes(t, s, starWalk(s), func(int, int) int { return 3 })
+		})
+	}
+}
+
+func TestCrossbarRouteProperties(t *testing.T) {
+	for _, hosts := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
+			x, err := NewCrossbar(hosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if descs := checkLinkTable(t, x); len(descs) != 2*hosts {
+				t.Fatalf("links = %d, want %d", len(descs), 2*hosts)
+			}
+			checkAllRoutes(t, x, crossbarWalk, func(int, int) int { return 2 })
+		})
+	}
+}
+
+func TestCabinetsRouteProperties(t *testing.T) {
+	for _, shape := range []struct{ c, p int }{{1, 1}, {1, 3}, {2, 3}, {3, 2}, {4, 1}} {
+		t.Run(fmt.Sprintf("c=%d/p=%d", shape.c, shape.p), func(t *testing.T) {
+			c, err := NewCabinets(shape.c, shape.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := shape.c * shape.p
+			if c.Hosts() != hosts {
+				t.Fatalf("hosts = %d, want %d", c.Hosts(), hosts)
+			}
+			descs := checkLinkTable(t, c)
+			if want := 1 + 2*shape.c + hosts; len(descs) != want {
+				t.Fatalf("links = %d, want %d", len(descs), want)
+			}
+			for id, d := range descs {
+				want := ClassHost
+				switch {
+				case id == 0:
+					want = ClassFabric
+				case id <= 2*shape.c:
+					want = ClassCabinet
+				}
+				if d.Class != want {
+					t.Fatalf("link %d (%s) has class %s, want %s", id, d.Name, d.Class, want)
+				}
+			}
+			checkAllRoutes(t, c, cabinetsWalk(c), func(src, dst int) int {
+				if src/shape.p == dst/shape.p {
+					return 3 // host link, cabinet switch, host link
+				}
+				return 5 // host link, uplink, backbone, uplink, host link
+			})
+		})
+	}
 }
 
 // --- fat tree ---
@@ -398,6 +583,27 @@ func TestTorusRouteProperties(t *testing.T) {
 // --- shape validation ---
 
 func TestShapeValidation(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		build func() error
+	}{
+		{`"hosts"`, func() error { _, err := NewStar(0); return err }},
+		{`"hosts"`, func() error { _, err := NewStar(maxHosts + 1); return err }},
+		{`"hosts"`, func() error { _, err := NewCrossbar(-1); return err }},
+		{`"hosts"`, func() error { _, err := NewCrossbar(math.MaxInt); return err }},
+		{`"cabinets"`, func() error { _, err := NewCabinets(0, 1); return err }},
+		{`"cabinets"`, func() error { _, err := NewCabinets(math.MaxInt, 2); return err }},
+		{`"hosts_per_cabinet"`, func() error { _, err := NewCabinets(1, -3); return err }},
+		{`"hosts_per_cabinet"`, func() error { _, err := NewCabinets(2, math.MaxInt/2+1); return err }},
+		{`"cabinets"*"hosts_per_cabinet"`, func() error { _, err := NewCabinets(1<<12, 1<<12); return err }},
+	} {
+		if err := c.build(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("err = %v, want one naming %s", err, c.field)
+		}
+	}
+	if _, err := NewCabinets(1<<11, 1<<11); err != nil {
+		t.Errorf("a shape at the host limit was rejected: %v", err)
+	}
 	if _, err := NewFatTree(1, 2); err == nil {
 		t.Error("radix 1 accepted")
 	}

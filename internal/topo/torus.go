@@ -50,7 +50,7 @@ func (t *Torus) neighbor(node, d, dir int) int {
 // +/- neighbor links.
 func (t *Torus) Links() []LinkDesc {
 	nd := len(t.dims)
-	descs := appendHostLinks(make([]LinkDesc, 0, 2*t.hosts*(1+nd)), t.hosts)
+	descs := appendHostLinks(make([]LinkDesc, 0, 2*t.hosts*(1+nd)), t.hosts, "h%d-up", "h%d-down")
 	coord := make([]int, nd)
 	for node := 0; node < t.hosts; node++ {
 		for d := 0; d < nd; d++ {

@@ -23,20 +23,23 @@ func facadePlatformSpec(procs int) *tireplay.PlatformSpec {
 	}
 }
 
+// facadePlatform builds spec, failing the test on error.
+func facadePlatform(tb testing.TB, spec *tireplay.PlatformSpec) *tireplay.Platform {
+	tb.Helper()
+	plat, _, err := spec.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plat
+}
+
 func TestFacadeScenarioMatchesReplayShim(t *testing.T) {
 	// Old API: one-shot Replay.
 	lu, err := tireplay.NewLU(tireplay.ClassA, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat, _, err := tireplay.Cluster(tireplay.ClusterSpec{
-		Name: "t", Hosts: 8, Speed: 2e9,
-		LinkBandwidth: 1.25e8, LinkLatency: 2e-5,
-		BackboneBandwidth: 1.25e9, BackboneLatency: 1e-6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plat := facadePlatform(t, facadePlatformSpec(8))
 	old, err := tireplay.Replay(tireplay.PerfectTrace(lu), plat, tireplay.ReplayConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +114,7 @@ func TestFacadeBatchSweep(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		plat, _, err := tireplay.Cluster(tireplay.ClusterSpec{
-			Name: "t", Hosts: in.procs, Speed: 2e9,
-			LinkBandwidth: 1.25e8, LinkLatency: 2e-5,
-			BackboneBandwidth: 1.25e9, BackboneLatency: 1e-6,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		plat := facadePlatform(t, facadePlatformSpec(in.procs))
 		ref, err := tireplay.Replay(tireplay.PerfectTrace(w), plat, tireplay.ReplayConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -230,14 +226,9 @@ func TestFacadeTraceErrorSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat, _, err := tireplay.Cluster(tireplay.ClusterSpec{
-		Name: "t", Hosts: 1, Speed: 1e9,
-		LinkBandwidth: 1.25e8, LinkLatency: 2e-5,
-		BackboneBandwidth: 1.25e9, BackboneLatency: 1e-6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := facadePlatformSpec(1)
+	spec.Speed = 1e9
+	plat := facadePlatform(t, spec)
 	if _, err = tireplay.Replay(prov, plat, tireplay.ReplayConfig{}); err == nil {
 		t.Fatal("malformed trace accepted")
 	}

@@ -11,10 +11,10 @@
 //
 // The package exposes the full tool chain:
 //
-//   - platform description (flat, hierarchical, and crossbar clusters plus
-//     the topology zoo — k-ary fat trees, dragonflies, and 2D/3D tori with
-//     real deterministic routing — and piece-wise linear network factor
-//     models);
+//   - platform description, built from one PlatformSpec: flat,
+//     hierarchical, and crossbar clusters plus the topology zoo — k-ary fat
+//     trees, dragonflies, and 2D/3D tori with real deterministic routing —
+//     and piece-wise linear network factor models;
 //   - the trace format: parsing, writing, validation, streaming, the
 //     compiled TIB binary cache, and an importer registry (DUMPI ASCII,
 //     TAU profiles, custom formats) folding foreign acquisitions into the
@@ -42,13 +42,14 @@
 //
 // Single replay quick start:
 //
-//	plat, _, err := tireplay.Cluster(tireplay.ClusterSpec{
-//		Name: "mycluster", Hosts: 8, Speed: 2e9,
+//	spec := tireplay.PlatformSpec{
+//		Name: "mycluster", Topology: "flat", Hosts: 8, Speed: 2e9,
 //		LinkBandwidth: 1.25e8, LinkLatency: 2e-5,
 //		BackboneBandwidth: 1.25e9, BackboneLatency: 1e-6,
-//	})
+//	}
+//	plat, model, err := spec.Build()
 //	prov, err := tireplay.LoadTraces("traces/lu_b8.desc", 8)
-//	res, err := tireplay.Replay(prov, plat, tireplay.ReplayConfig{})
+//	res, err := tireplay.Replay(prov, plat, tireplay.ReplayConfig{Network: model})
 //	fmt.Printf("predicted time: %.2f s\n", res.SimulatedTime)
 //
 // Sweep quick start — declare the grid once (no nested loops), stream
@@ -131,15 +132,14 @@ type (
 type (
 	// Platform is a simulated execution platform.
 	Platform = platform.Platform
-	// ClusterSpec configures a single-switch cluster.
-	ClusterSpec = platform.FlatConfig
-	// HierClusterSpec configures a cabinet-based hierarchical cluster.
-	HierClusterSpec = platform.HierConfig
-	// NetworkSegment is one piece of a piece-wise-linear network model.
-	NetworkSegment = platform.Segment
+	// NetworkSegment is one piece of a piece-wise-linear network model, as
+	// PlatformSpec.Factors takes it.
+	NetworkSegment = platform.SegmentSpec
 	// NetworkModel adjusts latency/bandwidth per message size.
 	NetworkModel = sim.NetworkModel
-	// PlatformSpec is the serializable platform description.
+	// PlatformSpec is the serializable platform description; its Build
+	// method builds every cluster shape ("flat", "hierarchical",
+	// "crossbar", "fattree", "dragonfly", "torus") and its factor model.
 	PlatformSpec = platform.Spec
 )
 
@@ -458,39 +458,6 @@ const (
 	CompileO3 = instrument.O3
 )
 
-// Cluster builds a flat (single switch) cluster platform, optionally with a
-// piece-wise-linear network model built from segments.
-func Cluster(spec ClusterSpec, segments ...NetworkSegment) (*Platform, NetworkModel, error) {
-	p, err := platform.NewFlatCluster(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(segments) == 0 {
-		return p, nil, nil
-	}
-	m, err := platform.NewPiecewiseModel(segments)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, m, nil
-}
-
-// HierCluster builds a hierarchical (cabinet) cluster platform.
-func HierCluster(spec HierClusterSpec, segments ...NetworkSegment) (*Platform, NetworkModel, error) {
-	p, err := platform.NewHierarchicalCluster(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(segments) == 0 {
-		return p, nil, nil
-	}
-	m, err := platform.NewPiecewiseModel(segments)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, m, nil
-}
-
 // LoadPlatform reads a JSON platform description (the replay equivalent of
 // the paper's platform.xml) and builds it.
 func LoadPlatform(path string) (*Platform, NetworkModel, error) {
@@ -498,14 +465,7 @@ func LoadPlatform(path string) (*Platform, NetworkModel, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p, m, err := spec.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	if m == nil {
-		return p, nil, nil
-	}
-	return p, m, nil
+	return spec.Build()
 }
 
 // LoadTraces opens a trace-description file (one trace file per line; a

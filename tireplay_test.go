@@ -36,14 +36,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := tireplay.ValidateTraces(prov); err != nil {
 		t.Fatal(err)
 	}
-	plat, _, err := tireplay.Cluster(tireplay.ClusterSpec{
-		Name: "t", Hosts: 4, Speed: 2e9,
-		LinkBandwidth: 1.25e8, LinkLatency: 2e-5,
-		BackboneBandwidth: 1.25e9, BackboneLatency: 1e-6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plat := facadePlatform(t, facadePlatformSpec(4))
 	prov, err = tireplay.LoadTraces(desc, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -95,14 +88,7 @@ func TestFacadeBackendsDiffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plat, _, err := tireplay.Cluster(tireplay.ClusterSpec{
-			Name: "t", Hosts: 8, Speed: 2e9,
-			LinkBandwidth: 1.25e8, LinkLatency: 2e-5,
-			BackboneBandwidth: 1.25e9, BackboneLatency: 1e-6,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		plat := facadePlatform(t, facadePlatformSpec(8))
 		res, err := tireplay.Replay(tireplay.PerfectTrace(lu), plat, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -204,16 +190,53 @@ func TestFacadeSweepService(t *testing.T) {
 }
 
 func TestFacadePlatformSpecRoundTrip(t *testing.T) {
-	plat, model, err := tireplay.HierCluster(tireplay.HierClusterSpec{
-		Name: "h", Cabinets: 2, HostsPerCabinet: 4, Speed: 1e9,
+	spec := tireplay.PlatformSpec{
+		Name: "h", Topology: "hierarchical", Cabinets: 2, HostsPerCabinet: 4, Speed: 1e9,
 		LinkBandwidth: 1e9, LinkLatency: 1e-5,
 		CabinetBandwidth: 1e10, CabinetLatency: 1e-6,
 		BackboneBandwidth: 1e10, BackboneLatency: 1e-6,
-	}, tireplay.NetworkSegment{MaxBytes: math.MaxFloat64, LatFactor: 1, BwFactor: 0.9})
+		Factors: []tireplay.NetworkSegment{{MaxBytes: math.MaxFloat64, LatFactor: 1, BwFactor: 0.9}},
+	}
+	plat, model, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plat.Size() != 8 || model == nil {
 		t.Fatalf("platform = %d hosts, model = %v", plat.Size(), model)
+	}
+}
+
+// TestFacadeSpecWithoutFactorsReplaysLikeNoModel: a spec without factors
+// builds a nil model, so passing it on replays exactly like passing none.
+func TestFacadeSpecWithoutFactorsReplaysLikeNoModel(t *testing.T) {
+	torus := &tireplay.PlatformSpec{
+		Name: "tor", Topology: "torus", TorusDims: []int{2, 2}, Speed: 2e9,
+		LinkBandwidth: 1.25e9, LinkLatency: 1e-6,
+		BackboneBandwidth: 5e9, BackboneLatency: 2e-6,
+	}
+	for _, spec := range []*tireplay.PlatformSpec{facadePlatformSpec(4), torus} {
+		plat, model, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if model != nil {
+			t.Fatalf("%s: model = %#v, want nil", spec.Topology, model)
+		}
+		replay := func(network tireplay.NetworkModel) *tireplay.ReplayResult {
+			lu, err := tireplay.NewLU(tireplay.ClassS, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tireplay.Replay(tireplay.PerfectTrace(lu), plat, tireplay.ReplayConfig{Network: network})
+			if err != nil {
+				t.Fatalf("%s: %v", spec.Topology, err)
+			}
+			return res
+		}
+		got, want := replay(model), replay(nil)
+		if math.Float64bits(got.SimulatedTime) != math.Float64bits(want.SimulatedTime) ||
+			got.Actions != want.Actions || got.Engine != want.Engine {
+			t.Fatalf("%s: replay with the built model = %+v, without = %+v", spec.Topology, got, want)
+		}
 	}
 }
