@@ -62,9 +62,9 @@ func fuzzTooBig(s *Spec) bool {
 // FuzzPlatformSpec feeds arbitrary bytes to the strict spec decoder and
 // builds what decodes. The property is "structured error or valid
 // platform, never a panic": Build either fails, or returns a platform with
-// at least one host, whose links all have a positive bandwidth and a
-// finite, non-negative latency, and which routes from its first host to
-// its last and back over its own links only.
+// at least one host, whose links all have a positive bandwidth, a finite,
+// non-negative latency and their index in Links() as ID, and which routes
+// from its first host to its last and back over its own links only.
 func FuzzPlatformSpec(f *testing.F) {
 	for _, s := range fuzzSpecs {
 		f.Add([]byte(s))
@@ -88,17 +88,16 @@ func FuzzPlatformSpec(f *testing.F) {
 		if p.Size() < 1 {
 			t.Fatalf("%s built with %d hosts", data, p.Size())
 		}
-		own := make(map[*sim.Link]bool, len(p.Links()))
-		for _, l := range p.Links() {
-			if !(l.Bandwidth > 0) || l.Latency < 0 || math.IsNaN(l.Latency) || math.IsInf(l.Latency, 0) {
-				t.Fatalf("%s built link %v", data, l)
+		links := p.Links()
+		for i, l := range links {
+			if !(l.Bandwidth > 0) || l.Latency < 0 || math.IsNaN(l.Latency) || math.IsInf(l.Latency, 0) || l.ID != i {
+				t.Fatalf("%s built link %d: %v with ID %d", data, i, l, l.ID)
 			}
-			own[l] = true
 		}
 		first, last := p.Host(0), p.Host(p.Size()-1)
 		for _, r := range []sim.Route{p.Route(nil, first, last), p.Route(nil, last, first)} {
 			for _, l := range r.Links {
-				if !own[l] {
+				if uint(l.ID) >= uint(len(links)) || links[l.ID] != l {
 					t.Fatalf("%s routes over foreign link %v", data, l)
 				}
 			}

@@ -65,7 +65,7 @@ type linkParams struct {
 
 // materialize turns a topology into a Platform: one sim.Host per endpoint,
 // with its index as ID, and one sim.Link per topology link, with the
-// parameters of its class.
+// parameters of its class and its index in Links() as ID.
 func materialize(name string, t topo.Topology, speed float64, params map[topo.Class]linkParams, loopback float64) (*Platform, error) {
 	descs := t.Links()
 	for _, d := range descs {
@@ -93,7 +93,7 @@ func materialize(name string, t topo.Topology, speed float64, params map[topo.Cl
 	}
 	for id, d := range descs {
 		pr := params[d.Class]
-		p.links[id] = &sim.Link{Name: name + "-" + d.Name, Bandwidth: pr.bandwidth, Latency: pr.latency}
+		p.links[id] = &sim.Link{Name: name + "-" + d.Name, Bandwidth: pr.bandwidth, Latency: pr.latency, ID: id}
 	}
 	return p, nil
 }

@@ -252,9 +252,20 @@ func (e *Engine) startComm(c *Comm) {
 	// — no per-transfer route allocation.
 	route := e.router.Route(c.linkBuf[:0], c.src, c.dst)
 	c.linkBuf = route.Links
+	// The engine's per-link state is indexed by Link.ID, so each link must
+	// have a slot of its own; registering the link here catches an ID that
+	// another link already holds.
 	for _, l := range route.Links {
 		if l.Bandwidth <= 0 {
 			e.fail(fmt.Errorf("sim: comm %d crosses link %s with non-positive bandwidth", c.ID, l.Name))
+			return
+		}
+		if l.ID < 0 {
+			e.fail(fmt.Errorf("sim: comm %d crosses link %s with negative id %d", c.ID, l.Name, l.ID))
+			return
+		}
+		if ls := e.linkState(l); ls.link != l {
+			e.fail(fmt.Errorf("sim: comm %d crosses links %s and %s, which share id %d", c.ID, ls.link.Name, l.Name, l.ID))
 			return
 		}
 	}

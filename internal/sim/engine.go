@@ -60,11 +60,12 @@ type Engine struct {
 	commPool []*Comm
 
 	// Fluid-network state: all active flows, the per-link registries tying
-	// them into the solver's sub-components, the min-heap of projected
+	// them into the solver's sub-components (indexed by Link.ID, nil for a
+	// link no transfer has crossed yet), the min-heap of projected
 	// completion times, and the flows stalled at rate 0 (re-examined every
 	// recompute and reported in deadlock diagnostics).
 	active      []*flow
-	linkStates  map[*Link]*linkState
+	linkStates  []*linkState
 	completions flowHeap
 	stalled     []*flow
 	flowSeq     int64
@@ -107,10 +108,9 @@ func WithFromScratchSharing() Option {
 // NewEngine creates an engine that routes communications with router.
 func NewEngine(router Router, opts ...Option) *Engine {
 	e := &Engine{
-		router:     router,
-		netModel:   DefaultModel{},
-		boxes:      make(map[Mbox]*mailbox),
-		linkStates: make(map[*Link]*linkState),
+		router:   router,
+		netModel: DefaultModel{},
+		boxes:    make(map[Mbox]*mailbox),
 	}
 	for _, o := range opts {
 		o(e)

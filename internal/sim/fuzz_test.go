@@ -42,7 +42,7 @@ func checkMaxMinSequence(data []byte) error {
 	}
 	links := make([]*Link, 1+int(next())%fuzzMaxLinks)
 	for i := range links {
-		links[i] = &Link{Name: fmt.Sprintf("l%d", i), Bandwidth: fuzzBandwidths[int(next())%len(fuzzBandwidths)]}
+		links[i] = &Link{Name: fmt.Sprintf("l%d", i), Bandwidth: fuzzBandwidths[int(next())%len(fuzzBandwidths)], ID: i}
 	}
 	e := NewEngine(pairRouter{links[0]})
 	var live []*flow
@@ -70,8 +70,40 @@ func checkMaxMinSequence(data []byte) error {
 			live = append(live, f)
 		}
 		e.recomputeShares()
+		if err := checkLinkStates(e, live); err != nil {
+			return fmt.Errorf("op %d: %w", op, err)
+		}
 		if err := checkAllocation(live); err != nil {
 			return fmt.Errorf("op %d: %w", op, err)
+		}
+	}
+	return nil
+}
+
+// checkLinkStates checks the engine's per-link state: every live flow's
+// resolved states belong to the links it crosses, every state sits at its
+// link's ID, and every cached saturability equals a fresh re-sum over the
+// link's current flows, so a flow-list change that does not invalidate the
+// cache is caught.
+func checkLinkStates(e *Engine, live []*flow) error {
+	for i, f := range live {
+		for k, ls := range f.lstates {
+			if ls.link != f.links[k] {
+				return fmt.Errorf("flow %d hop %d crosses link %s (ID %d) but holds the state of link %s",
+					i, k, f.links[k].Name, f.links[k].ID, ls.link.Name)
+			}
+		}
+	}
+	for id, ls := range e.linkStates {
+		if ls == nil {
+			continue
+		}
+		if ls.link.ID != id {
+			return fmt.Errorf("state of link %s (ID %d) at slot %d", ls.link.Name, ls.link.ID, id)
+		}
+		if ls.satKnown && ls.sat != ls.saturates() {
+			return fmt.Errorf("link %s: cached saturability %v, a re-sum over its %d flows gives %v",
+				ls.link.Name, ls.sat, len(ls.flows), !ls.sat)
 		}
 	}
 	return nil

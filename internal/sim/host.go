@@ -41,6 +41,10 @@ type Link struct {
 	Bandwidth float64
 	// Latency in seconds, summed along a route.
 	Latency float64
+	// ID is the link's index in the platform that built it; only the
+	// builder sets it. The engine indexes its per-link state by it, so the
+	// links one engine routes over must have distinct, non-negative IDs.
+	ID int
 }
 
 func (l *Link) String() string {

@@ -108,7 +108,7 @@ func TestIncrementalSolverMatchesReference(t *testing.T) {
 		nLinks := 2 + int(rng.Uint64()%10)
 		links := make([]*Link, nLinks)
 		for i := range links {
-			links[i] = &Link{Name: fmt.Sprintf("l%d", i), Bandwidth: 1 + 99*rng.Float64()}
+			links[i] = &Link{Name: fmt.Sprintf("l%d", i), Bandwidth: 1 + 99*rng.Float64(), ID: i}
 		}
 		e := NewEngine(pairRouter{links[0]})
 		var live []*flow
@@ -142,6 +142,9 @@ func TestIncrementalSolverMatchesReference(t *testing.T) {
 				live = live[:len(live)-1]
 			}
 			e.recomputeShares()
+			if err := checkLinkStates(e, live); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
 			want := referenceShares(live)
 			for i, f := range live {
 				if f.rate != want[i] {
@@ -193,8 +196,8 @@ func runEquivalenceWorkload(seed uint64, opts ...Option) (float64, []float64) {
 		r.hosts[hosts[i]] = i
 	}
 	for i := 0; i < 2*n; i++ {
-		r.up = append(r.up, &Link{Name: fmt.Sprintf("u%d", i), Bandwidth: 1e7 * (1 + rng.Float64()), Latency: 1e-6})
-		r.down = append(r.down, &Link{Name: fmt.Sprintf("d%d", i), Bandwidth: 1e7 * (1 + rng.Float64()), Latency: 1e-6})
+		r.up = append(r.up, &Link{Name: fmt.Sprintf("u%d", i), Bandwidth: 1e7 * (1 + rng.Float64()), Latency: 1e-6, ID: 1 + 2*i})
+		r.down = append(r.down, &Link{Name: fmt.Sprintf("d%d", i), Bandwidth: 1e7 * (1 + rng.Float64()), Latency: 1e-6, ID: 2 + 2*i})
 	}
 	// Pre-generate the whole workload so both engine configurations replay
 	// the exact same program.
@@ -311,8 +314,8 @@ func equivalenceEngine(opts ...Option) (*Engine, []*Host) {
 		r.hosts[hosts[i]] = i
 	}
 	for i := 0; i < 2*n; i++ {
-		r.up = append(r.up, &Link{Name: fmt.Sprintf("u%d", i), Bandwidth: 1e7, Latency: 1e-6})
-		r.down = append(r.down, &Link{Name: fmt.Sprintf("d%d", i), Bandwidth: 1e7, Latency: 1e-6})
+		r.up = append(r.up, &Link{Name: fmt.Sprintf("u%d", i), Bandwidth: 1e7, Latency: 1e-6, ID: 1 + 2*i})
+		r.down = append(r.down, &Link{Name: fmt.Sprintf("d%d", i), Bandwidth: 1e7, Latency: 1e-6, ID: 2 + 2*i})
 	}
 	return NewEngine(r, opts...), hosts
 }

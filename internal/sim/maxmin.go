@@ -53,24 +53,36 @@ type flow struct {
 // on it.
 type linkState struct {
 	link  *Link
+	bw    float64 // link.Bandwidth, read by the solver without a pointer hop
 	flows []*flow
 	mark  int64 // component-traversal generation marker
 	dirty bool  // queued in Engine.dirtyLinks
 
+	// canSaturate's answer for the current flow list, valid while satKnown;
+	// addFlow and removeFlow clear satKnown whenever they change the list.
+	satKnown, sat bool
+
 	// progressive-filling scratch: the remaining capacity, the number of
 	// unfixed flows (0 on a link that cannot saturate, which filling
-	// ignores), and their fair share rem/n, re-derived only when a fixed
-	// flow consumes from the link.
+	// ignores), and their fair share rem/n. Consumption leaves the share
+	// stale; the next level's scan re-derives it, so the level that ends a
+	// solve divides nothing.
 	rem   float64
 	n     int
 	share float64
 }
 
+// linkState returns the engine's registry for l, the slot at l.ID, creating
+// it on first use. startComm rejects a negative ID, and an ID whose slot
+// already belongs to another link, before any flow reaches addFlow.
 func (e *Engine) linkState(l *Link) *linkState {
-	ls, ok := e.linkStates[l]
-	if !ok {
-		ls = &linkState{link: l}
-		e.linkStates[l] = ls
+	if l.ID >= len(e.linkStates) {
+		e.linkStates = append(e.linkStates, make([]*linkState, l.ID+1-len(e.linkStates))...)
+	}
+	ls := e.linkStates[l.ID]
+	if ls == nil {
+		ls = &linkState{link: l, bw: l.Bandwidth}
+		e.linkStates[l.ID] = ls
 	}
 	return ls
 }
@@ -103,13 +115,14 @@ func (e *Engine) addFlow(f *flow) {
 		f.ub = f.cap
 	}
 	for i, l := range f.links {
-		if l.Bandwidth < f.ub {
-			f.ub = l.Bandwidth
-		}
 		ls := e.linkState(l)
+		if ls.bw < f.ub {
+			f.ub = ls.bw
+		}
 		f.lstates[i] = ls
 		f.linkPos[i] = len(ls.flows)
 		ls.flows = append(ls.flows, f)
+		ls.satKnown = false
 	}
 	if !f.dirty {
 		f.dirty = true
@@ -143,6 +156,7 @@ func (e *Engine) removeFlow(f *flow) {
 		ls.flows[pos] = m
 		ls.flows[tail] = nil
 		ls.flows = ls.flows[:tail]
+		ls.satKnown = false
 		if pos != tail {
 			// Fix the moved flow's back-pointer for this link (m may be f
 			// itself when a route crosses the same link twice). A flow
@@ -231,12 +245,23 @@ const saturationSlack = 1e-9
 // canSaturate reports whether progressive filling could ever fix a flow at
 // ls. No flow's rate exceeds its bound ub, so while the bandwidth exceeds
 // the sum of the bounds of the flows crossing ls, the link's fair share stays
-// above every fill level. The sum is taken from the current flows on each
-// call (a running per-link sum would drift over a long replay) and stops as
-// soon as it shows the link can saturate. Degenerate links, with a
-// non-positive bandwidth or a flow of non-positive bound, always can.
+// above every fill level. The answer depends on the flow list alone (each
+// flow's ub is fixed at addFlow), so it is cached until the list changes and
+// then re-summed by saturates; a running per-link sum would drift over a
+// long replay.
 func (ls *linkState) canSaturate() bool {
-	bw := ls.link.Bandwidth
+	if !ls.satKnown {
+		ls.sat, ls.satKnown = ls.saturates(), true
+	}
+	return ls.sat
+}
+
+// saturates is canSaturate's uncached answer: it sums the bounds of the
+// current flows in list order and stops as soon as the sum shows the link
+// can saturate. Degenerate links, with a non-positive bandwidth or a flow of
+// non-positive bound, always can.
+func (ls *linkState) saturates() bool {
+	bw := ls.bw
 	if !(bw > 0) {
 		return true
 	}
@@ -289,7 +314,7 @@ func (e *Engine) solveFrom(seed *flow, m int64) {
 				continue
 			}
 			links = append(links, ls)
-			ls.rem = ls.link.Bandwidth
+			ls.rem = ls.bw
 			ls.n = len(ls.flows)
 			ls.share = ls.rem / float64(ls.n)
 			if ls.share < level {
@@ -364,7 +389,6 @@ func (e *Engine) solveComponent(comp []*flow, links []*linkState, level float64,
 					ls.rem = 0
 				}
 				ls.n--
-				ls.share = ls.rem / float64(ls.n)
 			}
 		}
 		e.levelBuf = at[:0]
@@ -373,8 +397,11 @@ func (e *Engine) solveComponent(comp []*flow, links []*linkState, level float64,
 		}
 		level = math.Inf(1)
 		for _, ls := range links {
-			if ls.n > 0 && ls.share < level {
-				level = ls.share
+			if ls.n > 0 {
+				ls.share = ls.rem / float64(ls.n)
+				if ls.share < level {
+					level = ls.share
+				}
 			}
 		}
 		if capped {

@@ -63,7 +63,7 @@ func TestMaxMinClassicExample(t *testing.T) {
 	// The textbook three-flow example: l1 cap 10 carries f1,f2; l2 cap 5
 	// carries f2,f3. Max-min: f2 and f3 get 2.5 (l2 bottleneck), f1 gets 7.5.
 	l1 := &Link{Name: "l1", Bandwidth: 10}
-	l2 := &Link{Name: "l2", Bandwidth: 5}
+	l2 := &Link{Name: "l2", Bandwidth: 5, ID: 1}
 	fs := []*flow{
 		{comm: mkComm(1), links: []*Link{l1}, rem: 1},
 		{comm: mkComm(1), links: []*Link{l1, l2}, rem: 1},
@@ -96,7 +96,7 @@ func TestMaxMinInvariantsProperty(t *testing.T) {
 		nLinks := 1 + rng.Intn(6)
 		links := make([]*Link, nLinks)
 		for i := range links {
-			links[i] = &Link{Name: "l", Bandwidth: 1 + 99*rng.Float64()}
+			links[i] = &Link{Name: "l", Bandwidth: 1 + 99*rng.Float64(), ID: i}
 		}
 		nFlows := 1 + rng.Intn(10)
 		fs := make([]*flow, nFlows)

@@ -90,7 +90,7 @@ func TestStalledFlowDeadlockDiagnostic(t *testing.T) {
 func TestStalledFlowReexaminedOnRecompute(t *testing.T) {
 	hs := newTestHosts(4, 1e9)
 	l1 := &Link{Name: "l1", Bandwidth: 1e6}
-	l2 := &Link{Name: "l2", Bandwidth: 1e6}
+	l2 := &Link{Name: "l2", Bandwidth: 1e6, ID: 1}
 	r := tableRouter{
 		{hs[0], hs[1]}: {Links: []*Link{l1}},
 		{hs[2], hs[3]}: {Links: []*Link{l2}},
@@ -129,7 +129,7 @@ func TestStalledFlowReexaminedOnRecompute(t *testing.T) {
 // link's level — it receives at least that link's full share.
 func TestDegenerateLinkSparesHealthyFlows(t *testing.T) {
 	bad := &Link{Name: "bad", Bandwidth: -1} // degenerate by construction
-	good := &Link{Name: "good", Bandwidth: 10}
+	good := &Link{Name: "good", Bandwidth: 10, ID: 1}
 	e := NewEngine(pairRouter{good})
 	fA := &flow{comm: mkComm(1), links: []*Link{bad}, rem: 1}
 	fC := &flow{comm: mkComm(1), links: []*Link{bad, good}, rem: 1}

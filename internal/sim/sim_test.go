@@ -177,7 +177,7 @@ func TestMaxMinTwoBottlenecks(t *testing.T) {
 	// Max-min: B limited by l2 at 4, A gets the rest of l1: 6.
 	hs := newTestHosts(4, 1e9)
 	l1 := &Link{Name: "l1", Bandwidth: 10, Latency: 0}
-	l2 := &Link{Name: "l2", Bandwidth: 4, Latency: 0}
+	l2 := &Link{Name: "l2", Bandwidth: 4, Latency: 0, ID: 1}
 	r := tableRouter{
 		{hs[0], hs[1]}: {Links: []*Link{l1}},
 		{hs[2], hs[3]}: {Links: []*Link{l1, l2}},
@@ -342,6 +342,48 @@ func TestZeroBandwidthLinkIsError(t *testing.T) {
 	e.SpawnProg("r", hs[1], script(func(p *Prog) { get(p, mb) }))
 	if err := e.Run(); err == nil {
 		t.Fatal("expected error for zero-bandwidth link")
+	}
+}
+
+// TestLinkIDsIdentifyLinks checks the contract of the engine's per-link
+// state, which is indexed by Link.ID: two distinct links sharing an ID, on
+// one route or on two, and a link with a negative ID make Run fail naming
+// them instead of merging or misplacing their flows.
+func TestLinkIDsIdentifyLinks(t *testing.T) {
+	hs := newTestHosts(4, 1e9)
+	run := func(r Router) error {
+		e := NewEngine(r)
+		mb := boxes(e, 2)
+		e.SpawnProg("s0", hs[0], script(func(p *Prog) { put(p, mb[0], 10) }))
+		e.SpawnProg("r0", hs[1], script(func(p *Prog) { get(p, mb[0]) }))
+		e.SpawnProg("s1", hs[2], script(func(p *Prog) { p.Sleep(1); put(p, mb[1], 10) }))
+		e.SpawnProg("r1", hs[3], script(func(p *Prog) { get(p, mb[1]) }))
+		return e.Run()
+	}
+	a := &Link{Name: "a", Bandwidth: 1e6, ID: 3}
+	b := &Link{Name: "b", Bandwidth: 1e6, ID: 3}
+	neg := &Link{Name: "neg", Bandwidth: 1e6, ID: -1}
+	for _, tc := range []struct {
+		name  string
+		route [2][]*Link
+		want  string
+	}{
+		{"two routes", [2][]*Link{{a}, {b}}, "sim: comm 2 crosses links a and b, which share id 3"},
+		{"one route", [2][]*Link{{a, b}, {a}}, "sim: comm 1 crosses links a and b, which share id 3"},
+		{"negative", [2][]*Link{{a}, {neg}}, "sim: comm 2 crosses link neg with negative id -1"},
+	} {
+		r := tableRouter{
+			{hs[0], hs[1]}: {Links: tc.route[0]},
+			{hs[2], hs[3]}: {Links: tc.route[1]},
+		}
+		if err := run(r); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// Distinct IDs run, whatever their order and gaps.
+	c := &Link{Name: "c", Bandwidth: 1e6, ID: 0}
+	if err := run(tableRouter{{hs[0], hs[1]}: {Links: []*Link{a, c}}, {hs[2], hs[3]}: {Links: []*Link{c}}}); err != nil {
+		t.Fatal(err)
 	}
 }
 

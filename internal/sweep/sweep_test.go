@@ -44,6 +44,32 @@ func gridSpec() *Sweep {
 	}
 }
 
+// Spec literals shared by the decoding tests and FuzzSweepSpec's seeds:
+// a 2x2 grid written as a spec file, and specs misspelling a sweep field
+// and a base-scenario knob.
+const (
+	fileSweepJSON = `{
+	  "name": "file-sweep",
+	  "base": {
+	    "platform": {"name": "c", "topology": "flat", "hosts": 4, "speed": 1e9,
+	      "link_bandwidth": 1.25e8, "link_latency": 2e-5,
+	      "backbone_bandwidth": 1.25e9, "backbone_latency": 1e-6},
+	    "workload": {"benchmark": "ep", "class": "S", "procs": 4}
+	  },
+	  "axes": [
+	    {"name": "procs", "values": [
+	      {"workload.procs": 2, "platform.hosts": 2},
+	      {"workload.procs": 4, "platform.hosts": 4}], "labels": ["2", "4"]},
+	    {"name": "backend", "values": ["smpi", "msg"]}
+	  ]
+	}`
+	typoedSpecJSON = `{"nme": "x"}`
+	typoedBaseJSON = `{"base": {"platform": {"topology": "flat", "hosts": 2, "speed": 1e9,
+	  "link_bandwidth": 1.25e8, "link_latency": 2e-5,
+	  "backbone_bandwidth": 1.25e9, "backbone_latency": 1e-6},
+	  "workload": {"benchmark": "ep", "class": "S", "prcs": 2}}}`
+)
+
 func flatSpec(hosts int) *platform.Spec {
 	return &platform.Spec{
 		Name: "test", Topology: "flat", Hosts: hosts, Speed: 1e9,
@@ -172,14 +198,10 @@ func TestStrictDecodingNamesOffendingField(t *testing.T) {
 	}
 
 	// A typoed knob in a sweep spec file must fail loudly too.
-	if _, err := ReadSpec(strings.NewReader(`{"nme": "x"}`)); err == nil || !strings.Contains(err.Error(), "nme") {
+	if _, err := ReadSpec(strings.NewReader(typoedSpecJSON)); err == nil || !strings.Contains(err.Error(), "nme") {
 		t.Fatalf("typoed spec field error %v does not name the field", err)
 	}
-	bad := `{"base": {"platform": {"topology": "flat", "hosts": 2, "speed": 1e9,
-	  "link_bandwidth": 1.25e8, "link_latency": 2e-5,
-	  "backbone_bandwidth": 1.25e9, "backbone_latency": 1e-6},
-	  "workload": {"benchmark": "ep", "class": "S", "prcs": 2}}}`
-	if _, err := ReadSpec(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "prcs") {
+	if _, err := ReadSpec(strings.NewReader(typoedBaseJSON)); err == nil || !strings.Contains(err.Error(), "prcs") {
 		t.Fatalf("typoed base knob error %v does not name the field", err)
 	}
 }
@@ -701,22 +723,7 @@ func (fakeModel) Effective(route sim.Route, size float64) (latency, rateCap floa
 func TestSpecFileLoad(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.json")
-	specJSON := `{
-	  "name": "file-sweep",
-	  "base": {
-	    "platform": {"name": "c", "topology": "flat", "hosts": 4, "speed": 1e9,
-	      "link_bandwidth": 1.25e8, "link_latency": 2e-5,
-	      "backbone_bandwidth": 1.25e9, "backbone_latency": 1e-6},
-	    "workload": {"benchmark": "ep", "class": "S", "procs": 4}
-	  },
-	  "axes": [
-	    {"name": "procs", "values": [
-	      {"workload.procs": 2, "platform.hosts": 2},
-	      {"workload.procs": 4, "platform.hosts": 4}], "labels": ["2", "4"]},
-	    {"name": "backend", "values": ["smpi", "msg"]}
-	  ]
-	}`
-	if err := os.WriteFile(path, []byte(specJSON), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(fileSweepJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sw, err := Load(path)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -290,6 +291,66 @@ func TestTAUImport(t *testing.T) {
 	// and passes cross-rank validation.
 	if err := Validate(NewMemProvider(got)); err != nil {
 		t.Fatalf("synthesized trace does not validate: %v", err)
+	}
+}
+
+// TestTAUImportDeterministic imports one profile repeatedly and requires
+// bit-identical actions every time: the non-MPI exclusive times sum in a
+// fixed order (1e16 + 1 + 1 rounds differently depending on it), and each
+// collective takes its own event's mean even when the profile also holds
+// the event whose name contains its own (all-reduce for reduce, all-gather
+// for gather).
+func TestTAUImportDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	profile := `7 templated_functions_MULTI_TIME
+# Name Calls Subrs Excl Incl ProfileCalls
+".TAU application" 1 3 1e16 1e16 0 GROUP="TAU_DEFAULT"
+"solve" 1 0 1 1 0 GROUP="TAU_USER"
+"exchange" 1 0 1 1 0 GROUP="TAU_USER"
+"MPI_Reduce()" 1 0 10 10 0 GROUP="MPI"
+"MPI_Allreduce()" 1 0 10 10 0 GROUP="MPI"
+"MPI_Gather()" 1 0 10 10 0 GROUP="MPI"
+"MPI_Allgather()" 1 0 10 10 0 GROUP="MPI"
+0 aggregates
+4 userevents
+# eventname numevents max min mean sumsqr
+"Message size for all-reduce" 1 4096 4096 4096 0
+"Message size for reduce" 1 64 64 64 0
+"Message size for all-gather" 1 2048 2048 2048 0
+"Message size for gather" 1 32 32 32 0
+`
+	if err := os.WriteFile(filepath.Join(dir, "profile.0.0.0"), []byte(profile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first [][]Action
+	for i := 0; i < 50; i++ {
+		p, err := Import("tau", dir, ImportOptions{InstructionRate: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := materializeProvider(t, p)
+		if i == 0 {
+			first = got
+			continue
+		}
+		for k, a := range got[0] {
+			b := first[0][k]
+			if math.Float64bits(a.Instructions) != math.Float64bits(b.Instructions) || a.Bytes != b.Bytes || a.Kind != b.Kind {
+				t.Fatalf("import %d action %d = %+v, first import gave %+v", i, k, a, b)
+			}
+		}
+	}
+	sizes := map[Kind]float64{}
+	for _, a := range first[0] {
+		if a.Kind != Compute {
+			sizes[a.Kind] = a.Bytes
+		} else if a.Instructions != 1e16 {
+			t.Fatalf("compute volume %v, want 1e16 (1e16 + 1 + 1 summed in name order)", a.Instructions)
+		}
+	}
+	want := map[Kind]float64{Init: 0, Finalize: 0, Reduce: 64, AllReduce: 4096, Gather: 32, AllGather: 2048}
+	if !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("payload by kind = %v, want %v", sizes, want)
 	}
 }
 

@@ -1,6 +1,11 @@
 package trace
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Stats summarizes the volumes in a trace, per rank and overall. The
 // acquisition tools print it so users can sanity-check traces before replay,
@@ -72,6 +77,8 @@ func Collect(p Provider, eagerThreshold float64) (*Stats, error) {
 // Validate checks cross-rank consistency of a full trace: every send must
 // have a matching receive on the peer (and vice versa), and collective
 // participation counts must agree across ranks. It streams each rank once.
+// Of several mismatches it reports the first in a fixed order: rank pairs
+// by (source, destination), then collectives in Kind order.
 func Validate(p Provider) error {
 	n := p.NumRanks()
 	// sendCount[src][dst] counts messages; recvCount[dst][src] likewise.
@@ -112,19 +119,22 @@ func Validate(p Provider) error {
 			}
 		}
 	}
-	for pair, ns := range sendCount {
-		if nr := recvCount[pair]; nr != ns {
+	pairs := slices.AppendSeq(slices.Collect(maps.Keys(sendCount)), maps.Keys(recvCount))
+	slices.SortFunc(pairs, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for _, pair := range slices.Compact(pairs) {
+		switch ns, nr := sendCount[pair], recvCount[pair]; {
+		case ns > 0 && nr != ns:
 			return fmt.Errorf("trace: p%d sends %d message(s) to p%d but p%d posts %d receive(s)",
 				pair[0], ns, pair[1], pair[1], nr)
-		}
-	}
-	for pair, nr := range recvCount {
-		if _, ok := sendCount[pair]; !ok && nr > 0 {
+		case ns == 0 && nr > 0:
 			return fmt.Errorf("trace: p%d posts %d receive(s) from p%d with no matching send",
 				pair[1], nr, pair[0])
 		}
 	}
-	for kind, counts := range collCount {
+	for _, kind := range slices.Sorted(maps.Keys(collCount)) {
+		counts := collCount[kind]
 		for r := 1; r < n; r++ {
 			if counts[r] != counts[0] {
 				return fmt.Errorf("trace: collective %s called %d time(s) on p0 but %d on p%d",

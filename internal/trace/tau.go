@@ -17,8 +17,8 @@ package trace
 // actions can be reconstructed. The importer synthesizes a representative
 // per-rank stream: init, one compute action carrying the rank's non-MPI
 // exclusive time (scaled by the instruction rate), then each profiled
-// collective repeated its call count with the mean payload from the
-// matching "Message size ..." user event (zero when the profile recorded no
+// collective repeated its call count with the mean payload from its own
+// "Message size for <op>" user event (zero when the profile recorded no
 // sizes), and finalize. Point-to-point calls cannot be paired up from
 // aggregates and are folded into a synthetic alltoall carrying the rank's
 // mean send size, preserving total volume; collectives — which SPMD codes
@@ -28,9 +28,11 @@ package trace
 import (
 	"bufio"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -187,40 +189,49 @@ func parseTAUProfile(path string) (*tauProfile, error) {
 	return p, nil
 }
 
-// meanSize looks up the mean payload of a "Message size for <op>" user
-// event (TAU's -PROFILEMSGSIZE events), zero when the profile has none.
-func (p *tauProfile) meanSize(op string) float64 {
-	for name, evt := range p.events {
-		if strings.Contains(name, "message size") && strings.Contains(name, op) {
+// meanSize returns the mean payload of the first of the named user events
+// (TAU's -PROFILEMSGSIZE events, lowercased) that the profile recorded,
+// zero when it has none. Names match exactly, so the reduce event is never
+// taken for the all-reduce one.
+func (p *tauProfile) meanSize(names ...string) float64 {
+	for _, name := range names {
+		if evt, ok := p.events[name]; ok {
 			return evt.mean
 		}
 	}
 	return 0
 }
 
+// tauSendEvents name the mean send size, in order of preference: the
+// per-operation form the collectives use, then TAU's aggregate over
+// destinations.
+var tauSendEvents = []string{"message size for send", "message size sent to all nodes"}
+
 // tauCollectives maps profiled MPI collectives onto action kinds and the
-// user-event keyword their payload is recorded under.
+// user event their payload is recorded under.
 var tauCollectives = []struct {
 	fn    string
 	kind  Kind
 	event string
 }{
 	{"MPI_Barrier", Barrier, ""},
-	{"MPI_Bcast", Bcast, "broadcast"},
-	{"MPI_Reduce", Reduce, "reduce"},
-	{"MPI_Allreduce", AllReduce, "all-reduce"},
-	{"MPI_Alltoall", AllToAll, "all-to-all"},
-	{"MPI_Gather", Gather, "gather"},
-	{"MPI_Allgather", AllGather, "all-gather"},
+	{"MPI_Bcast", Bcast, "message size for broadcast"},
+	{"MPI_Reduce", Reduce, "message size for reduce"},
+	{"MPI_Allreduce", AllReduce, "message size for all-reduce"},
+	{"MPI_Alltoall", AllToAll, "message size for all-to-all"},
+	{"MPI_Gather", Gather, "message size for gather"},
+	{"MPI_Allgather", AllGather, "message size for all-gather"},
 }
 
 // synthesize builds the representative action stream of one rank.
 func (p *tauProfile) synthesize(rank, world int, rate float64) []Action {
 	actions := []Action{{Rank: rank, Kind: Init, Peer: -1}}
-	// Non-MPI exclusive time (microseconds) becomes one compute volume.
+	// Non-MPI exclusive time (microseconds) becomes one compute volume,
+	// summed in name order: floating-point addition is not associative, so
+	// map order would make the volume vary from import to import.
 	var usec float64
-	for _, fn := range p.fns {
-		if !fn.mpi {
+	for _, name := range slices.Sorted(maps.Keys(p.fns)) {
+		if fn := p.fns[name]; !fn.mpi {
 			usec += fn.excl
 		}
 	}
@@ -232,7 +243,7 @@ func (p *tauProfile) synthesize(rank, world int, rate float64) []Action {
 	// contention) survives, symmetrically on every rank.
 	sends := p.fns["MPI_Send"].calls + p.fns["MPI_Isend"].calls
 	if sends > 0 {
-		if mean := p.meanSize("sen"); mean > 0 && world > 1 {
+		if mean := p.meanSize(tauSendEvents...); mean > 0 && world > 1 {
 			total := float64(sends) * mean
 			actions = append(actions, Action{Rank: rank, Kind: AllToAll, Peer: -1,
 				Bytes: total / float64(world-1)})

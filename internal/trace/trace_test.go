@@ -356,6 +356,38 @@ func TestValidateDetectsCollectiveImbalance(t *testing.T) {
 	}
 }
 
+// TestValidateReportsFirstMismatch pins which of several mismatches
+// Validate names: the first rank pair by (source, destination), then the
+// first collective in Kind order, whatever the map order of the counts.
+func TestValidateReportsFirstMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		trace [][]Action
+		want  string
+	}{
+		{"unmatched sends", [][]Action{
+			{{Rank: 0, Kind: Send, Peer: 3, Bytes: 8}, {Rank: 0, Kind: Send, Peer: 1, Bytes: 8}, {Rank: 0, Kind: Send, Peer: 2, Bytes: 8}},
+			{}, {}, {},
+		}, "trace: p0 sends 1 message(s) to p1 but p1 posts 0 receive(s)"},
+		{"orphan receive before unmatched send", [][]Action{
+			{},
+			{{Rank: 1, Kind: Recv, Peer: 0, Bytes: 8}},
+			{{Rank: 2, Kind: Send, Peer: 3, Bytes: 8}},
+			{},
+		}, "trace: p1 posts 1 receive(s) from p0 with no matching send"},
+		{"collectives", [][]Action{
+			{{Rank: 0, Kind: AllReduce, Peer: -1, Bytes: 8}, {Rank: 0, Kind: Barrier, Peer: -1}, {Rank: 0, Kind: Bcast, Peer: -1, Bytes: 8}},
+			{},
+		}, "trace: collective barrier called 1 time(s) on p0 but 0 on p1"},
+	} {
+		for i := 0; i < 50; i++ {
+			if err := Validate(NewMemProvider(tc.trace)); err == nil || err.Error() != tc.want {
+				t.Fatalf("%s: call %d: Validate = %v, want %q", tc.name, i, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestValidateDetectsPeerOutOfRange(t *testing.T) {
 	p := NewMemProvider([][]Action{
 		{{Rank: 0, Kind: Send, Peer: 9, Bytes: 8}},
