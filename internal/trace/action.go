@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Kind enumerates the action types of the time-independent format.
@@ -58,7 +57,8 @@ const (
 	maxKindV2 = WaitSome
 )
 
-var kindNames = map[Kind]string{
+// kindNames is indexed by Kind.
+var kindNames = [...]string{
 	Init:       "init",
 	Finalize:   "finalize",
 	Compute:    "compute",
@@ -82,10 +82,10 @@ var kindNames = map[Kind]string{
 }
 
 func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if uint(k) < uint(len(kindNames)) {
+		return kindNames[k]
 	}
-	return fmt.Sprintf("Kind(%d)", int(k))
+	return "Kind(" + strconv.Itoa(int(k)) + ")"
 }
 
 // HasPeer reports whether actions of this kind carry a peer rank.
@@ -161,35 +161,61 @@ func (a Action) Equal(b Action) bool {
 
 // String renders the action in the canonical trace text form.
 func (a Action) String() string {
+	var buf [64]byte
+	return string(a.appendText(buf[:0]))
+}
+
+// appendText appends the action's text line, without its newline, to buf:
+// the inverse of the grammar ParseLine reads. Integral scalar volumes print
+// as plain digits, fractional ones in the shortest form that parses back
+// exactly, and vector volumes always in that shortest form.
+func (a *Action) appendText(buf []byte) []byte {
+	buf = strconv.AppendInt(append(buf, 'p'), int64(a.Rank), 10)
+	buf = append(append(buf, ' '), a.Kind.String()...)
 	switch a.Kind {
 	case Compute:
-		return fmt.Sprintf("p%d compute %.0f", a.Rank, a.Instructions)
+		buf = appendDecimal(append(buf, ' '), a.Instructions)
 	case Send, ISend:
-		return fmt.Sprintf("p%d %s p%d %.0f", a.Rank, a.Kind, a.Peer, a.Bytes)
+		buf = strconv.AppendInt(append(buf, " p"...), int64(a.Peer), 10)
+		buf = appendDecimal(append(buf, ' '), a.Bytes)
 	case Recv, IRecv:
-		if a.Bytes < 0 {
-			return fmt.Sprintf("p%d %s p%d", a.Rank, a.Kind, a.Peer)
+		buf = strconv.AppendInt(append(buf, " p"...), int64(a.Peer), 10)
+		if !(a.Bytes < 0) { // a negative size is the v1 form's unknown one; NaN prints
+			buf = appendDecimal(append(buf, ' '), a.Bytes)
 		}
-		return fmt.Sprintf("p%d %s p%d %.0f", a.Rank, a.Kind, a.Peer, a.Bytes)
 	case Bcast, Reduce, Gather:
+		buf = appendDecimal(append(buf, ' '), a.Bytes)
 		if a.Root != 0 {
-			return fmt.Sprintf("p%d %s %.0f %d", a.Rank, a.Kind, a.Bytes, a.Root)
+			buf = strconv.AppendInt(append(buf, ' '), int64(a.Root), 10)
 		}
-		return fmt.Sprintf("p%d %s %.0f", a.Rank, a.Kind, a.Bytes)
 	case AllReduce, AllToAll, AllGather:
-		return fmt.Sprintf("p%d %s %.0f", a.Rank, a.Kind, a.Bytes)
+		buf = appendDecimal(append(buf, ' '), a.Bytes)
 	case AllToAllV, AllGatherV:
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "p%d %s", a.Rank, a.Kind)
 		for _, v := range a.Volumes {
-			fmt.Fprintf(&sb, " %s", strconv.FormatFloat(v, 'f', -1, 64))
+			buf = strconv.AppendFloat(append(buf, ' '), v, 'f', -1, 64)
 		}
-		return sb.String()
 	case WaitSome:
-		return fmt.Sprintf("p%d %s %d", a.Rank, a.Kind, a.Count)
-	default:
-		return fmt.Sprintf("p%d %s", a.Rank, a.Kind)
+		buf = strconv.AppendInt(append(buf, ' '), int64(a.Count), 10)
 	}
+	return buf
+}
+
+// appendDecimal appends a scalar volume. An integral or non-finite v prints
+// as fmt's %.0f prints it (digits, "-0", "NaN", "+Inf"), integers below
+// 2^63 without going through the float formatter; any other v prints in
+// the shortest decimal form that parses back to it exactly.
+func appendDecimal(buf []byte, v float64) []byte {
+	u := math.Abs(v)
+	if !(u < 1<<63) { // integral from 2^63 on, infinite, or NaN
+		return strconv.AppendFloat(buf, v, 'f', 0, 64)
+	}
+	if n := uint64(u); float64(n) == u {
+		if math.Signbit(v) {
+			buf = append(buf, '-')
+		}
+		return strconv.AppendUint(buf, n, 10)
+	}
+	return strconv.AppendFloat(buf, v, 'f', -1, 64)
 }
 
 // Validate checks the internal consistency of a single action. Volumes must

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 )
@@ -141,29 +140,48 @@ func (f FoldedTrace) Expand() []Action {
 	return out
 }
 
+// foldedStream serves a folded trace one action at a time, without
+// expanding it.
+type foldedStream struct {
+	blocks   []FoldBlock
+	rep, pos int // blocks[0].Body[pos] of repetition rep is served next
+}
+
+// Next implements Stream.
+func (s *foldedStream) Next() (Action, bool, error) {
+	for len(s.blocks) > 0 {
+		if b := &s.blocks[0]; s.rep < b.Count && s.pos < len(b.Body) {
+			a := b.Body[s.pos]
+			if s.pos++; s.pos == len(b.Body) {
+				s.rep, s.pos = s.rep+1, 0
+			}
+			return a, true, nil
+		}
+		s.blocks, s.rep, s.pos = s.blocks[1:], 0, 0
+	}
+	return Action{}, false, nil
+}
+
 // WriteFolded folds actions and writes the folded text form.
 func WriteFolded(w io.Writer, actions []Action) error {
 	f := Fold(actions)
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, foldedHeader); err != nil {
+	tw := newTextWriter(w)
+	if _, err := fmt.Fprintln(tw, foldedHeader); err != nil {
 		return err
 	}
 	for _, b := range f.Blocks {
 		if b.Count > 1 {
-			if _, err := fmt.Fprintf(bw, "@loop %d %d\n", b.Count, len(b.Body)); err != nil {
+			if _, err := fmt.Fprintf(tw, "@loop %d %d\n", b.Count, len(b.Body)); err != nil {
 				return err
 			}
 		}
-		for _, a := range b.Body {
-			if err := a.Validate(); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintln(bw, a.String()); err != nil {
+		for i := range b.Body {
+			if err := tw.action(&b.Body[i]); err != nil {
 				return err
 			}
 		}
 	}
-	return bw.Flush()
+	return tw.Flush()
 }
 
 // NewExpandingReader reads a trace that may be folded (detected via the

@@ -98,6 +98,8 @@ func TestFoldLosslessProperty(t *testing.T) {
 func TestWriteFoldedRoundTrip(t *testing.T) {
 	block := []Action{computeA(3, 100), sendA(3, 1, 2040), Action{Rank: 3, Kind: Recv, Peer: 1, Bytes: 2040}}
 	actions := append([]Action{computeA(3, 7)}, repeatBlock(block, 20)...)
+	// Every argument form once, fractional volumes included, unfolded.
+	actions = append(actions, roundTripActions...)
 	var buf bytes.Buffer
 	if err := WriteFolded(&buf, actions); err != nil {
 		t.Fatal(err)
@@ -120,8 +122,13 @@ func TestWriteFoldedRoundTrip(t *testing.T) {
 		}
 		got = append(got, a)
 	}
-	if !reflect.DeepEqual(got, actions) {
+	if len(got) != len(actions) {
 		t.Fatalf("round trip differs: %d vs %d actions", len(got), len(actions))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], actions[i]) {
+			t.Fatalf("action %d round-trips as %#v, want %#v", i, got[i], actions[i])
+		}
 	}
 }
 

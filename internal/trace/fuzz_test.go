@@ -2,21 +2,28 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"math"
+	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// The fuzz targets compare text ingestion with the oracle in oracle_test.go,
-// the implementation it replaced. Both are seeded from the string literals
-// of the parser's unit tests, so plain `go test` replays those inputs; run
+// FuzzParseLine and FuzzReader compare text ingestion with the oracle in
+// oracle_test.go, the implementation it replaced; both are seeded from the
+// string literals of the parser's unit tests, so plain `go test` replays
+// those inputs. FuzzActionText compares the text encoder with the
+// formatter it replaced and with the parser, FuzzTIBSection checks the TIB
+// decoder, and FuzzTAUProfile the TAU importer. Run, for example,
 // `go test -run '^$' -fuzz '^FuzzReader$' ./internal/trace` to explore.
 
 // seedFiles hold the parser's unit tests.
@@ -259,3 +266,145 @@ func FuzzTIBSection(f *testing.F) {
 		t.Fatalf("stream of a %d-byte section neither failed nor ended", len(section))
 	})
 }
+
+// FuzzActionText builds an action of any kind, known or not, from fuzzed
+// fields (vector volumes from 8 bytes each) and checks the text encoder.
+// String matches the fmt-based formatter it replaced byte for byte whenever
+// the scalar volumes are integral or non-finite; vector volumes printed in
+// their shortest form before too. Write emits exactly the String lines and
+// WriteFolded the same behind its header, and both reject an invalid
+// action with its Validate error. A valid action of a known kind parses
+// back bit for bit.
+func FuzzActionText(f *testing.F) {
+	vec := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	for _, a := range append(slices.Clone(roundTripActions),
+		Action{Rank: 3, Kind: Compute, Instructions: math.Copysign(0, -1)},
+		Action{Rank: 3, Kind: Compute, Instructions: math.NaN()},
+		Action{Rank: 3, Kind: Send, Peer: 1, Bytes: math.Inf(1)},
+		Action{Rank: 3, Kind: Recv, Peer: 1, Bytes: math.Inf(-1)},
+		Action{Rank: 3, Kind: AllReduce, Bytes: -40},
+		Action{Rank: 3, Kind: AllToAll, Bytes: -0.5},
+		Action{Rank: 3, Kind: Bcast, Bytes: 1 << 63, Root: -2},
+		Action{Rank: 3, Kind: Gather, Bytes: 1e300, Root: 7},
+		Action{Rank: 3, Kind: Compute, Instructions: 5e-324},
+		Action{Rank: -1, Kind: Barrier},
+		Action{Rank: 1, Kind: Kind(42)},
+		Action{Rank: 1, Kind: Kind(-3)},
+		Action{Rank: 1, Kind: WaitSome, Count: -1},
+	) {
+		vol := a.Bytes
+		if a.Kind == Compute {
+			vol = a.Instructions
+		}
+		f.Add(a.Rank, int(a.Kind), a.Peer, a.Root, a.Count, vol, vec(a.Volumes...))
+	}
+	f.Add(0, int(AllToAllV), -1, 0, 0, 0.0, vec(math.NaN(), math.Copysign(0, -1), 1<<64, 0.3))
+	f.Fuzz(func(t *testing.T, rank, kind, peer, root, count int, vol float64, vecBytes []byte) {
+		// Only the fields the kind's text form carries are set, so that a
+		// valid action can parse back whole.
+		a := Action{Rank: rank, Kind: Kind(kind), Peer: -1}
+		switch a.Kind {
+		case Compute:
+			a.Instructions = vol
+		case Send, ISend:
+			a.Peer, a.Bytes = peer, vol
+		case Recv, IRecv:
+			a.Peer, a.Bytes = peer, vol
+			if vol < 0 {
+				a.Bytes = -1 // the one text form of an unknown size
+			}
+		case Bcast, Reduce, Gather:
+			a.Bytes, a.Root = vol, root
+		case AllReduce, AllToAll, AllGather:
+			a.Bytes = vol
+		case AllToAllV, AllGatherV:
+			for i := 0; i+8 <= len(vecBytes) && i < 8*64; i += 8 {
+				a.Volumes = append(a.Volumes, math.Float64frombits(binary.LittleEndian.Uint64(vecBytes[i:])))
+			}
+		case WaitSome:
+			a.Count = count
+		}
+		line := a.String()
+		whole := func(v float64) bool { return v == math.Trunc(v) || math.IsNaN(v) }
+		if whole(a.Instructions) && whole(a.Bytes) {
+			if want := oracleString(a); line != want {
+				t.Fatalf("%#v prints %q, the fmt formatter %q", a, line, want)
+			}
+		}
+		var plain, folded bytes.Buffer
+		werr, ferr := Write(&plain, []Action{a, a}), WriteFolded(&folded, []Action{a})
+		verr := a.Validate()
+		if verr != nil {
+			if errText(werr) != verr.Error() || errText(ferr) != verr.Error() {
+				t.Fatalf("writing invalid %#v: Write %v, WriteFolded %v; Validate %v", a, werr, ferr, verr)
+			}
+			return
+		}
+		if werr != nil || plain.String() != line+"\n"+line+"\n" {
+			t.Fatalf("Write(%#v) = %q, %v; want two lines %q", a, plain.String(), werr, line)
+		}
+		if ferr != nil || folded.String() != foldedHeader+"\n"+line+"\n" {
+			t.Fatalf("WriteFolded(%#v) = %q, %v", a, folded.String(), ferr)
+		}
+		if uint(a.Kind) >= uint(len(kindNames)) {
+			return // Validate passes unknown kinds, which the grammar has no name for
+		}
+		got, ok, err := ParseLine(line)
+		if err != nil || !ok || !identical(got, a) {
+			t.Fatalf("%#v prints %q, which parses back as %#v, %v, %v", a, line, got, ok, err)
+		}
+	})
+}
+
+// FuzzTAUProfile imports fuzzed bytes as the TAU profile of ranks 0 and 1.
+// Import must fail, or each rank's stream must yield only actions valid in
+// the world of two ranks (the first tauDrainLimit of them) and then end or
+// fail; nothing may panic.
+func FuzzTAUProfile(f *testing.F) {
+	for _, profile := range []string{tauSampleProfile, tauDeterministicProfile,
+		tauBarrierProfile("200000", "1e5", "40"), tauBarrierProfile("3", "1e999", "40"),
+		tauBarrierProfile("3", "1e5", "-7"), tauBarrierProfile("99999999999999999999", "1e5", "40"),
+		"", "5 templated_functions_MULTI_TIME\n"} {
+		f.Add([]byte(profile))
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, profile []byte) {
+		for _, name := range []string{"profile.0.0.0", "profile.1.0.0"} {
+			if err := os.WriteFile(filepath.Join(dir, name), profile, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := Import("tau", dir, ImportOptions{InstructionRate: 1e6})
+		if err != nil {
+			return
+		}
+		if p.NumRanks() != 2 {
+			t.Fatalf("NumRanks = %d, want 2", p.NumRanks())
+		}
+		for r := range 2 {
+			st, err := p.Rank(r)
+			if err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+			for range tauDrainLimit {
+				a, ok, err := st.Next()
+				if err != nil || !ok {
+					break
+				}
+				if err := a.ValidateIn(2); err != nil || a.Rank != r {
+					t.Fatalf("rank %d streams %#v: %v", r, a, err)
+				}
+			}
+		}
+	})
+}
+
+// tauDrainLimit bounds how many actions FuzzTAUProfile reads per rank: a
+// short profile can count billions of calls.
+const tauDrainLimit = 10000

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -231,11 +233,8 @@ MPI_Alltoallv returning at walltime 1.5, cputime 0 seconds in thread 0.
 	})
 }
 
-// writeTAUSample lays out a two-rank TAU profile folder.
-func writeTAUSample(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	profile := `5 templated_functions_MULTI_TIME
+// tauSampleProfile is the profile of each rank of writeTAUSample.
+const tauSampleProfile = `5 templated_functions_MULTI_TIME
 # Name Calls Subrs Excl Incl ProfileCalls
 ".TAU application" 1 10 2000000 9000000 0 GROUP="TAU_DEFAULT"
 "MPI_Allreduce()" 5 0 300000 300000 0 GROUP="MPI"
@@ -248,9 +247,14 @@ func writeTAUSample(t *testing.T) string {
 "Message size for all-reduce" 5 40 40 40 0
 "Message size for send" 4 100 100 100 0
 `
+
+// writeTAUSample lays out a two-rank TAU profile folder.
+func writeTAUSample(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
 	for r := 0; r < 2; r++ {
 		name := filepath.Join(dir, "profile."+string(rune('0'+r))+".0.0")
-		if err := os.WriteFile(name, []byte(profile), 0o644); err != nil {
+		if err := os.WriteFile(name, []byte(tauSampleProfile), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,15 +298,9 @@ func TestTAUImport(t *testing.T) {
 	}
 }
 
-// TestTAUImportDeterministic imports one profile repeatedly and requires
-// bit-identical actions every time: the non-MPI exclusive times sum in a
-// fixed order (1e16 + 1 + 1 rounds differently depending on it), and each
-// collective takes its own event's mean even when the profile also holds
-// the event whose name contains its own (all-reduce for reduce, all-gather
-// for gather).
-func TestTAUImportDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	profile := `7 templated_functions_MULTI_TIME
+// tauDeterministicProfile is the one-rank profile of
+// TestTAUImportDeterministic.
+const tauDeterministicProfile = `7 templated_functions_MULTI_TIME
 # Name Calls Subrs Excl Incl ProfileCalls
 ".TAU application" 1 3 1e16 1e16 0 GROUP="TAU_DEFAULT"
 "solve" 1 0 1 1 0 GROUP="TAU_USER"
@@ -319,7 +317,16 @@ func TestTAUImportDeterministic(t *testing.T) {
 "Message size for all-gather" 1 2048 2048 2048 0
 "Message size for gather" 1 32 32 32 0
 `
-	if err := os.WriteFile(filepath.Join(dir, "profile.0.0.0"), []byte(profile), 0o644); err != nil {
+
+// TestTAUImportDeterministic imports one profile repeatedly and requires
+// bit-identical actions every time: the non-MPI exclusive times sum in a
+// fixed order (1e16 + 1 + 1 rounds differently depending on it), and each
+// collective takes its own event's mean even when the profile also holds
+// the event whose name contains its own (all-reduce for reduce, all-gather
+// for gather).
+func TestTAUImportDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "profile.0.0.0"), []byte(tauDeterministicProfile), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var first [][]Action
@@ -351,6 +358,109 @@ func TestTAUImportDeterministic(t *testing.T) {
 	want := map[Kind]float64{Init: 0, Finalize: 0, Reduce: 64, AllReduce: 4096, Gather: 32, AllGather: 2048}
 	if !reflect.DeepEqual(sizes, want) {
 		t.Fatalf("payload by kind = %v, want %v", sizes, want)
+	}
+}
+
+// tauBarrierProfile is a one-rank profile with the given barrier call count
+// (line 4), application exclusive time (line 3) and all-reduce mean size
+// (line 9).
+func tauBarrierProfile(calls, excl, mean string) string {
+	return `3 templated_functions_MULTI_TIME
+# Name Calls Subrs Excl Incl ProfileCalls
+".TAU application" 1 2 ` + excl + ` ` + excl + ` 0 GROUP="TAU_DEFAULT"
+"MPI_Barrier()" ` + calls + ` 0 10 10 0 GROUP="MPI"
+"MPI_Allreduce()" 1 0 10 10 0 GROUP="MPI"
+0 aggregates
+1 userevents
+# eventname numevents max min mean sumsqr
+"Message size for all-reduce" 1 ` + mean + ` ` + mean + ` ` + mean + ` 0
+`
+}
+
+// importTAUProfile imports profile as the one rank of a TAU folder and
+// returns the importer's result and the profile's path.
+func importTAUProfile(t *testing.T, profile string) (Provider, string, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "profile.0.0.0")
+	if err := os.WriteFile(path, []byte(profile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Import("tau", filepath.Dir(path), ImportOptions{InstructionRate: 1e6})
+	return p, path, err
+}
+
+// A profile's call counts are repetitions the stream counts out, not
+// actions the importer copies: 200,000 barriers cost as little as two.
+func TestTAUImportStreamsCallCounts(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, _, err := importTAUProfile(t, tauBarrierProfile("200000", "1e5", "40"))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Import allocated %d bytes for 200,000 calls, want under 1 MiB", alloc)
+	}
+	st, err := p.Rank(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[Kind]int{}
+	for {
+		a, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if err := a.ValidateIn(1); err != nil {
+			t.Fatal(err)
+		}
+		counts[a.Kind]++
+	}
+	want := map[Kind]int{Init: 1, Compute: 1, Barrier: 200000, AllReduce: 1, Finalize: 1}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("streamed kinds %v, want %v", counts, want)
+	}
+}
+
+// A count, time or message size that does not parse or is out of range
+// fails the import, naming the file and line, instead of reaching replay
+// as an overflowed count, an infinite compute or a negative payload.
+func TestTAUImportRejectsBadNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		name, profile, want string
+	}{
+		{"time overflows", tauBarrierProfile("3", "1e999", "40"),
+			`line 3: tau: bad exclusive time "1e999" for ".TAU application"`},
+		{"negative time", tauBarrierProfile("3", "-1", "40"),
+			`line 3: tau: bad exclusive time "-1" for ".TAU application"`},
+		{"count overflows", tauBarrierProfile("99999999999999999999", "1e5", "40"),
+			`line 4: tau: bad call count "99999999999999999999" for "MPI_Barrier()"`},
+		{"negative size", tauBarrierProfile("3", "1e5", "-7"),
+			`line 9: tau: bad mean "-7" for event "Message size for all-reduce"`},
+		{"size overflows", tauBarrierProfile("3", "1e5", "1e400"),
+			`line 9: tau: bad mean "1e400" for event "Message size for all-reduce"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, path, err := importTAUProfile(t, tc.profile)
+			var te *TraceError
+			if !errors.As(err, &te) || te.Path != path || te.Rank != 0 {
+				t.Fatalf("err = %v, want a *TraceError for rank 0 of %s", err, path)
+			}
+			if want := path + ": rank 0: " + tc.want; err.Error() != want {
+				t.Fatalf("err = %v\nwant   %s", err, want)
+			}
+		})
+	}
+	// A sum of valid times can still overflow; the synthesized compute
+	// action then fails validation, naming the file.
+	_, path, err := importTAUProfile(t, strings.Replace(tauBarrierProfile("3", "1e308", "40"),
+		`"MPI_Barrier()"`, `"solve" 1 0 1e308 1e308 0 GROUP="TAU_USER"`+"\n"+`"MPI_Barrier()"`, 1))
+	if want := path + ": rank 0: trace: p0 compute with non-finite volume +Inf"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
 	}
 }
 

@@ -4,7 +4,9 @@ package trace
 // as the oracle the fuzz targets in fuzz_test.go compare against. The code
 // is the old ParseLine, Reader and folded-trace expander with their names
 // prefixed, and one change: a loop body is no longer preallocated from the
-// directive's length, which let a 20-byte input ask for gigabytes.
+// directive's length, which let a 20-byte input ask for gigabytes. The
+// text output the package had before its allocation-free encoder is kept
+// too, as oracleString.
 
 import (
 	"bufio"
@@ -14,11 +16,45 @@ import (
 	"strings"
 )
 
+// oracleString is the fmt-based Action.String the encoder replaced. It
+// rounds every scalar volume to whole units (%.0f).
+func oracleString(a Action) string {
+	switch a.Kind {
+	case Compute:
+		return fmt.Sprintf("p%d compute %.0f", a.Rank, a.Instructions)
+	case Send, ISend:
+		return fmt.Sprintf("p%d %s p%d %.0f", a.Rank, a.Kind, a.Peer, a.Bytes)
+	case Recv, IRecv:
+		if a.Bytes < 0 {
+			return fmt.Sprintf("p%d %s p%d", a.Rank, a.Kind, a.Peer)
+		}
+		return fmt.Sprintf("p%d %s p%d %.0f", a.Rank, a.Kind, a.Peer, a.Bytes)
+	case Bcast, Reduce, Gather:
+		if a.Root != 0 {
+			return fmt.Sprintf("p%d %s %.0f %d", a.Rank, a.Kind, a.Bytes, a.Root)
+		}
+		return fmt.Sprintf("p%d %s %.0f", a.Rank, a.Kind, a.Bytes)
+	case AllReduce, AllToAll, AllGather:
+		return fmt.Sprintf("p%d %s %.0f", a.Rank, a.Kind, a.Bytes)
+	case AllToAllV, AllGatherV:
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "p%d %s", a.Rank, a.Kind)
+		for _, v := range a.Volumes {
+			fmt.Fprintf(&sb, " %s", strconv.FormatFloat(v, 'f', -1, 64))
+		}
+		return sb.String()
+	case WaitSome:
+		return fmt.Sprintf("p%d %s %d", a.Rank, a.Kind, a.Count)
+	default:
+		return fmt.Sprintf("p%d %s", a.Rank, a.Kind)
+	}
+}
+
 // kindByName is the name table the old parser looked action names up in.
 var kindByName = func() map[string]Kind {
 	m := make(map[string]Kind, len(kindNames))
 	for k, n := range kindNames {
-		m[n] = k
+		m[n] = Kind(k)
 	}
 	return m
 }()

@@ -597,17 +597,32 @@ func ReadAll(r io.Reader) ([]Action, error) {
 
 // Write renders actions in canonical text form, one per line.
 func Write(w io.Writer, actions []Action) error {
-	bw := bufio.NewWriter(w)
-	for _, a := range actions {
-		if err := a.Validate(); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(a.String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+	tw := newTextWriter(w)
+	for i := range actions {
+		if err := tw.action(&actions[i]); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return tw.Flush()
+}
+
+// textWriter buffers text trace lines, encoding each into one line buffer
+// that it reuses for the whole file.
+type textWriter struct {
+	*bufio.Writer
+	line []byte
+}
+
+func newTextWriter(w io.Writer) *textWriter {
+	return &textWriter{Writer: bufio.NewWriter(w), line: make([]byte, 0, 128)}
+}
+
+// action writes a's line once a validates.
+func (tw *textWriter) action(a *Action) error {
+	if err := a.Validate(); err != nil {
+		return err
+	}
+	tw.line = append(a.appendText(tw.line[:0]), '\n')
+	_, err := tw.Write(tw.line)
+	return err
 }

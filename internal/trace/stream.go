@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -219,14 +220,9 @@ func writeSet(dir, prefix string, perRank [][]Action, write func(io.Writer, []Ac
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	descPath := filepath.Join(dir, prefix+".desc")
-	desc, err := os.Create(descPath)
-	if err != nil {
-		return "", err
-	}
-	defer desc.Close()
+	var desc []byte
 	for rank, actions := range perRank {
-		name := fmt.Sprintf("%s_%d.trace", prefix, rank)
+		name := prefix + "_" + strconv.Itoa(rank) + ".trace"
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return "", err
@@ -238,9 +234,11 @@ func writeSet(dir, prefix string, perRank [][]Action, write func(io.Writer, []Ac
 		if err := f.Close(); err != nil {
 			return "", err
 		}
-		if _, err := fmt.Fprintln(desc, name); err != nil {
-			return "", err
-		}
+		desc = append(append(desc, name...), '\n')
+	}
+	descPath := filepath.Join(dir, prefix+".desc")
+	if err := os.WriteFile(descPath, desc, 0o666); err != nil {
+		return "", err
 	}
 	return descPath, nil
 }

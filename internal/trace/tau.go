@@ -24,6 +24,13 @@ package trace
 // mean send size, preserving total volume; collectives — which SPMD codes
 // call symmetrically, satisfying replay's participation check — are
 // reconstructed faithfully.
+//
+// The stream is held folded, each action once with its repetition count,
+// and expands as it is read, so a profile counting millions of calls costs
+// no more memory than one counting two. A call count, exclusive time or
+// message size that does not parse or is out of range fails the import
+// naming its file and line, and every synthesized action is valid in the
+// world of the profiled ranks.
 
 import (
 	"bufio"
@@ -110,15 +117,32 @@ func openTAU(path string, opts ImportOptions) (Provider, error) {
 		}
 		files[i] = byRank[r]
 	}
-	perRank := make([][]Action, len(files))
+	perRank := make(tauProvider, len(files))
 	for rank, file := range files {
 		prof, err := parseTAUProfile(file)
+		if err == nil {
+			perRank[rank], err = prof.synthesize(rank, len(files), opts.rate())
+		}
 		if err != nil {
 			return nil, &TraceError{Path: file, Rank: rank, Err: err}
 		}
-		perRank[rank] = prof.synthesize(rank, len(files), opts.rate())
 	}
-	return NewMemProvider(perRank), nil
+	return perRank, nil
+}
+
+// tauProvider serves each rank's synthesized stream, expanding its folded
+// form as it is read.
+type tauProvider []FoldedTrace
+
+// NumRanks implements Provider.
+func (p tauProvider) NumRanks() int { return len(p) }
+
+// Rank implements Provider.
+func (p tauProvider) Rank(rank int) (Stream, error) {
+	if rank < 0 || rank >= len(p) {
+		return nil, fmt.Errorf("trace: rank %d out of range [0,%d)", rank, len(p))
+	}
+	return &foldedStream{blocks: p[rank].Blocks}, nil
 }
 
 // tauFn is one function row of a profile.
@@ -130,13 +154,8 @@ type tauFn struct {
 
 // tauProfile is the parsed aggregate of one rank.
 type tauProfile struct {
-	fns    map[string]tauFn  // by bare name ("MPI_Allreduce")
-	events map[string]tauEvt // user events by lowercased name
-}
-
-type tauEvt struct {
-	num  int
-	mean float64
+	fns   map[string]tauFn   // by bare name ("MPI_Allreduce")
+	means map[string]float64 // user event means by lowercased event name
 }
 
 var tauFnPat = regexp.MustCompile(`^"([^"]+)"\s+(\d+)\s+(\d+)\s+([0-9.eE+-]+)\s+([0-9.eE+-]+)`)
@@ -153,9 +172,9 @@ func parseTAUProfile(path string) (*tauProfile, error) {
 	if !sc.Scan() || !strings.Contains(sc.Text(), "templated_functions") {
 		return nil, fmt.Errorf("tau: not a profile file (missing templated_functions header)")
 	}
-	p := &tauProfile{fns: make(map[string]tauFn), events: make(map[string]tauEvt)}
+	p := &tauProfile{fns: make(map[string]tauFn), means: make(map[string]float64)}
 	inEvents := false
-	for sc.Scan() {
+	for lineNo := 2; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -169,16 +188,27 @@ func parseTAUProfile(path string) (*tauProfile, error) {
 		}
 		if inEvents {
 			if m := tauEvtPat.FindStringSubmatch(line); m != nil {
-				num, _ := strconv.ParseFloat(m[2], 64)
-				mean, _ := strconv.ParseFloat(m[5], 64)
-				p.events[strings.ToLower(m[1])] = tauEvt{num: int(num), mean: mean}
+				name := strings.ToLower(m[1])
+				// Only message sizes become volumes; other user events
+				// may record any finite value.
+				mean, err := strconv.ParseFloat(m[5], 64)
+				if err != nil || (mean < 0 && strings.HasPrefix(name, "message size")) {
+					return nil, fmt.Errorf("line %d: tau: bad mean %q for event %q", lineNo, m[5], m[1])
+				}
+				p.means[name] = mean
 			}
 			continue
 		}
 		if m := tauFnPat.FindStringSubmatch(line); m != nil {
+			calls, err := strconv.Atoi(m[2])
+			if err != nil {
+				return nil, fmt.Errorf("line %d: tau: bad call count %q for %q", lineNo, m[2], m[1])
+			}
+			excl, err := strconv.ParseFloat(m[4], 64)
+			if err != nil || excl < 0 {
+				return nil, fmt.Errorf("line %d: tau: bad exclusive time %q for %q", lineNo, m[4], m[1])
+			}
 			name := strings.TrimSuffix(strings.TrimSpace(m[1]), "()")
-			calls, _ := strconv.Atoi(m[2])
-			excl, _ := strconv.ParseFloat(m[4], 64)
 			p.fns[name] = tauFn{calls: calls, excl: excl,
 				mpi: strings.HasPrefix(name, "MPI_") || strings.Contains(line, `GROUP="MPI"`)}
 		}
@@ -195,8 +225,8 @@ func parseTAUProfile(path string) (*tauProfile, error) {
 // taken for the all-reduce one.
 func (p *tauProfile) meanSize(names ...string) float64 {
 	for _, name := range names {
-		if evt, ok := p.events[name]; ok {
-			return evt.mean
+		if mean, ok := p.means[name]; ok {
+			return mean
 		}
 	}
 	return 0
@@ -223,9 +253,15 @@ var tauCollectives = []struct {
 	{"MPI_Allgather", AllGather, "message size for all-gather"},
 }
 
-// synthesize builds the representative action stream of one rank.
-func (p *tauProfile) synthesize(rank, world int, rate float64) []Action {
-	actions := []Action{{Rank: rank, Kind: Init, Peer: -1}}
+// synthesize builds the representative action stream of one rank, one
+// block per action and its repetition count, and checks every action
+// against the world.
+func (p *tauProfile) synthesize(rank, world int, rate float64) (FoldedTrace, error) {
+	var f FoldedTrace
+	add := func(count int, a Action) {
+		f.Blocks = append(f.Blocks, FoldBlock{Count: count, Body: []Action{a}})
+	}
+	add(1, Action{Rank: rank, Kind: Init, Peer: -1})
 	// Non-MPI exclusive time (microseconds) becomes one compute volume,
 	// summed in name order: floating-point addition is not associative, so
 	// map order would make the volume vary from import to import.
@@ -236,17 +272,17 @@ func (p *tauProfile) synthesize(rank, world int, rate float64) []Action {
 		}
 	}
 	if instr := usec / 1e6 * rate; instr > 0 {
-		actions = append(actions, Action{Rank: rank, Kind: Compute, Peer: -1, Instructions: instr})
+		add(1, Action{Rank: rank, Kind: Compute, Peer: -1, Instructions: instr})
 	}
 	// Point-to-point aggregates cannot be paired into send/recv sequences;
 	// fold the total sent volume into one alltoall so the traffic (and its
-	// contention) survives, symmetrically on every rank.
-	sends := p.fns["MPI_Send"].calls + p.fns["MPI_Isend"].calls
+	// contention) survives, symmetrically on every rank. The counts add as
+	// floats: two counts near the int range would overflow.
+	sends := float64(p.fns["MPI_Send"].calls) + float64(p.fns["MPI_Isend"].calls)
 	if sends > 0 {
 		if mean := p.meanSize(tauSendEvents...); mean > 0 && world > 1 {
-			total := float64(sends) * mean
-			actions = append(actions, Action{Rank: rank, Kind: AllToAll, Peer: -1,
-				Bytes: total / float64(world-1)})
+			total := sends * mean
+			add(1, Action{Rank: rank, Kind: AllToAll, Peer: -1, Bytes: total / float64(world-1)})
 		}
 	}
 	for _, c := range tauCollectives {
@@ -258,9 +294,13 @@ func (p *tauProfile) synthesize(rank, world int, rate float64) []Action {
 		if c.event != "" {
 			a.Bytes = p.meanSize(c.event)
 		}
-		for i := 0; i < fn.calls; i++ {
-			actions = append(actions, a)
+		add(fn.calls, a)
+	}
+	add(1, Action{Rank: rank, Kind: Finalize, Peer: -1})
+	for _, b := range f.Blocks {
+		if err := b.Body[0].ValidateIn(world); err != nil {
+			return FoldedTrace{}, err
 		}
 	}
-	return append(actions, Action{Rank: rank, Kind: Finalize, Peer: -1})
+	return f, nil
 }

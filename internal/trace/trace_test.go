@@ -125,50 +125,65 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
+// roundTripActions covers every argument form of the text grammar, with
+// fractional volumes, which the text must carry exactly.
+var roundTripActions = []Action{
+	{Rank: 0, Kind: Init, Peer: -1},
+	{Rank: 0, Kind: Compute, Instructions: 956140, Peer: -1},
+	{Rank: 0, Kind: Compute, Instructions: 1234.5678, Peer: -1},
+	{Rank: 0, Kind: Send, Peer: 1, Bytes: 1240},
+	{Rank: 0, Kind: ISend, Peer: 1, Bytes: 0.1},
+	{Rank: 0, Kind: IRecv, Peer: 2, Bytes: 880},
+	{Rank: 0, Kind: Recv, Peer: 2, Bytes: -1},
+	{Rank: 0, Kind: Wait, Peer: -1},
+	{Rank: 0, Kind: WaitAny, Peer: -1},
+	{Rank: 0, Kind: WaitSome, Count: 2, Peer: -1},
+	{Rank: 0, Kind: AllReduce, Bytes: 40, Peer: -1},
+	{Rank: 0, Kind: Bcast, Bytes: 100, Root: 2, Peer: -1},
+	{Rank: 0, Kind: Reduce, Bytes: 2.5, Root: 1, Peer: -1},
+	{Rank: 0, Kind: Gather, Bytes: 1e-7, Peer: -1},
+	{Rank: 0, Kind: AllToAllV, Peer: -1, Volumes: []float64{1024, 0.25, 3}},
+	{Rank: 0, Kind: AllGatherV, Peer: -1, Volumes: []float64{8, 16.5, 0}},
+	{Rank: 0, Kind: Finalize, Peer: -1},
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
-	actions := []Action{
-		{Rank: 0, Kind: Init, Peer: -1},
-		{Rank: 0, Kind: Compute, Instructions: 956140, Peer: -1},
-		{Rank: 0, Kind: Send, Peer: 1, Bytes: 1240},
-		{Rank: 0, Kind: IRecv, Peer: 2, Bytes: 880},
-		{Rank: 0, Kind: Wait, Peer: -1},
-		{Rank: 0, Kind: AllReduce, Bytes: 40, Peer: -1},
-		{Rank: 0, Kind: Bcast, Bytes: 100, Root: 2, Peer: -1},
-		{Rank: 0, Kind: Finalize, Peer: -1},
-	}
 	var buf bytes.Buffer
-	if err := Write(&buf, actions); err != nil {
+	if err := Write(&buf, roundTripActions); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, actions) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, actions)
+	if !reflect.DeepEqual(got, roundTripActions) {
+		// %#v shows the fields; %+v would print both sides through String.
+		t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, roundTripActions)
 	}
 }
 
-// Property: any valid action round-trips through text unchanged.
+// Property: any valid action round-trips through text unchanged, whole and
+// fractional volumes alike.
 func TestActionRoundTripProperty(t *testing.T) {
-	f := func(rank uint8, kindSel uint8, vol uint32, peer uint8, root uint8) bool {
+	f := func(rank uint8, kindSel uint8, whole uint32, frac uint16, peer uint8, root uint8) bool {
 		kinds := []Kind{Compute, Send, ISend, Recv, IRecv, Barrier, Bcast, Reduce, AllReduce, AllToAll, Gather, AllGather, Init, Finalize, Wait, WaitAll}
 		k := kinds[int(kindSel)%len(kinds)]
 		a := Action{Rank: int(rank), Kind: k, Peer: -1}
+		vol := float64(whole) + float64(frac%1000)/1000
 		switch k {
 		case Compute:
-			a.Instructions = float64(vol)
+			a.Instructions = vol
 		case Send, ISend, Recv, IRecv:
 			a.Peer = int(peer)
 			if a.Peer == a.Rank {
 				a.Peer = a.Rank + 1
 			}
-			a.Bytes = float64(vol)
+			a.Bytes = vol
 		case Bcast, Reduce, Gather:
-			a.Bytes = float64(vol)
+			a.Bytes = vol
 			a.Root = int(root)
 		case AllReduce, AllToAll, AllGather:
-			a.Bytes = float64(vol)
+			a.Bytes = vol
 		}
 		got, ok, err := ParseLine(a.String())
 		return err == nil && ok && got.Equal(a)
@@ -401,8 +416,8 @@ func TestValidateDetectsPeerOutOfRange(t *testing.T) {
 func TestLookupKindCoversNames(t *testing.T) {
 	for k, name := range kindNames {
 		for _, spelling := range []string{name, strings.ToUpper(name)} {
-			if got, ok := lookupKind(spelling); !ok || got != k {
-				t.Errorf("lookupKind(%q) = %v, %v; want %v", spelling, got, ok, k)
+			if got, ok := lookupKind(spelling); !ok || got != Kind(k) {
+				t.Errorf("lookupKind(%q) = %v, %v; want %v", spelling, got, ok, Kind(k))
 			}
 		}
 	}

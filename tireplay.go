@@ -667,11 +667,16 @@ func CalibrateCacheAware(c *GroundCluster, classes []NPBClass, iterations int) (
 // WriteTraces). Large instances are better streamed; see TraceProvider.
 func Materialize(p TraceProvider) ([][]Action, error) {
 	out := make([][]Action, p.NumRanks())
-	for rank := 0; rank < p.NumRanks(); rank++ {
+	// Each rank is collected in one scratch slice, reused across ranks, and
+	// kept as an exact-size copy, instead of growing each rank's own slice
+	// through every intermediate size.
+	var scratch []Action
+	for rank := range out {
 		st, err := p.Rank(rank)
 		if err != nil {
 			return nil, err
 		}
+		scratch = scratch[:0]
 		for {
 			a, ok, err := st.Next()
 			if err != nil {
@@ -680,7 +685,11 @@ func Materialize(p TraceProvider) ([][]Action, error) {
 			if !ok {
 				break
 			}
-			out[rank] = append(out[rank], a)
+			scratch = append(scratch, a)
+		}
+		if len(scratch) > 0 {
+			out[rank] = make([]Action, len(scratch))
+			copy(out[rank], scratch)
 		}
 	}
 	return out, nil
