@@ -159,13 +159,14 @@ func BenchmarkTraceGeneration(b *testing.B) {
 			b.Fatal(err)
 		}
 		prov := tireplay.PerfectTrace(lu)
+		var a tireplay.Action
 		for rank := 0; rank < 8; rank++ {
 			st, err := prov.Rank(rank)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for {
-				_, ok, err := st.Next()
+				ok, err := st.Next(&a)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -28,7 +28,9 @@ type TaskOps interface {
 	Irecv(p *sim.Prog, src int)
 
 	// Collective operations. The vector collectives take one volume per rank
-	// (already validated against the communicator size by the driver).
+	// (already validated against the communicator size by the trace
+	// stream). The vector is read-only and valid only during the call: it
+	// is the stream's, which reuses it for its next action.
 	Barrier(p *sim.Prog)
 	Bcast(p *sim.Prog, bytes float64, root int)
 	Reduce(p *sim.Prog, bytes float64, root int)

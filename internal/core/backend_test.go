@@ -67,8 +67,8 @@ func TestMalformedTraceUnsupportedAction(t *testing.T) {
 // errStream fails on the first Next call.
 type errStream struct{}
 
-func (errStream) Next() (trace.Action, bool, error) {
-	return trace.Action{}, false, errors.New("boom")
+func (errStream) Next(*trace.Action) (bool, error) {
+	return false, errors.New("boom")
 }
 
 type errProvider struct{}

@@ -150,7 +150,7 @@ func Replay(prov trace.Provider, plat *platform.Platform, cfg Config) (*Result, 
 			return nil, fmt.Errorf("core: opening stream for rank %d: %w", rank, err)
 		}
 		streams = append(streams, stream)
-		spawnProg(rank, rankFeed(taskOps(rank), backend, rank, n, stream, &actions))
+		spawnProg(rank, rankFeed(taskOps(rank), backend, rank, stream, &actions))
 	}
 
 	start := time.Now()

@@ -21,7 +21,9 @@ var (
 	// operation left to wait on.
 	ErrNoOutstandingRequest = errors.New("wait with no outstanding request")
 	// ErrUnsupportedAction reports an action kind the driver cannot replay.
-	ErrUnsupportedAction = errors.New("unsupported action kind")
+	// It is the trace package's sentinel, which every stream's check
+	// reports for such a kind.
+	ErrUnsupportedAction = trace.ErrUnsupportedAction
 )
 
 // TraceError reports a malformed trace detected while replaying one rank.
@@ -45,16 +47,22 @@ func (e *TraceError) Error() string {
 
 func (e *TraceError) Unwrap() error { return e.Err }
 
-// rankFeed returns the feed of rank's replay process. Every action is
-// bounds-checked against the communicator size before it is lowered, so an
-// out-of-range peer or root in a trace surfaces as a TraceError instead of a
-// backend panic (or a hang on a mailbox nobody serves).
-func rankFeed(ops TaskOps, backend string, rank, nranks int, stream trace.Stream, actions *int64) sim.Feed {
+// rankFeed returns the feed of rank's replay process. It decodes every
+// action into one record and checks none: the stream yields only actions
+// valid in the communicator and rank (see trace.Stream), so an out-of-range
+// peer or root in a trace surfaces as a trace error of the stream instead
+// of a backend panic (or a hang on a mailbox nobody serves).
+func rankFeed(ops TaskOps, backend string, rank int, stream trace.Stream, actions *int64) sim.Feed {
 	npending := 0
+	var a trace.Action
 	return func(prog *sim.Prog) (bool, error) {
-		a, ok, err := stream.Next()
+		ok, err := stream.Next(&a)
 		if err != nil {
-			return false, &TraceError{Backend: backend, Rank: rank, Err: fmt.Errorf("reading stream: %w", err)}
+			te := &TraceError{Backend: backend, Rank: rank, Err: fmt.Errorf("reading stream: %w", err)}
+			if errors.Is(err, ErrUnsupportedAction) {
+				te.Kind = a.Kind // the stream hands the rejected action back
+			}
+			return false, te
 		}
 		if !ok {
 			return false, nil
@@ -62,9 +70,6 @@ func rankFeed(ops TaskOps, backend string, rank, nranks int, stream trace.Stream
 		// The engine is single-threaded (lockstep), so the shared counter
 		// needs no synchronization.
 		*actions++
-		if err := a.ValidateIn(nranks); err != nil {
-			return false, &TraceError{Backend: backend, Rank: rank, Kind: a.Kind, Err: err}
-		}
 		if err := Lower(ops, prog, &a, &npending); err != nil {
 			return false, &TraceError{Backend: backend, Rank: rank, Kind: a.Kind, Err: err}
 		}

@@ -246,7 +246,7 @@ func (a Acquired) Rank(rank int) (trace.Stream, error) {
 	if a.Cfg.Mode == None {
 		return nil, fmt.Errorf("instrument: cannot acquire a trace from an uninstrumented run")
 	}
-	return &acquiredStream{ops: ops, cfg: a.Cfg}, nil
+	return trace.Checked(&acquiredStream{ops: ops, cfg: a.Cfg}, "", rank, a.W.Ranks()), nil
 }
 
 type acquiredStream struct {
@@ -259,23 +259,19 @@ type acquiredStream struct {
 	pendingExtra float64
 }
 
-func (s *acquiredStream) Next() (trace.Action, bool, error) {
-	for {
-		op, ok, err := s.ops.Next()
-		if err != nil || !ok {
-			return trace.Action{}, ok, err
-		}
-		a := op.Action
-		if a.Kind == trace.Compute {
-			_, counted, _ := s.cfg.ComputeCost(op)
-			a.Instructions = counted + s.pendingExtra
-			s.pendingExtra = 0
-			return a, true, nil
-		}
-		if a.Kind != trace.Init && a.Kind != trace.Finalize {
-			extra, _ := s.cfg.MPICost(op)
-			s.pendingExtra += extra
-		}
-		return a, true, nil
+func (s *acquiredStream) Next(a *trace.Action) (bool, error) {
+	op, ok, err := s.ops.Next()
+	if err != nil || !ok {
+		return false, err
 	}
+	*a = op.Action
+	if a.Kind == trace.Compute {
+		_, counted, _ := s.cfg.ComputeCost(op)
+		a.Instructions = counted + s.pendingExtra
+		s.pendingExtra = 0
+	} else if a.Kind != trace.Init && a.Kind != trace.Finalize {
+		extra, _ := s.cfg.MPICost(op)
+		s.pendingExtra += extra
+	}
+	return true, nil
 }

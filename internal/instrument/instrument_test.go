@@ -219,7 +219,8 @@ func TestAcquiredTraceInflatesVolumes(t *testing.T) {
 		}
 		total := 0.0
 		for {
-			a, ok, err := st.Next()
+			var a trace.Action
+			ok, err := st.Next(&a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,8 +248,10 @@ func TestAcquiredTraceStructurePreserved(t *testing.T) {
 	perfect, _ := npb.AsProvider(lu).Rank(1)
 	acquired, _ := Acquired{W: lu, Cfg: Config{Mode: Minimal}}.Rank(1)
 	for i := 0; ; i++ {
-		pa, pok, _ := perfect.Next()
-		aa, aok, _ := acquired.Next()
+		var pa trace.Action
+		pok, _ := perfect.Next(&pa)
+		var aa trace.Action
+		aok, _ := acquired.Next(&aa)
 		if pok != aok {
 			t.Fatalf("stream lengths diverge at %d", i)
 		}

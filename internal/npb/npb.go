@@ -154,12 +154,16 @@ func (p workloadProvider) Rank(rank int) (trace.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return opActionStream{ops}, nil
+	return trace.Checked(opActionStream{ops}, "", rank, p.w.Ranks()), nil
 }
 
 type opActionStream struct{ ops OpStream }
 
-func (s opActionStream) Next() (trace.Action, bool, error) {
+func (s opActionStream) Next(a *trace.Action) (bool, error) {
 	op, ok, err := s.ops.Next()
-	return op.Action, ok, err
+	if err != nil || !ok {
+		return false, err
+	}
+	*a = op.Action
+	return true, nil
 }

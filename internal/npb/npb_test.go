@@ -422,7 +422,8 @@ func TestAsProviderStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ok, err := st.Next()
+	var a trace.Action
+	ok, err := st.Next(&a)
 	if err != nil || !ok || a.Kind != trace.Init {
 		t.Fatalf("first action = %+v ok=%v err=%v", a, ok, err)
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,7 +137,8 @@ func TestRunTraceFileScenario(t *testing.T) {
 		}
 		var acts []trace.Action
 		for {
-			a, ok, err := st.Next()
+			var a trace.Action
+			ok, err := st.Next(&a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -462,7 +464,8 @@ func TestTraceCacheModesBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for {
-			a, ok, err := st.Next()
+			var a trace.Action
+			ok, err := st.Next(&a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -527,7 +530,8 @@ func TestTraceDescAcceptsTIBDirectly(t *testing.T) {
 		}
 		var acts []trace.Action
 		for {
-			a, ok, err := st.Next()
+			var a trace.Action
+			ok, err := st.Next(&a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -575,6 +579,41 @@ func TestValidateTraceCacheKnob(t *testing.T) {
 		s := &Scenario{Platform: flatSpec(4), TraceDesc: "x.desc", TraceCache: mode}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("mode %q rejected: %v", mode, err)
+		}
+	}
+}
+
+// TestForeignActionInRankTraceRejected: the trace file of rank 0 holding
+// an action of rank 1 fails ingestion, naming file and line, whether the
+// text is replayed (trace_cache off) or compiled first (on), on both
+// backends. It used to replay: SMPI panicked on a send to self, MSG ran
+// it, or deadlocked on the receive.
+func TestForeignActionInRankTraceRejected(t *testing.T) {
+	for _, line := range []string{"p1 send p0 8", "p1 recv p0 8"} {
+		dir := t.TempDir()
+		files := map[string]string{
+			"r_0.trace": "p0 init\n" + line + "\np0 finalize\n",
+			"r_1.trace": "p1 init\np1 finalize\n",
+			"r.desc":    "r_0.trace\nr_1.trace\n",
+		}
+		for name, body := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kind := strings.Fields(line)[1]
+		want := filepath.Join(dir, "r_0.trace") + ": rank 0: line 2: trace: p1 " + kind + " in the trace of rank 0"
+		for _, backend := range []string{"smpi", "msg"} {
+			for _, cache := range []string{"off", "on"} {
+				s := &Scenario{Platform: flatSpec(2), TraceDesc: filepath.Join(dir, "r.desc"),
+					TraceCache: cache, Backend: backend}
+				_, err := s.Run(context.Background())
+				var te *trace.TraceError
+				if !errors.As(err, &te) || !strings.Contains(err.Error(), want) {
+					t.Errorf("%q, %s, trace_cache %s: err = %v, want a *trace.TraceError containing %q",
+						line, backend, cache, err, want)
+				}
+			}
 		}
 	}
 }

@@ -564,7 +564,8 @@ func TestSweepSharesCompiledTraceCache(t *testing.T) {
 		}
 		var acts []trace.Action
 		for {
-			a, ok, err := st.Next()
+			var a trace.Action
+			ok, err := st.Next(&a)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,6 +17,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -218,10 +219,15 @@ func appendDecimal(buf []byte, v float64) []byte {
 	return strconv.AppendFloat(buf, v, 'f', -1, 64)
 }
 
+// ErrUnsupportedAction is the cause of the rejection of an action whose
+// kind is none of Init through WaitSome, matchable with errors.Is.
+var ErrUnsupportedAction = errors.New("unsupported action kind")
+
 // Validate checks the internal consistency of a single action. Volumes must
 // be finite and non-negative; a recv's size need only be finite, since -1
-// marks it unknown (the v1 form).
-func (a Action) Validate() error {
+// marks it unknown (the v1 form). A kind outside Init through WaitSome is
+// rejected too: no text, TIB or replay form exists for it.
+func (a *Action) Validate() error {
 	if a.Rank < 0 {
 		return fmt.Errorf("trace: negative rank %d", a.Rank)
 	}
@@ -270,6 +276,9 @@ func (a Action) Validate() error {
 		if a.Count < 1 {
 			return fmt.Errorf("trace: p%d waitsome with non-positive count %d", a.Rank, a.Count)
 		}
+	case Init, Finalize, Wait, WaitAll, WaitAny, Barrier:
+	default:
+		return fmt.Errorf("trace: p%d with %w %s", a.Rank, ErrUnsupportedAction, a.Kind)
 	}
 	return nil
 }
@@ -289,10 +298,36 @@ func volumeFault(v float64) string {
 // ValidateIn is Validate plus the checks that need the communicator size:
 // peers and roots must name ranks inside the world, and volume vectors must
 // carry exactly one entry per rank. world <= 0 skips the sized checks.
-func (a Action) ValidateIn(world int) error {
+func (a *Action) ValidateIn(world int) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
+	return a.validateSized(world)
+}
+
+// ValidateFor is ValidateIn for an action read from the stream of rank:
+// it also rejects an action of another rank. It is the one check of the
+// Stream contract. rank < 0 accepts any rank.
+func (a *Action) ValidateFor(rank, world int) error {
+	if err := a.Validate(); err != nil {
+		return err
+	}
+	if err := a.validateSized(world); err != nil {
+		return err
+	}
+	if rank >= 0 && a.Rank != rank {
+		return a.foreign(rank)
+	}
+	return nil
+}
+
+// foreign reports a as an action of another rank than the stream's.
+func (a *Action) foreign(rank int) error {
+	return fmt.Errorf("trace: p%d %s in the trace of rank %d", a.Rank, a.Kind, rank)
+}
+
+// validateSized is the part of ValidateIn that Validate does not cover.
+func (a *Action) validateSized(world int) error {
 	if world <= 0 {
 		return nil
 	}

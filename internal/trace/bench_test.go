@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,16 +55,60 @@ func BenchmarkReaderThroughput(b *testing.B) {
 	src := sb.String()
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
+	var a Action
 	for i := 0; i < b.N; i++ {
 		rd := NewReader(strings.NewReader(src))
 		for {
-			_, ok, err := rd.Next()
+			ok, err := rd.Next(&a)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if !ok {
 				break
 			}
+		}
+	}
+}
+
+// vectorTrace is n alltoallv lines of 64 volumes each, rank 0 of a world
+// of 64.
+func vectorTrace(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		sb.WriteString("p0 alltoallv")
+		for k := 0; k < 64; k++ {
+			fmt.Fprintf(&sb, " %d", 1024*((i+k)%7))
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// BenchmarkReaderVector reads 1000 alltoallv lines of 64 volumes into one
+// record: the reader decodes every vector into its one scratch vector, so
+// allocs/op does not grow with the line count.
+func BenchmarkReaderVector(b *testing.B) {
+	src := vectorTrace(1000)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var a Action
+	for i := 0; i < b.N; i++ {
+		rd := NewReader(strings.NewReader(src))
+		rd.SetWorld(64)
+		n := 0
+		for {
+			ok, err := rd.Next(&a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n++
+		}
+		if n != 1000 {
+			b.Fatalf("read %d actions, want 1000", n)
 		}
 	}
 }
@@ -85,6 +130,7 @@ func BenchmarkTIBDecode(b *testing.B) {
 	b.SetBytes(int64(p.index[0].length))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var a Action
 	for i := 0; i < b.N; i++ {
 		st, err := p.Rank(0)
 		if err != nil {
@@ -92,7 +138,7 @@ func BenchmarkTIBDecode(b *testing.B) {
 		}
 		n := 0
 		for {
-			_, ok, err := st.Next()
+			ok, err := st.Next(&a)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -35,7 +35,7 @@ import (
 )
 
 func init() {
-	RegisterImporter("dumpi", sniffDUMPI, openDUMPI)
+	register(Importer{Name: "dumpi", Sniff: sniffDUMPI, Open: openDUMPI, checked: true})
 }
 
 // dumpiFilePat matches dumpi2ascii per-rank file names: anything ending in
@@ -226,8 +226,9 @@ type dumpiStream struct {
 	sc    *bufio.Scanner
 	line  int
 
-	queue []Action // actions ready to hand out
+	queue []Action // checked actions ready to hand out
 	qpos  int
+	vols  []float64 // the vector of the last vector collective
 
 	cur      *dumpiCall // open block, nil between calls
 	lastCPU  float64    // cputime at the previous call's return; -1 before the first
@@ -240,20 +241,20 @@ func (s *dumpiStream) fail(format string, args ...any) error {
 		Err: fmt.Errorf("line %d: dumpi: %s", s.line, fmt.Sprintf(format, args...))}
 }
 
-func (s *dumpiStream) Next() (Action, bool, error) {
+func (s *dumpiStream) Next(a *Action) (bool, error) {
 	for {
 		if s.qpos < len(s.queue) {
-			a := s.queue[s.qpos]
+			*a = s.queue[s.qpos]
 			s.qpos++
-			return a, true, nil
+			return true, nil
 		}
 		s.queue = s.queue[:0]
 		s.qpos = 0
 		if s.done {
-			return Action{}, false, nil
+			return false, nil
 		}
 		if err := s.advance(); err != nil {
-			return Action{}, false, err
+			return false, err
 		}
 	}
 }
@@ -362,7 +363,9 @@ func (s *dumpiStream) emit(call *dumpiCall) error {
 			instr = gap * s.rate
 		}
 		if instr > 0 {
-			s.push(Action{Rank: s.rank, Kind: Compute, Peer: -1, Instructions: instr})
+			if err := s.push(Action{Rank: s.rank, Kind: Compute, Peer: -1, Instructions: instr}); err != nil {
+				return s.fail("compute before %s maps to invalid action: %v", call.name, err)
+			}
 		}
 	}
 	s.lastCPU = call.cpuRet
@@ -383,11 +386,11 @@ func (s *dumpiStream) emit(call *dumpiCall) error {
 				if len(vals) != s.world {
 					return nil, s.fail("%s %s has %d entries for %d ranks", call.name, n, len(vals), s.world)
 				}
-				vols := make([]float64, len(vals))
-				for i, v := range vals {
-					vols[i] = v * size
+				s.vols = s.vols[:0]
+				for _, v := range vals {
+					s.vols = append(s.vols, v*size)
 				}
-				return vols, nil
+				return s.vols, nil
 			}
 		}
 		return nil, s.fail("%s without a counts array", call.name)
@@ -447,11 +450,17 @@ func (s *dumpiStream) emit(call *dumpiCall) error {
 	default:
 		return nil // unrecognized call: its CPU time still advanced lastCPU
 	}
-	if err := a.ValidateIn(s.world); err != nil {
+	if err := s.push(a); err != nil {
 		return s.fail("%s maps to invalid action: %v", call.name, err)
 	}
-	s.push(a)
 	return nil
 }
 
-func (s *dumpiStream) push(a Action) { s.queue = append(s.queue, a) }
+// push queues a once it is valid in the world and rank of the dump.
+func (s *dumpiStream) push(a Action) error {
+	if err := a.ValidateFor(s.rank, s.world); err != nil {
+		return err
+	}
+	s.queue = append(s.queue, a)
+	return nil
+}

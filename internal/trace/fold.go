@@ -141,25 +141,26 @@ func (f FoldedTrace) Expand() []Action {
 }
 
 // foldedStream serves a folded trace one action at a time, without
-// expanding it.
+// expanding it. Its actions were checked when the trace was folded; their
+// vectors are the trace's, handed out read-only.
 type foldedStream struct {
 	blocks   []FoldBlock
 	rep, pos int // blocks[0].Body[pos] of repetition rep is served next
 }
 
 // Next implements Stream.
-func (s *foldedStream) Next() (Action, bool, error) {
+func (s *foldedStream) Next(a *Action) (bool, error) {
 	for len(s.blocks) > 0 {
 		if b := &s.blocks[0]; s.rep < b.Count && s.pos < len(b.Body) {
-			a := b.Body[s.pos]
+			*a = b.Body[s.pos]
 			if s.pos++; s.pos == len(b.Body) {
 				s.rep, s.pos = s.rep+1, 0
 			}
-			return a, true, nil
+			return true, nil
 		}
 		s.blocks, s.rep, s.pos = s.blocks[1:], 0, 0
 	}
-	return Action{}, false, nil
+	return false, nil
 }
 
 // WriteFolded folds actions and writes the folded text form.
@@ -195,7 +196,14 @@ func NewExpandingReader(r io.Reader, filter int) Stream {
 // validation: world > 0 rejects out-of-range peers, roots, and volume-vector
 // lengths at read time, with the offending line number.
 func NewExpandingWorldReader(r io.Reader, filter, world int) Stream {
-	rd := &Reader{in: lineReader{src: r}, filter: filter, world: world}
+	return newTextStream(r, filter, -1, world)
+}
+
+// newTextStream reads a plain or folded trace: filter >= 0 serves only
+// that rank's actions (a merged trace), own >= 0 rejects any other rank's
+// (the trace of one rank), and world > 0 arms the sized validation.
+func newTextStream(r io.Reader, filter, own, world int) *Reader {
+	rd := &Reader{in: lineReader{src: r}, filter: filter, own: own, world: world}
 	if rd.in.hasPrefix(foldedHeader) {
 		rd.folded = true
 		// Skip the header line. A read error is sticky: the first Next

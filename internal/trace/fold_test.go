@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,13 +114,15 @@ func TestWriteFoldedRoundTrip(t *testing.T) {
 	st := NewExpandingReader(&buf, -1)
 	var got []Action
 	for {
-		a, ok, err := st.Next()
+		var a Action
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
+		a.Volumes = slices.Clone(a.Volumes)
 		got = append(got, a)
 	}
 	if len(got) != len(actions) {
@@ -137,13 +140,15 @@ func TestExpandingReaderHandlesPlainTraces(t *testing.T) {
 	st := NewExpandingReader(strings.NewReader(src), -1)
 	var got []Action
 	for {
-		a, ok, err := st.Next()
+		var a Action
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
+		a.Volumes = slices.Clone(a.Volumes)
 		got = append(got, a)
 	}
 	if len(got) != 2 {
@@ -160,7 +165,8 @@ func TestExpandingReaderFilters(t *testing.T) {
 	st := NewExpandingReader(&buf, 1)
 	count := 0
 	for {
-		a, ok, err := st.Next()
+		var a Action
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +194,7 @@ func TestExpandingReaderRejectsBadDirectives(t *testing.T) {
 		var err error
 		for {
 			var ok bool
-			_, ok, err = st.Next()
+			ok, err = st.Next(new(Action))
 			if err != nil || !ok {
 				break
 			}
@@ -236,13 +242,15 @@ func TestFoldedFileSetReplaysIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 			for {
-				a, ok, err := st.Next()
+				var a Action
+				ok, err := st.Next(&a)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !ok {
 					break
 				}
+				a.Volumes = slices.Clone(a.Volumes)
 				out[r] = append(out[r], a)
 			}
 		}

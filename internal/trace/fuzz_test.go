@@ -8,6 +8,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -23,7 +24,8 @@ import (
 // string literals of the parser's unit tests, so plain `go test` replays
 // those inputs. FuzzActionText compares the text encoder with the
 // formatter it replaced and with the parser, FuzzTIBSection checks the TIB
-// decoder, and FuzzTAUProfile the TAU importer. Run, for example,
+// decoder, FuzzTAUProfile the TAU importer and FuzzDUMPI the DUMPI
+// importer. Run, for example,
 // `go test -run '^$' -fuzz '^FuzzReader$' ./internal/trace` to explore.
 
 // seedFiles hold the parser's unit tests.
@@ -118,10 +120,12 @@ const drainLimit = 1 << 12
 func drain(st Stream) ([]Action, error) {
 	var out []Action
 	for len(out) < drainLimit {
-		a, ok, err := st.Next()
+		var a Action
+		ok, err := st.Next(&a)
 		if err != nil || !ok {
 			return out, err
 		}
+		a.Volumes = slices.Clone(a.Volumes) // the stream's, until the next call
 		out = append(out, a)
 	}
 	return out, nil
@@ -240,7 +244,8 @@ func FuzzTIBSection(f *testing.F) {
 		// Each action takes at least two bytes, so a stream that neither
 		// fails nor ends within len(section) calls has stopped advancing.
 		for range len(section) + 1 {
-			a, ok, err := st.Next()
+			var a Action
+			ok, err := st.Next(&a)
 			if err != nil {
 				var te *TraceError
 				if !errors.As(err, &te) {
@@ -255,11 +260,12 @@ func FuzzTIBSection(f *testing.F) {
 				t.Fatalf("decoded %+v, invalid in a world of %d: %v", a, world, err)
 			}
 			again := &tibStream{buf: appendAction(nil, &a), remaining: 1, maxKind: maxKindV2, world: world}
-			b, ok, err := again.Next()
+			var b Action
+			ok, err = again.Next(&b)
 			if err != nil || !ok || !a.Equal(b) {
 				t.Fatalf("re-decoding %+v gave %+v, %v, %v", a, b, ok, err)
 			}
-			if _, ok, err := again.Next(); ok || err != nil {
+			if ok, err := again.Next(new(Action)); ok || err != nil {
 				t.Fatalf("re-encoded %+v does not end cleanly: %v, %v", a, ok, err)
 			}
 		}
@@ -273,8 +279,8 @@ func FuzzTIBSection(f *testing.F) {
 // the scalar volumes are integral or non-finite; vector volumes printed in
 // their shortest form before too. Write emits exactly the String lines and
 // WriteFolded the same behind its header, and both reject an invalid
-// action with its Validate error. A valid action of a known kind parses
-// back bit for bit.
+// action, an unknown kind included, with its Validate error, as
+// WriteTIBFile rejects it too. A valid action parses back bit for bit.
 func FuzzActionText(f *testing.F) {
 	vec := func(vs ...float64) []byte {
 		var b []byte
@@ -305,6 +311,7 @@ func FuzzActionText(f *testing.F) {
 		f.Add(a.Rank, int(a.Kind), a.Peer, a.Root, a.Count, vol, vec(a.Volumes...))
 	}
 	f.Add(0, int(AllToAllV), -1, 0, 0, 0.0, vec(math.NaN(), math.Copysign(0, -1), 1<<64, 0.3))
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, rank, kind, peer, root, count int, vol float64, vecBytes []byte) {
 		// Only the fields the kind's text form carries are set, so that a
 		// valid action can parse back whole.
@@ -344,6 +351,9 @@ func FuzzActionText(f *testing.F) {
 			if errText(werr) != verr.Error() || errText(ferr) != verr.Error() {
 				t.Fatalf("writing invalid %#v: Write %v, WriteFolded %v; Validate %v", a, werr, ferr, verr)
 			}
+			if err := WriteTIBFile(filepath.Join(dir, "invalid.tib"), [][]Action{{a}}); err == nil {
+				t.Fatalf("WriteTIBFile wrote invalid %#v; Validate %v", a, verr)
+			}
 			return
 		}
 		if werr != nil || plain.String() != line+"\n"+line+"\n" {
@@ -353,7 +363,7 @@ func FuzzActionText(f *testing.F) {
 			t.Fatalf("WriteFolded(%#v) = %q, %v", a, folded.String(), ferr)
 		}
 		if uint(a.Kind) >= uint(len(kindNames)) {
-			return // Validate passes unknown kinds, which the grammar has no name for
+			t.Fatalf("Validate accepted %#v, whose kind the grammar has no name for", a)
 		}
 		got, ok, err := ParseLine(line)
 		if err != nil || !ok || !identical(got, a) {
@@ -393,7 +403,8 @@ func FuzzTAUProfile(f *testing.F) {
 				t.Fatalf("rank %d: %v", r, err)
 			}
 			for range tauDrainLimit {
-				a, ok, err := st.Next()
+				var a Action
+				ok, err := st.Next(&a)
 				if err != nil || !ok {
 					break
 				}
@@ -408,3 +419,101 @@ func FuzzTAUProfile(f *testing.F) {
 // tauDrainLimit bounds how many actions FuzzTAUProfile reads per rank: a
 // short profile can count billions of calls.
 const tauDrainLimit = 10000
+
+// dumpiSeeds returns the dump pairs FuzzDUMPI starts from: the sample set
+// of writeDUMPISample, and the string literals that look like dumps in
+// TestDUMPIImportErrors and in the dumpiDumps of core's replay corpus,
+// each as the dump of rank 0 with either sample dump as rank 1's.
+func dumpiSeeds(tb testing.TB) [][2]string {
+	seeds := [][2]string{{dumpiSampleRank0, dumpiSampleRank1}}
+	fset := token.NewFileSet()
+	for _, src := range []struct{ file, decl string }{
+		{"importer_test.go", "TestDUMPIImportErrors"},
+		{filepath.Join("..", "core", "golden_test.go"), "dumpiDumps"},
+	} {
+		file, err := parser.ParseFile(fset, src.file, nil, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			var body ast.Node
+			switch d := n.(type) {
+			case *ast.FuncDecl:
+				if d.Name.Name == src.decl {
+					body = d
+				}
+			case *ast.ValueSpec:
+				if len(d.Names) == 1 && d.Names[0].Name == src.decl {
+					body = d
+				}
+			}
+			if body == nil {
+				return true
+			}
+			ast.Inspect(body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil && strings.Contains(s, "MPI_") {
+						seeds = append(seeds, [2]string{s, dumpiSampleRank1}, [2]string{dumpiSampleRank0, s})
+					}
+				}
+				return true
+			})
+			return false
+		})
+	}
+	return seeds
+}
+
+// FuzzDUMPI imports fuzzed bytes as the ASCII dumps of ranks 0 and 1.
+// Import must fail, or each rank's stream must yield only actions valid
+// for its rank in a world of two (the first dumpiDrainLimit of them) and
+// then end or fail with a *TraceError; nothing may panic.
+func FuzzDUMPI(f *testing.F) {
+	for _, seed := range dumpiSeeds(f) {
+		f.Add([]byte(seed[0]), []byte(seed[1]))
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, dump0, dump1 []byte) {
+		for r, dump := range [][]byte{dump0, dump1} {
+			if err := os.WriteFile(filepath.Join(dir, "fuzz-"+strconv.Itoa(r)+".txt"), dump, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := Import("dumpi", dir, ImportOptions{InstructionRate: 1e6})
+		if err != nil {
+			return
+		}
+		if p.NumRanks() != 2 {
+			t.Fatalf("NumRanks = %d, want 2", p.NumRanks())
+		}
+		var a Action
+		for r := range 2 {
+			st, err := p.Rank(r)
+			if err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+			for range dumpiDrainLimit {
+				ok, err := st.Next(&a)
+				if err != nil {
+					var te *TraceError
+					if !errors.As(err, &te) {
+						t.Fatalf("rank %d: error %T is not a *TraceError: %v", r, err, err)
+					}
+					break
+				}
+				if !ok {
+					break
+				}
+				if err := a.ValidateFor(r, 2); err != nil {
+					t.Fatalf("rank %d streams %#v: %v", r, a, err)
+				}
+			}
+			if c, ok := st.(io.Closer); ok {
+				c.Close()
+			}
+		}
+	})
+}
+
+// dumpiDrainLimit bounds how many actions FuzzDUMPI reads per rank.
+const dumpiDrainLimit = 10000

@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
@@ -43,6 +44,9 @@ type Importer struct {
 	Sniff func(path string) bool
 	// Open folds the foreign trace at path into per-rank action streams.
 	Open func(path string, opts ImportOptions) (Provider, error)
+	// checked marks the importers of this package, whose streams keep the
+	// Stream contract themselves; Import wraps the providers of all others.
+	checked bool
 }
 
 var (
@@ -53,17 +57,22 @@ var (
 
 // RegisterImporter adds a trace importer to the registry. Importers
 // self-register from init functions; registering a duplicate name panics.
+// Import checks every action the importer's streams yield (see Stream).
 func RegisterImporter(name string, sniff func(string) bool, open func(string, ImportOptions) (Provider, error)) {
-	if name == "" || sniff == nil || open == nil {
+	register(Importer{Name: name, Sniff: sniff, Open: open})
+}
+
+func register(imp Importer) {
+	if imp.Name == "" || imp.Sniff == nil || imp.Open == nil {
 		panic("trace: RegisterImporter with empty name or nil hooks")
 	}
 	importerMu.Lock()
 	defer importerMu.Unlock()
-	if _, dup := importers[name]; dup {
-		panic(fmt.Sprintf("trace: importer %q registered twice", name))
+	if _, dup := importers[imp.Name]; dup {
+		panic(fmt.Sprintf("trace: importer %q registered twice", imp.Name))
 	}
-	importers[name] = Importer{Name: name, Sniff: sniff, Open: open}
-	importOrder = append(importOrder, name)
+	importers[imp.Name] = imp
+	importOrder = append(importOrder, imp.Name)
 }
 
 // Importers lists the registered importer names, sorted.
@@ -113,7 +122,71 @@ func Import(format, path string, opts ImportOptions) (Provider, error) {
 	if !ok {
 		return nil, fmt.Errorf("trace: unknown trace format %q (have %v)", format, Importers())
 	}
-	return imp.Open(path, opts)
+	p, err := imp.Open(path, opts)
+	if err != nil || imp.checked {
+		return p, err
+	}
+	return &checkedProvider{Provider: p, path: path}, nil
+}
+
+// checkedProvider holds the streams of an importer from outside this
+// package to the Stream contract (see Checked).
+type checkedProvider struct {
+	Provider
+	path string
+}
+
+// Rank implements Provider.
+func (p *checkedProvider) Rank(rank int) (Stream, error) {
+	st, err := p.Provider.Rank(rank)
+	if err != nil {
+		return nil, err
+	}
+	return Checked(st, p.path, rank, p.NumRanks()), nil
+}
+
+// Close closes the wrapped provider when it holds resources.
+func (p *checkedProvider) Close() error {
+	if c, ok := p.Provider.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
+// Checked holds st, the stream of rank in a world of world ranks, to the
+// Stream contract when its source does not check its actions itself: each
+// action is checked with ValidateFor as it is yielded, and a rejected one
+// is reported as a *TraceError naming path (when known), the rank and the
+// action's index in the stream.
+func Checked(st Stream, path string, rank, world int) Stream {
+	return &checkedStream{st: st, path: path, rank: rank, world: world}
+}
+
+type checkedStream struct {
+	st          Stream
+	path        string
+	rank, world int
+	n           int // actions yielded
+}
+
+func (s *checkedStream) Next(a *Action) (bool, error) {
+	ok, err := s.st.Next(a)
+	if err != nil || !ok {
+		return false, err
+	}
+	if err := a.ValidateFor(s.rank, s.world); err != nil {
+		return false, &TraceError{Path: s.path, Rank: s.rank, Err: fmt.Errorf("action %d: %w", s.n, err)}
+	}
+	s.n++
+	return true, nil
+}
+
+// Close closes the wrapped stream when it holds resources.
+func (s *checkedStream) Close() error {
+	if c, ok := s.st.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // ImportCompile imports a foreign trace and compiles it straight to a .tib

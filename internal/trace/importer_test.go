@@ -11,15 +11,9 @@ import (
 	"testing"
 )
 
-// writeDUMPISample lays out a two-rank dumpi2ascii dump set covering the
-// importer's whole mapping: p2p calls with datatype sizes, vector
-// collectives with counts arrays, wait-set drains, CPU-time compute gaps,
-// and one PAPI_TOT_INS-delimited gap. The two ranks are cross-rank
-// consistent, so the result also validates and replays.
-func writeDUMPISample(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	rank0 := `
+// dumpiSampleRank0 and dumpiSampleRank1 are the dumps writeDUMPISample
+// lays out.
+var dumpiSampleRank0 = `
 MPI_Init entering at walltime 10.0, cputime 0 seconds in thread 0.
 MPI_Init returning at walltime 10.5, cputime 1 seconds in thread 0.
 MPI_Send entering at walltime 11.0, cputime 3 seconds in thread 0.
@@ -58,7 +52,7 @@ MPI_Allgatherv returning at walltime 14.2, cputime 5 seconds in thread 0.
 MPI_Finalize entering at walltime 15.0, cputime 6 seconds in thread 0.
 MPI_Finalize returning at walltime 15.1, cputime 6 seconds in thread 0.
 `
-	rank1 := `
+var dumpiSampleRank1 = `
 MPI_Init entering at walltime 10.0, cputime 0 seconds in thread 0.
 MPI_Init returning at walltime 10.5, cputime 1 seconds in thread 0.
 MPI_Recv entering at walltime 11.0, cputime 2 seconds in thread 0.
@@ -91,7 +85,16 @@ MPI_Allgatherv returning at walltime 14.2, cputime 4 seconds in thread 0.
 MPI_Finalize entering at walltime 15.0, cputime 5 seconds in thread 0.
 MPI_Finalize returning at walltime 15.1, cputime 5 seconds in thread 0.
 `
-	for i, body := range []string{rank0, rank1} {
+
+// writeDUMPISample lays out a two-rank dumpi2ascii dump set covering the
+// importer's whole mapping: p2p calls with datatype sizes, vector
+// collectives with counts arrays, wait-set drains, CPU-time compute gaps,
+// and one PAPI_TOT_INS-delimited gap. The two ranks are cross-rank
+// consistent, so the result also validates and replays.
+func writeDUMPISample(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for i, body := range []string{dumpiSampleRank0, dumpiSampleRank1} {
 		name := filepath.Join(dir, "dumpi-2026.08.08-000"+string(rune('0'+i))+".txt")
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -194,7 +197,7 @@ func TestDUMPIImportErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		for {
-			_, ok, err := st.Next()
+			ok, err := st.Next(new(Action))
 			if err != nil {
 				if !strings.Contains(err.Error(), "EOF inside MPI_Send") {
 					t.Fatalf("unexpected error text: %v", err)
@@ -204,6 +207,36 @@ func TestDUMPIImportErrors(t *testing.T) {
 			if !ok {
 				t.Fatal("truncated call block decoded without error")
 			}
+		}
+	})
+
+	t.Run("infinite compute gap", func(t *testing.T) {
+		// A CPU-time gap times the rate overflows to +Inf: the stream must
+		// refuse the compute action it would map to.
+		dir := t.TempDir()
+		body := "MPI_Init entering at walltime 1.0, cputime 0 seconds in thread 0.\n" +
+			"MPI_Init returning at walltime 1.1, cputime 1 seconds in thread 0.\n" +
+			"MPI_Barrier entering at walltime 2.0, cputime 1e305 seconds in thread 0.\n" +
+			"MPI_Barrier returning at walltime 2.1, cputime 1e305 seconds in thread 0.\n"
+		if err := os.WriteFile(filepath.Join(dir, "d-0.txt"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := Import("dumpi", dir, ImportOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.Rank(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a Action
+		if ok, err := st.Next(&a); !ok || err != nil || a.Kind != Init {
+			t.Fatalf("first action = %v, %v, %v", a, ok, err)
+		}
+		_, err = st.Next(&a)
+		var te *TraceError
+		if !errors.As(err, &te) || !strings.Contains(err.Error(), "line 4: dumpi: compute before MPI_Barrier maps to invalid action: trace: p0 compute with non-finite volume +Inf") {
+			t.Fatalf("want the infinite compute gap rejected at line 4, got %v", err)
 		}
 	})
 
@@ -226,7 +259,7 @@ MPI_Alltoallv returning at walltime 1.5, cputime 0 seconds in thread 0.
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = st.Next()
+		_, err = st.Next(new(Action))
 		if err == nil || !strings.Contains(err.Error(), "2 ranks") {
 			t.Fatalf("want counts-arity error, got %v", err)
 		}
@@ -408,7 +441,8 @@ func TestTAUImportStreamsCallCounts(t *testing.T) {
 	}
 	counts := map[Kind]int{}
 	for {
-		a, ok, err := st.Next()
+		var a Action
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -261,10 +261,27 @@ type oracleExpandingReader struct {
 	pos       int
 }
 
+// oracleStream is the by-value Stream interface the oracle was written to.
+type oracleStream interface {
+	Next() (Action, bool, error)
+}
+
+// oracleRecord adapts an oracleStream to Stream.
+type oracleRecord struct{ oracleStream }
+
+func (s oracleRecord) Next(a *Action) (ok bool, err error) {
+	*a, ok, err = s.oracleStream.Next()
+	return ok, err
+}
+
 // newOracleExpandingReader reads a plain or folded trace, with communicator-sized
 // validation: world > 0 rejects out-of-range peers, roots, and volume-vector
 // lengths at read time, with the offending line number.
 func newOracleExpandingReader(r io.Reader, filter, world int) Stream {
+	return oracleRecord{newOracleExpanding(r, filter, world)}
+}
+
+func newOracleExpanding(r io.Reader, filter, world int) oracleStream {
 	br := bufio.NewReaderSize(r, 64*1024)
 	head, _ := br.Peek(len(foldedHeader))
 	if string(head) != foldedHeader {

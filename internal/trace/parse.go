@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,12 +15,13 @@ import (
 	"unsafe"
 )
 
-// Text traces are parsed a byte at a time, without copying: a line is split
-// into fields in place, action names are matched and numbers converted
-// straight from those fields, and error text is built only for a line that
-// fails. The grammar is the one strings.Fields, strings.ToLower and the
-// strconv conversions define: fields are separated by white space as
-// unicode.IsSpace classifies it, action names compare case-insensitively,
+// Text traces are decoded a line at a time, in one left-to-right pass and
+// without copying: each token is delimited, and its digits accumulated, in
+// the same scan; the action name is resolved by a collision-free table and
+// one compare, after lowering into a small buffer unless it is written in
+// lower case already; and error text is built only for a line that fails. The grammar is the one strings.Fields, strings.ToLower
+// and the strconv conversions define: fields are separated by white space
+// as unicode.IsSpace classifies it, action names compare case-insensitively,
 // ranks are "p3" or "3", and volumes are anything strconv.ParseFloat reads
 // that Action.Validate accepts (finite and non-negative).
 
@@ -44,7 +45,8 @@ var errLineTooLong = errors.New("trace: line exceeds the 1 MiB limit")
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // skip returns the index of the first rune of s at or after i that is not
-// white space (space true) or is white space (space false).
+// white space (space true) or is white space (space false), as
+// unicode.IsSpace classifies it.
 func skip(s string, i int, space bool) int {
 	for i < len(s) {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -63,89 +65,149 @@ func skip(s string, i int, space bool) int {
 	return i
 }
 
-// fields splits a line the way strings.Fields does, one field at a time.
-type fields struct {
-	s string
-	i int
+// maxDigits is the most decimal digits an int holds whatever they are: 18
+// with 64 bits, 9 with 32.
+const maxDigits = strconv.IntSize * 9 / 32
+
+// arg is a token and, when it is 1 to maxDigits decimal digits after an
+// optional 'p', their value n.
+type arg struct {
+	tok   string
+	n     int
+	class digitClass
 }
 
-// next returns the next field, or "" after the last one. ASCII runs are
-// scanned inline; skip takes over from the first non-ASCII byte.
-func (f *fields) next() string {
-	s, i := f.s, f.i
-	for i < len(s) && asciiSpace[s[i]] {
-		i++
+// digitClass classifies a token by its digits.
+type digitClass uint8
+
+const (
+	notPlain digitClass = iota // anything else
+	plain                      // decimal digits only
+	pDigits                    // 'p' and then decimal digits
+)
+
+// volume reads the token as strconv.ParseFloat does and rejects negative
+// values; NaN and infinities pass here and fail Action.Validate. Plain
+// digits are converted from their accumulated value: float64 rounds it
+// exactly as ParseFloat rounds the decimal.
+func (t *arg) volume() (float64, bool) {
+	if t.class == plain {
+		return float64(t.n), true
+	}
+	return t.parseVolume()
+}
+
+// rank reads a rank token, "p12" or "12", as strconv.Atoi reads what
+// follows the optional 'p', and accepts a non-negative result.
+func (t *arg) rank() (int, bool) {
+	if t.class != notPlain {
+		return t.n, true
+	}
+	return parseRank(t.tok)
+}
+
+// int reads the token as strconv.Atoi does and accepts a non-negative
+// result.
+func (t *arg) int() (int, bool) {
+	if t.class == plain {
+		return t.n, true
+	}
+	return atoi(t.tok)
+}
+
+// next skips the white space of s at i and reads the token after it into
+// t: an optional 'p', then the token's digits, accumulated as far as they
+// run. Any other rune makes the token not plain. next returns where the
+// token ends, or -1 when s has no token left.
+func (t *arg) next(s string, i int) int {
+	for ; i < len(s) && asciiSpace[s[i]]; i++ {
 	}
 	if i < len(s) && s[i] >= utf8.RuneSelf {
 		i = skip(s, i, true)
 	}
-	start := i
-	for i < len(s) && s[i] < utf8.RuneSelf && !asciiSpace[s[i]] {
-		i++
+	if i == len(s) {
+		return -1
 	}
-	if i < len(s) && s[i] >= utf8.RuneSelf {
-		i = skip(s, i, false)
+	start, class := i, plain
+	if s[i] == 'p' {
+		i, class = i+1, pDigits
 	}
-	f.i = i
-	return s[start:i]
+	n, first := 0, i
+	for ; i < len(s); i++ {
+		c := s[i]
+		if d := c - '0'; d <= 9 {
+			n = n*10 + int(d)
+			continue
+		}
+		if asciiSpace[c] {
+			break
+		}
+		if c >= utf8.RuneSelf {
+			if end := skip(s, i, false); end != i {
+				i, class = end, notPlain
+			}
+			break
+		}
+		class = notPlain
+	}
+	if i == first || i-first > maxDigits {
+		class = notPlain
+	}
+	*t = arg{s[start:i], n, class}
+	return i
 }
 
-// atoi is strconv.Atoi for the results it allows to be non-negative: an
-// optional sign, then decimal digits, within the range of int. Up to 18
-// bytes cannot overflow the uint64 it accumulates in; longer tokens, which
-// only leading zeros keep in range, go to strconv.
-func atoi(s string) (int, bool) {
-	if len(s) > 18 {
-		n, err := strconv.Atoi(s)
-		return n, err == nil && n >= 0
-	}
-	neg := s != "" && s[0] == '-'
-	if s != "" && (neg || s[0] == '+') {
-		s = s[1:]
-	}
-	if s == "" {
-		return 0, false
-	}
-	var n uint64
-	for i := 0; i < len(s); i++ {
-		d := s[i] - '0'
-		if d > 9 {
-			return 0, false
-		}
-		n = n*10 + uint64(d)
-	}
-	return int(n), n <= math.MaxInt && (!neg || n == 0)
-}
-
-// parseRank accepts "p12" or "12".
-func parseRank(tok string) (int, bool) { return atoi(strings.TrimPrefix(tok, "p")) }
-
-// parseVolume reads tok as strconv.ParseFloat does and rejects negative
-// values; NaN and infinities pass here and fail Action.Validate. Plain
-// decimal integers of up to 15 digits, the common case, are converted
-// directly: they are below 2^53, so float64 holds them exactly, as
-// ParseFloat returns them.
-func parseVolume(tok string) (float64, bool) {
-	if len(tok) <= 15 {
-		var n uint64
-		i := 0
-		for ; i < len(tok) && tok[i]-'0' <= 9; i++ {
-			n = n*10 + uint64(tok[i]-'0')
-		}
-		if i == len(tok) && i > 0 {
-			return float64(n), true
-		}
-	}
-	v, err := strconv.ParseFloat(tok, 64)
+// parseVolume, parseRank and atoi are the paths of the tokens that are not
+// plain digits, kept out of line so that arg's methods inline.
+//
+//go:noinline
+func (t *arg) parseVolume() (float64, bool) {
+	v, err := strconv.ParseFloat(t.tok, 64)
 	return v, err == nil && !(v < 0)
 }
 
-// lookupKind resolves an action name case-insensitively, folding each rune
-// with unicode.ToLower as strings.ToLower does, without allocating. Two
-// non-ASCII runes fold into the ASCII names: U+0130 to 'i' and the Kelvin
-// sign U+212A to 'k'. The switch lists kindNames; TestLookupKindCoversNames
-// keeps the two in step.
-func lookupKind(name string) (Kind, bool) {
+//go:noinline
+func parseRank(tok string) (int, bool) { return atoi(strings.TrimPrefix(tok, "p")) }
+
+// atoi is strconv.Atoi restricted to non-negative results.
+//
+//go:noinline
+func atoi(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 0
+}
+
+// kindSlots resolves a lowered action name of length n, first byte f and
+// last byte l: slot kindSlot(n, f, l) holds one plus the kind of the only
+// name that can be there, or 0. The slot function is collision-free over
+// kindNames, which building the table checks.
+var kindSlots = func() (t [64]uint8) {
+	for k, name := range kindNames {
+		h := kindSlot(len(name), name[0], name[len(name)-1])
+		if t[h] != 0 {
+			panic("trace: action names " + name + " and " + kindNames[t[h]-1] + " share a slot")
+		}
+		t[h] = uint8(k + 1)
+	}
+	return t
+}()
+
+func kindSlot(n int, first, last byte) int { return (n + 3*int(first) + 10*int(last)) & 63 }
+
+// kindLower resolves a non-empty name written in lower case: its slot's
+// name is the only one it can be.
+func kindLower(name string) (Kind, bool) {
+	slot := kindSlots[kindSlot(len(name), name[0], name[len(name)-1])]
+	return Kind(slot - 1), slot != 0 && kindNames[slot-1] == name
+}
+
+// kindOf resolves an action name case-insensitively, folding each rune
+// with unicode.ToLower as strings.ToLower does: the name is lowered into a
+// small buffer, then resolved by kindLower. Setting the 0x20 bit lowers an
+// ASCII letter and keeps any other ASCII byte off the letters, which is all
+// the names hold. Two non-ASCII runes fold into the ASCII names: U+0130 to
+// 'i' and the Kelvin sign U+212A to 'k'.
+func kindOf(name string) (Kind, bool) {
 	var lower [len("allgatherv")]byte // the longest name
 	n := 0
 	for i := 0; i < len(name); n++ {
@@ -154,9 +216,7 @@ func lookupKind(name string) (Kind, bool) {
 		}
 		c := name[i]
 		if c < utf8.RuneSelf {
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
+			c |= 0x20
 			i++
 		} else {
 			r, w := utf8.DecodeRuneInString(name[i:])
@@ -167,49 +227,10 @@ func lookupKind(name string) (Kind, bool) {
 		}
 		lower[n] = c
 	}
-	switch string(lower[:n]) {
-	case "init":
-		return Init, true
-	case "finalize":
-		return Finalize, true
-	case "compute":
-		return Compute, true
-	case "send":
-		return Send, true
-	case "isend":
-		return ISend, true
-	case "recv":
-		return Recv, true
-	case "irecv":
-		return IRecv, true
-	case "wait":
-		return Wait, true
-	case "waitall":
-		return WaitAll, true
-	case "barrier":
-		return Barrier, true
-	case "bcast":
-		return Bcast, true
-	case "reduce":
-		return Reduce, true
-	case "allreduce":
-		return AllReduce, true
-	case "alltoall":
-		return AllToAll, true
-	case "gather":
-		return Gather, true
-	case "allgather":
-		return AllGather, true
-	case "alltoallv":
-		return AllToAllV, true
-	case "allgatherv":
-		return AllGatherV, true
-	case "waitany":
-		return WaitAny, true
-	case "waitsome":
-		return WaitSome, true
+	if n == 0 {
+		return 0, false
 	}
-	return 0, false
+	return kindLower(string(lower[:n]))
 }
 
 func badRank(tok string) error   { return fmt.Errorf("trace: bad rank token %q", tok) }
@@ -218,47 +239,88 @@ func badVolume(tok string) error { return fmt.Errorf("trace: bad volume token %q
 // ParseLine parses one trace line. Blank lines and lines starting with '#'
 // yield ok=false with no error.
 func ParseLine(line string) (a Action, ok bool, err error) {
-	if ok, err = parseLine(line, &a); !ok {
+	var vols []float64
+	if ok, err = parseLine(line, &a, &vols); ok {
+		err = a.Validate()
+	}
+	if !ok || err != nil {
 		return Action{}, false, err
 	}
 	return a, true, nil
 }
 
-// parseLine is ParseLine into *a, which it leaves unspecified unless ok. It
-// allocates only the volumes of a vector collective and the error of a
-// rejected line. line may alias a buffer its caller reuses: nothing here
-// keeps it.
-func parseLine(line string, a *Action) (ok bool, err error) {
-	f := fields{s: line}
-	rankTok := f.next()
-	if rankTok == "" || rankTok[0] == '#' {
+// parseLine decodes one line into *a, which it leaves unspecified unless
+// ok, without validating the action it decodes. A vector collective's
+// volumes go to *vols, whose array it reuses, and a.Volumes is *vols. It
+// allocates only when *vols must grow, and the error of a rejected line.
+// line may alias a buffer its caller reuses: nothing here keeps it.
+//
+// The line is scanned once, left to right. Each token's digits are
+// accumulated as it is delimited; the action is resolved as soon as its
+// name ends, and then a vector collective's volumes are converted as they
+// are reached, while a scalar action keeps its first two arguments and
+// counts up to three, standing for "more than two".
+func parseLine(line string, a *Action, vols *[]float64) (ok bool, err error) {
+	var rankTok arg
+	i := rankTok.next(line, 0)
+	if i < 0 || rankTok.tok[0] == '#' {
 		return false, nil
 	}
-	name := f.next()
-	if name == "" {
+	for i < len(line) && asciiSpace[line[i]] {
+		i++
+	}
+	if i < len(line) && line[i] >= utf8.RuneSelf {
+		i = skip(line, i, true)
+	}
+	if i == len(line) {
 		return false, fmt.Errorf("trace: malformed line %q", strings.TrimSpace(line))
 	}
-	rank, ok := parseRank(rankTok)
+	rank, ok := rankTok.rank()
 	if !ok {
-		return false, badRank(rankTok)
+		return false, badRank(rankTok.tok)
 	}
-	kind, known := lookupKind(name)
-	if !known {
-		return false, fmt.Errorf("trace: unknown action %q in line %q", name, strings.TrimSpace(line))
+	// The action name. A name of lower-case letters, the spelling writers
+	// emit, needs no lowering; any other goes to kindOf.
+	start := i
+	for i < len(line) && line[i]-'a' < 26 {
+		i++
+	}
+	var kind Kind
+	if i == len(line) || asciiSpace[line[i]] {
+		kind, ok = kindLower(line[start:i])
+	} else {
+		i = skip(line, i, false)
+		kind, ok = kindOf(line[start:i])
+	}
+	if !ok {
+		return false, fmt.Errorf("trace: unknown action %q in line %q", line[start:i], strings.TrimSpace(line))
 	}
 	*a = Action{Rank: rank, Kind: kind, Peer: -1}
-	// The first two arguments; nargs counts to three, standing for "more
-	// than two". Vector collectives rescan theirs from argsAt.
-	argsAt := f
-	var arg [2]string
+	// A vector collective's volumes are converted as they are reached; a
+	// scalar action keeps its first two arguments and counts up to three,
+	// standing for "more than two".
+	var args [2]arg
 	nargs := 0
-	for ; nargs < 3; nargs++ {
-		tok := f.next()
-		if tok == "" {
-			break
+	if kind.HasVolumes() {
+		*vols = (*vols)[:0]
+		var t arg
+		for i = t.next(line, i); i >= 0; i = t.next(line, i) {
+			v, ok := t.volume()
+			if !ok {
+				return false, badVolume(t.tok)
+			}
+			*vols = append(*vols, v)
 		}
-		if nargs < 2 {
-			arg[nargs] = tok
+	} else {
+		var rest arg
+		for ; nargs < 3; nargs++ {
+			t := &rest
+			if nargs < 2 {
+				t = &args[nargs]
+			}
+			if i = t.next(line, i); i < 0 {
+				break
+			}
 		}
 	}
 	switch kind {
@@ -269,19 +331,19 @@ func parseLine(line string, a *Action) (ok bool, err error) {
 		if nargs != 1 {
 			return false, fmt.Errorf("trace: compute needs one volume in %q", strings.TrimSpace(line))
 		}
-		if a.Instructions, ok = parseVolume(arg[0]); !ok {
-			return false, badVolume(arg[0])
+		if a.Instructions, ok = args[0].volume(); !ok {
+			return false, badVolume(args[0].tok)
 		}
 
 	case Send, ISend:
 		if nargs != 2 {
 			return false, fmt.Errorf("trace: %s needs destination and size in %q", kind, strings.TrimSpace(line))
 		}
-		if a.Peer, ok = parseRank(arg[0]); !ok {
-			return false, badRank(arg[0])
+		if a.Peer, ok = args[0].rank(); !ok {
+			return false, badRank(args[0].tok)
 		}
-		if a.Bytes, ok = parseVolume(arg[1]); !ok {
-			return false, badVolume(arg[1])
+		if a.Bytes, ok = args[1].volume(); !ok {
+			return false, badVolume(args[1].tok)
 		}
 
 	case Recv, IRecv:
@@ -289,13 +351,13 @@ func parseLine(line string, a *Action) (ok bool, err error) {
 		if nargs != 1 && nargs != 2 {
 			return false, fmt.Errorf("trace: %s needs a source (and optional size) in %q", kind, strings.TrimSpace(line))
 		}
-		if a.Peer, ok = parseRank(arg[0]); !ok {
-			return false, badRank(arg[0])
+		if a.Peer, ok = args[0].rank(); !ok {
+			return false, badRank(args[0].tok)
 		}
 		a.Bytes = -1
 		if nargs == 2 {
-			if a.Bytes, ok = parseVolume(arg[1]); !ok {
-				return false, badVolume(arg[1])
+			if a.Bytes, ok = args[1].volume(); !ok {
+				return false, badVolume(args[1].tok)
 			}
 		}
 
@@ -303,12 +365,12 @@ func parseLine(line string, a *Action) (ok bool, err error) {
 		if nargs != 1 && nargs != 2 {
 			return false, fmt.Errorf("trace: %s needs a size (and optional root) in %q", kind, strings.TrimSpace(line))
 		}
-		if a.Bytes, ok = parseVolume(arg[0]); !ok {
-			return false, badVolume(arg[0])
+		if a.Bytes, ok = args[0].volume(); !ok {
+			return false, badVolume(args[0].tok)
 		}
 		if nargs == 2 {
-			if a.Root, ok = atoi(arg[1]); !ok {
-				return false, fmt.Errorf("trace: bad root %q in %q", arg[1], strings.TrimSpace(line))
+			if a.Root, ok = args[1].int(); !ok {
+				return false, fmt.Errorf("trace: bad root %q in %q", args[1].tok, strings.TrimSpace(line))
 			}
 		}
 
@@ -316,38 +378,25 @@ func parseLine(line string, a *Action) (ok bool, err error) {
 		if nargs != 1 {
 			return false, fmt.Errorf("trace: %s needs a size in %q", kind, strings.TrimSpace(line))
 		}
-		if a.Bytes, ok = parseVolume(arg[0]); !ok {
-			return false, badVolume(arg[0])
+		if a.Bytes, ok = args[0].volume(); !ok {
+			return false, badVolume(args[0].tok)
 		}
 
 	case AllToAllV, AllGatherV:
 		// One volume per rank of the communicator:
 		//	p0 alltoallv 1024 0 2048 512
-		if nargs == 0 {
+		if len(*vols) == 0 {
 			return false, fmt.Errorf("trace: %s needs one volume per rank in %q", kind, strings.TrimSpace(line))
 		}
-		n := 0
-		for count := argsAt; count.next() != ""; {
-			n++
-		}
-		a.Volumes = make([]float64, n)
-		for i := range a.Volumes {
-			tok := argsAt.next()
-			if a.Volumes[i], ok = parseVolume(tok); !ok {
-				return false, badVolume(tok)
-			}
-		}
+		a.Volumes = *vols
 
 	case WaitSome:
 		if nargs != 1 {
 			return false, fmt.Errorf("trace: waitsome needs a completion count in %q", strings.TrimSpace(line))
 		}
-		if a.Count, ok = atoi(arg[0]); !ok || a.Count < 1 {
-			return false, fmt.Errorf("trace: bad waitsome count %q in %q", arg[0], strings.TrimSpace(line))
+		if a.Count, ok = args[0].int(); !ok || a.Count < 1 {
+			return false, fmt.Errorf("trace: bad waitsome count %q in %q", args[0].tok, strings.TrimSpace(line))
 		}
-	}
-	if err := a.Validate(); err != nil {
-		return false, err
 	}
 	return true, nil
 }
@@ -454,11 +503,14 @@ func (l *lineReader) hasPrefix(p string) bool {
 }
 
 // Reader streams actions from a text trace, plain or folded (see Fold). It
-// reports I/O and syntax errors with line numbers.
+// reports I/O, syntax and validation errors with line numbers.
 type Reader struct {
 	in lineReader
 	// filter, when >= 0, keeps only actions of that rank (merged traces).
 	filter int
+	// own, when >= 0, rejects actions of any other rank (a rank's own
+	// trace file).
+	own int
 	// world, when > 0, rejects actions whose peer, root, or volume-vector
 	// length falls outside a communicator of that size — with the line
 	// number, at parse time, instead of a hang or panic at replay.
@@ -469,6 +521,8 @@ type Reader struct {
 	// more passes follow the current one.
 	body      []lineAction
 	pos, reps int
+	// vols is the vector of the last vector collective decoded from a line.
+	vols []float64
 }
 
 // lineAction is a loop-body action and the line it was read from.
@@ -479,7 +533,7 @@ type lineAction struct {
 
 // NewReader wraps r as a trace action stream over all ranks.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{in: lineReader{src: r}, filter: -1}
+	return &Reader{in: lineReader{src: r}, filter: -1, own: -1}
 }
 
 // SetWorld enables communicator-sized validation (see ValidateIn) on every
@@ -495,63 +549,83 @@ func NewFilteredReader(r io.Reader, rank int) *Reader {
 	return rd
 }
 
-// Next returns the next action. ok=false with nil error signals the end of
-// the trace.
-func (r *Reader) Next() (a Action, ok bool, err error) {
+// Next implements Stream. Every action it yields passes ValidateIn for the
+// reader's world; an action of another rank is skipped by a filtered
+// reader, and fails a rank's own trace.
+func (r *Reader) Next(a *Action) (bool, error) {
 	for {
 		var line int
+		var err error
 		if r.pos < len(r.body) {
-			a, line = r.body[r.pos].Action, r.body[r.pos].line
+			b := &r.body[r.pos]
+			*a, line = b.Action, b.line
 			if r.pos++; r.pos == len(r.body) && r.reps > 0 {
 				r.pos, r.reps = 0, r.reps-1
 			}
-		} else {
-			text, err := r.in.next()
-			if err == io.EOF {
-				return Action{}, false, nil
+			if r.filter >= 0 && a.Rank != r.filter {
+				continue
 			}
-			if err != nil {
-				return Action{}, false, fmt.Errorf("line %d: %w", r.in.line+1, err)
+			// readLoop validated the body; what remains needs the world.
+			if err = a.validateSized(r.world); err == nil && r.own >= 0 && a.Rank != r.own {
+				err = a.foreign(r.own)
+			}
+		} else {
+			text, rerr := r.in.next()
+			if rerr == io.EOF {
+				return false, nil
+			}
+			if rerr != nil {
+				return false, fmt.Errorf("line %d: %w", r.in.line+1, rerr)
 			}
 			line = r.in.line
 			if r.folded && strings.HasPrefix(text[skip(text, 0, true):], "@loop") {
 				if err := r.readLoop(text); err != nil {
-					return Action{}, false, err
+					return false, err
 				}
 				continue
 			}
-			ok, err := parseLine(text, &a)
-			if err != nil {
-				return Action{}, false, fmt.Errorf("line %d: %w", line, err)
+			ok, perr := parseLine(text, a, &r.vols)
+			if perr != nil {
+				return false, fmt.Errorf("line %d: %w", line, perr)
 			}
 			if !ok {
 				continue
 			}
-		}
-		if r.filter >= 0 && a.Rank != r.filter {
-			continue
-		}
-		if r.world > 0 {
-			if err := a.ValidateIn(r.world); err != nil {
-				return Action{}, false, fmt.Errorf("line %d: %w", line, err)
+			if r.filter >= 0 && a.Rank != r.filter {
+				// Another rank's line of a merged trace: checked, not served.
+				if err := a.Validate(); err != nil {
+					return false, fmt.Errorf("line %d: %w", line, err)
+				}
+				continue
 			}
+			err = a.ValidateFor(r.own, r.world)
 		}
-		return a, true, nil
+		if err != nil {
+			return false, fmt.Errorf("line %d: %w", line, err)
+		}
+		return true, nil
 	}
 }
 
 // readLoop parses the "@loop count length" directive on the current line and
 // the length action lines of its body, which Next then serves count times.
+// Each body action is validated here, once, and owns its vector.
 func (r *Reader) readLoop(directive string) error {
 	at := r.in.line
-	f := fields{s: directive}
-	f.next() // "@loop"
-	countTok, lengthTok := f.next(), f.next()
-	if lengthTok == "" || f.next() != "" {
+	var f [3]string // "@loop", count, length
+	nf := 0
+	for i := skip(directive, 0, true); i < len(directive) && nf <= len(f); i = skip(directive, i, true) {
+		end := skip(directive, i, false)
+		if nf < len(f) {
+			f[nf] = directive[i:end]
+		}
+		nf, i = nf+1, end
+	}
+	if nf != len(f) {
 		return fmt.Errorf("line %d: trace: malformed loop directive %q", at, strings.TrimSpace(directive))
 	}
-	count, ok1 := atoi(countTok)
-	length, ok2 := atoi(lengthTok)
+	count, ok1 := atoi(f[1])
+	length, ok2 := atoi(f[2])
 	if !ok1 || !ok2 || count < 1 || length < 1 {
 		return fmt.Errorf("line %d: trace: bad loop directive %q", at, strings.TrimSpace(directive))
 	}
@@ -567,11 +641,15 @@ func (r *Reader) readLoop(directive string) error {
 			return fmt.Errorf("line %d: %w", r.in.line+1, err)
 		}
 		var a Action
-		ok, err := parseLine(text, &a)
+		ok, err := parseLine(text, &a, &r.vols)
+		if ok {
+			err = a.Validate()
+		}
 		if err != nil {
 			return fmt.Errorf("line %d: %w", r.in.line, err)
 		}
 		if ok { // comments are allowed inside bodies
+			a.Volumes = slices.Clone(a.Volumes)
 			body = append(body, lineAction{a, r.in.line})
 		}
 	}
@@ -583,14 +661,16 @@ func (r *Reader) readLoop(directive string) error {
 func ReadAll(r io.Reader) ([]Action, error) {
 	rd := NewReader(r)
 	var out []Action
+	var a Action
 	for {
-		a, ok, err := rd.Next()
+		ok, err := rd.Next(&a)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
+		a.Volumes = slices.Clone(a.Volumes) // the reader's, until the next call
 		out = append(out, a)
 	}
 }

@@ -50,7 +50,7 @@ func TestReaderGarbageLines(t *testing.T) {
 	for _, in := range inputs {
 		rd := NewReader(strings.NewReader(in))
 		for {
-			_, ok, err := rd.Next()
+			ok, err := rd.Next(new(Action))
 			if err != nil {
 				break // error is the acceptable outcome
 			}
@@ -115,7 +115,8 @@ func TestReaderVeryLongLine(t *testing.T) {
 	// A line longer than the initial read buffer must still parse.
 	line := "p0 compute 123" + strings.Repeat(" ", 70000) + "\n"
 	rd := NewReader(strings.NewReader(line))
-	a, ok, err := rd.Next()
+	var a Action
+	ok, err := rd.Next(&a)
 	if err != nil || !ok || a.Instructions != 123 {
 		t.Fatalf("long line: %+v ok=%v err=%v", a, ok, err)
 	}
@@ -141,7 +142,7 @@ func TestReaderLongLineReportsLocation(t *testing.T) {
 	}
 	n := 0
 	for {
-		_, ok, err := st.Next()
+		ok, err := st.Next(new(Action))
 		if err != nil {
 			want := path + ": rank 0: line 3: "
 			if !strings.HasPrefix(err.Error(), want) || !errors.Is(err, errLineTooLong) {
@@ -167,7 +168,7 @@ func TestReaderLongLineReportsLocation(t *testing.T) {
 	}{{pad(maxLineBytes - 1), true}, {pad(maxLineBytes), false}} {
 		in := "p0 wait\n" + tc.line + "\n"
 		got, err := ReadAll(strings.NewReader(in))
-		_, wantErr := drain(newOracleReader(strings.NewReader(in)))
+		_, wantErr := drain(oracleRecord{newOracleReader(strings.NewReader(in))})
 		if (err == nil) != tc.ok || (wantErr == nil) != tc.ok {
 			t.Fatalf("%d-byte line: err = %v, oracle %v, want ok=%v", len(tc.line), err, wantErr, tc.ok)
 		}
@@ -182,7 +183,7 @@ func TestReaderLongLineReportsLocation(t *testing.T) {
 	// The error sticks: reading on repeats it.
 	rd := NewReader(strings.NewReader(huge + "\np0 wait\n"))
 	for i := 0; i < 3; i++ {
-		if _, ok, err := rd.Next(); ok || !errors.Is(err, errLineTooLong) {
+		if ok, err := rd.Next(new(Action)); ok || !errors.Is(err, errLineTooLong) {
 			t.Fatalf("read %d after the long line: ok=%v err=%v", i, ok, err)
 		}
 	}

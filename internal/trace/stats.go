@@ -38,13 +38,14 @@ func Collect(p Provider, eagerThreshold float64) (*Stats, error) {
 		ByKind:             make(map[Kind]int64),
 		InstructionsByRank: make([]float64, p.NumRanks()),
 	}
+	var a Action
 	for rank := 0; rank < p.NumRanks(); rank++ {
 		st, err := p.Rank(rank)
 		if err != nil {
 			return nil, err
 		}
 		for {
-			a, ok, err := st.Next()
+			ok, err := st.Next(&a)
 			if err != nil {
 				return nil, fmt.Errorf("trace: rank %d: %w", rank, err)
 			}
@@ -85,24 +86,20 @@ func Validate(p Provider) error {
 	sendCount := make(map[[2]int]int64)
 	recvCount := make(map[[2]int]int64)
 	collCount := make(map[Kind][]int64)
+	var a Action
 	for rank := 0; rank < n; rank++ {
 		st, err := p.Rank(rank)
 		if err != nil {
 			return err
 		}
 		for {
-			a, ok, err := st.Next()
+			// The stream checked the action against the communicator.
+			ok, err := st.Next(&a)
 			if err != nil {
 				return fmt.Errorf("trace: rank %d: %w", rank, err)
 			}
 			if !ok {
 				break
-			}
-			// ValidateIn also catches roots and volume-vector lengths
-			// outside the communicator (the old per-action Validate only
-			// rejected negative roots).
-			if err := a.ValidateIn(n); err != nil {
-				return err
 			}
 			switch a.Kind {
 			case Send, ISend:

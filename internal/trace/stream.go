@@ -11,10 +11,21 @@ import (
 	"strings"
 )
 
-// Stream is a pull-based source of actions for one rank. ok=false with nil
-// error signals end of stream.
+// Stream is a pull-based source of actions for one rank, and the one place
+// an action is checked: every action a stream yields passes ValidateIn for
+// the rank count of the provider it came from and, in the stream of one
+// rank, belongs to that rank (ValidateFor). A stream reports any other
+// input as a *TraceError naming the file, rank and line (or action index)
+// where it knows them, so consumers do not check again.
+//
+// Next fills *a, which the caller owns and may reuse from call to call,
+// and reports ok=false with a nil error at the end of the stream. Every
+// field of *a is overwritten. a.Volumes is the stream's own: read-only to
+// the caller and valid only until the next call of Next, so a caller that
+// keeps the record copies the vector. A stream that rejects an action of
+// an unsupported kind (ErrUnsupportedAction) leaves it in *a.
 type Stream interface {
-	Next() (a Action, ok bool, err error)
+	Next(a *Action) (ok bool, err error)
 }
 
 // Provider hands out one action stream per rank. Both file-backed traces and
@@ -28,25 +39,21 @@ type Provider interface {
 	Rank(rank int) (Stream, error)
 }
 
-// SliceStream streams from an in-memory action slice.
-type SliceStream struct {
+// sliceStream streams an in-memory action slice. Its records' vectors are
+// the slice's: it hands them out read-only, without copying.
+type sliceStream struct {
 	actions []Action
 	pos     int
 }
 
-// NewSliceStream wraps actions as a Stream.
-func NewSliceStream(actions []Action) *SliceStream {
-	return &SliceStream{actions: actions}
-}
-
 // Next implements Stream.
-func (s *SliceStream) Next() (Action, bool, error) {
+func (s *sliceStream) Next(a *Action) (bool, error) {
 	if s.pos >= len(s.actions) {
-		return Action{}, false, nil
+		return false, nil
 	}
-	a := s.actions[s.pos]
+	*a = s.actions[s.pos]
 	s.pos++
-	return a, true, nil
+	return true, nil
 }
 
 // MemProvider serves per-rank in-memory traces.
@@ -54,7 +61,9 @@ type MemProvider struct {
 	perRank [][]Action
 }
 
-// NewMemProvider builds a provider over per-rank action slices.
+// NewMemProvider builds a provider over per-rank action slices. Its streams
+// check each action as they yield it, as every stream does (see Stream); a
+// rejected action is reported with its index in the rank's slice.
 func NewMemProvider(perRank [][]Action) *MemProvider {
 	return &MemProvider{perRank: perRank}
 }
@@ -67,7 +76,7 @@ func (m *MemProvider) Rank(rank int) (Stream, error) {
 	if rank < 0 || rank >= len(m.perRank) {
 		return nil, fmt.Errorf("trace: rank %d out of range [0,%d)", rank, len(m.perRank))
 	}
-	return NewSliceStream(m.perRank[rank]), nil
+	return Checked(&sliceStream{actions: m.perRank[rank]}, "", rank, len(m.perRank)), nil
 }
 
 // fileStream streams a trace file, closing it at EOF, on error, or — for
@@ -82,11 +91,11 @@ type fileStream struct {
 	closed bool
 }
 
-func (s *fileStream) Next() (Action, bool, error) {
+func (s *fileStream) Next(a *Action) (bool, error) {
 	if s.closed {
-		return Action{}, false, fmt.Errorf("trace: %s: stream already closed", s.f.Name())
+		return false, fmt.Errorf("trace: %s: stream already closed", s.f.Name())
 	}
-	a, ok, err := s.rd.Next()
+	ok, err := s.rd.Next(a)
 	if err != nil || !ok {
 		s.Close()
 	}
@@ -98,7 +107,7 @@ func (s *fileStream) Next() (Action, bool, error) {
 			err = &TraceError{Path: s.f.Name(), Rank: s.rank, Err: err}
 		}
 	}
-	return a, ok, err
+	return ok, err
 }
 
 // Close releases the underlying file; it is idempotent.
@@ -181,26 +190,20 @@ func (p *FileProvider) Rank(rank int) (Stream, error) {
 	if rank < 0 || rank >= p.nranks {
 		return nil, fmt.Errorf("trace: rank %d out of range [0,%d)", rank, p.nranks)
 	}
-	var path string
-	merged := len(p.files) == 1 && p.nranks > 1
-	if merged {
-		path = p.files[0]
-	} else {
-		path = p.files[rank]
+	path, filter, own := p.files[0], rank, -1
+	if len(p.files) > 1 || p.nranks == 1 {
+		path, filter, own = p.files[rank], -1, rank
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	filter := -1
-	if merged {
-		filter = rank
-	}
-	// The expanding reader transparently handles both plain and folded
-	// (@folded v1) trace files; the provider's rank count arms the
+	// The reader transparently handles both plain and folded (@folded v1)
+	// trace files. A merged file serves each rank its own lines; a per-rank
+	// file must hold only its rank's. The provider's rank count arms the
 	// communicator-sized validation (out-of-range roots, peers, vector
 	// lengths fail here, with a line number, not at replay).
-	return &fileStream{f: f, rd: NewExpandingWorldReader(f, filter, p.nranks), rank: rank}, nil
+	return &fileStream{f: f, rd: newTextStream(f, filter, own, p.nranks), rank: rank}, nil
 }
 
 // WriteSet writes per-rank traces plus a description file into dir, using
@@ -221,13 +224,17 @@ func writeSet(dir, prefix string, perRank [][]Action, write func(io.Writer, []Ac
 		return "", err
 	}
 	var desc []byte
+	// One buffer, which write adopts, serves every file; it is large enough
+	// that a rank's trace usually reaches its file in one write.
+	bw := bufio.NewWriterSize(nil, 64<<10)
 	for rank, actions := range perRank {
 		name := prefix + "_" + strconv.Itoa(rank) + ".trace"
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return "", err
 		}
-		if err := write(f, actions); err != nil {
+		bw.Reset(f)
+		if err := write(bw, actions); err != nil {
 			f.Close()
 			return "", err
 		}

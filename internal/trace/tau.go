@@ -46,7 +46,7 @@ import (
 )
 
 func init() {
-	RegisterImporter("tau", sniffTAU, openTAU)
+	register(Importer{Name: "tau", Sniff: sniffTAU, Open: openTAU, checked: true})
 }
 
 // tauProfilePat matches TAU's per-rank profile files: profile.<node>.<context>.<thread>.

@@ -52,6 +52,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -151,21 +152,19 @@ type tibSection struct {
 	count uint64
 }
 
-// encodeStream drains one rank's stream into a section. Each action is
-// validated against the communicator size before encoding, so a .tib file
-// only ever holds actions replay can execute.
-func encodeStream(st Stream, world int) (tibSection, error) {
+// encodeStream drains one rank's stream into a section. The stream checked
+// every action against the communicator size, so a .tib file only ever
+// holds actions replay can execute.
+func encodeStream(st Stream) (tibSection, error) {
 	var sec tibSection
+	var a Action
 	for {
-		a, ok, err := st.Next()
+		ok, err := st.Next(&a)
 		if err != nil {
 			return tibSection{}, err
 		}
 		if !ok {
 			return sec, nil
-		}
-		if err := a.ValidateIn(world); err != nil {
-			return tibSection{}, err
 		}
 		sec.data = appendAction(sec.data, &a)
 		sec.count++
@@ -201,7 +200,7 @@ func compileSections(src Provider, workers int) ([]tibSection, error) {
 					errs[r] = err
 					continue
 				}
-				secs[r], errs[r] = encodeStream(st, n)
+				secs[r], errs[r] = encodeStream(st)
 				if c, ok := st.(io.Closer); ok {
 					c.Close()
 				}
@@ -428,12 +427,13 @@ type tibStream struct {
 	buf       []byte
 	pos       int
 	remaining uint64
-	maxKind   Kind // highest kind the file's format version may carry
-	world     int  // rank count, for communicator-sized validation
+	maxKind   Kind      // highest kind the file's format version may carry
+	world     int       // rank count, for communicator-sized validation
+	vols      []float64 // the vector of the last vector collective
 }
 
-func (s *tibStream) fail(format string, args ...any) (Action, bool, error) {
-	return Action{}, false, tibFileError(s.path, s.rank, fmt.Errorf("%w: offset %d: %s", ErrCorrupt, s.pos, fmt.Sprintf(format, args...)))
+func (s *tibStream) fail(format string, args ...any) (bool, error) {
+	return false, tibFileError(s.path, s.rank, fmt.Errorf("%w: offset %d: %s", ErrCorrupt, s.pos, fmt.Sprintf(format, args...)))
 }
 
 func (s *tibStream) uvarint() (uint64, bool) {
@@ -464,12 +464,12 @@ func (s *tibStream) volume() (float64, bool) {
 // Next implements Stream. The section checksum was verified when the
 // stream was opened, so the per-field checks here are pure defense; they
 // turn any decoder desync into a *TraceError rather than a panic.
-func (s *tibStream) Next() (Action, bool, error) {
+func (s *tibStream) Next(a *Action) (bool, error) {
 	if s.remaining == 0 {
 		if s.pos != len(s.buf) {
 			return s.fail("%d trailing bytes after last action", len(s.buf)-s.pos)
 		}
-		return Action{}, false, nil
+		return false, nil
 	}
 	if s.pos >= len(s.buf) {
 		return s.fail("section exhausted with %d actions missing", s.remaining)
@@ -483,7 +483,7 @@ func (s *tibStream) Next() (Action, bool, error) {
 	if !ok || rank > math.MaxInt32 {
 		return s.fail("bad rank field")
 	}
-	a := Action{Rank: int(rank), Kind: kind, Peer: -1}
+	*a = Action{Rank: int(rank), Kind: kind, Peer: -1}
 	switch kind {
 	case Compute:
 		if a.Instructions, ok = s.volume(); !ok {
@@ -517,16 +517,17 @@ func (s *tibStream) Next() (Action, bool, error) {
 			return s.fail("bad volume-vector length")
 		}
 		if uint64(len(s.buf)-s.pos) < n {
-			// Each volume takes at least one byte; reject before allocating
-			// a vector a corrupted length field asked for.
+			// Each volume takes at least one byte; reject before growing
+			// the vector a corrupted length field asked for.
 			return s.fail("volume vector overruns section")
 		}
-		a.Volumes = make([]float64, n)
-		for i := range a.Volumes {
-			if a.Volumes[i], ok = s.volume(); !ok {
+		s.vols = slices.Grow(s.vols[:0], int(n))[:n]
+		for i := range s.vols {
+			if s.vols[i], ok = s.volume(); !ok {
 				return s.fail("bad volume %d of %d", i, n)
 			}
 		}
+		a.Volumes = s.vols
 	case WaitSome:
 		cnt, ok := s.uvarint()
 		if !ok || cnt == 0 || cnt > math.MaxInt32 {
@@ -534,11 +535,11 @@ func (s *tibStream) Next() (Action, bool, error) {
 		}
 		a.Count = int(cnt)
 	}
-	if err := a.ValidateIn(s.world); err != nil {
-		return Action{}, false, tibFileError(s.path, s.rank, fmt.Errorf("%w: offset %d: %v", ErrCorrupt, s.pos, err))
+	if err := a.ValidateFor(s.rank, s.world); err != nil {
+		return false, tibFileError(s.path, s.rank, fmt.Errorf("%w: offset %d: %v", ErrCorrupt, s.pos, err))
 	}
 	s.remaining--
-	return a, true, nil
+	return true, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,13 +83,15 @@ func materializeProvider(t *testing.T, p Provider) [][]Action {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 		for {
-			a, ok, err := st.Next()
+			var a Action
+			ok, err := st.Next(&a)
 			if err != nil {
 				t.Fatalf("rank %d: %v", r, err)
 			}
 			if !ok {
 				break
 			}
+			a.Volumes = slices.Clone(a.Volumes) // the stream's, until the next call
 			out[r] = append(out[r], a)
 		}
 	}
@@ -274,7 +277,7 @@ func drainTIB(path string) error {
 			return err
 		}
 		for {
-			_, ok, err := st.Next()
+			ok, err := st.Next(new(Action))
 			if err != nil {
 				return err
 			}
@@ -489,7 +492,7 @@ func TestFileStreamClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := st.Next(); err != nil || !ok {
+	if ok, err := st.Next(new(Action)); err != nil || !ok {
 		t.Fatalf("first action: ok=%v err=%v", ok, err)
 	}
 	closer, ok := st.(interface{ Close() error })
@@ -502,7 +505,7 @@ func TestFileStreamClose(t *testing.T) {
 	if err := closer.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, _, err := st.Next(); err == nil {
+	if _, err := st.Next(new(Action)); err == nil {
 		t.Fatal("Next succeeded on a closed stream")
 	}
 }
@@ -530,7 +533,7 @@ func TestCompiledProviderConcurrentRanks(t *testing.T) {
 			}
 			n := 0
 			for {
-				_, ok, err := st.Next()
+				ok, err := st.Next(new(Action))
 				if err != nil {
 					errs <- err
 					return

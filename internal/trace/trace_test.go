@@ -198,7 +198,8 @@ func TestFilteredReader(t *testing.T) {
 	rd := NewFilteredReader(strings.NewReader(src), 0)
 	var got []float64
 	for {
-		a, ok, err := rd.Next()
+		var a Action
+		ok, err := rd.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,11 +225,12 @@ func TestSliceStreamAndMemProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ok, _ := st.Next()
+	var a Action
+	ok, _ := st.Next(&a)
 	if !ok || a.Instructions != 7 {
 		t.Fatalf("a = %+v ok=%v", a, ok)
 	}
-	if _, ok, _ := st.Next(); ok {
+	if ok, _ := st.Next(new(Action)); ok {
 		t.Fatal("stream should be exhausted")
 	}
 	if _, err := p.Rank(5); err == nil {
@@ -257,7 +259,8 @@ func TestWriteSetAndLoadDescription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ok, err := st.Next()
+	var a Action
+	ok, err := st.Next(&a)
 	if err != nil || !ok || a.Kind != Recv || a.Peer != 0 {
 		t.Fatalf("a = %+v ok=%v err=%v", a, ok, err)
 	}
@@ -284,7 +287,8 @@ func TestMergedFileProvider(t *testing.T) {
 	}
 	var kinds []Kind
 	for {
-		a, ok, err := st.Next()
+		var a Action
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,12 +416,15 @@ func TestValidateDetectsPeerOutOfRange(t *testing.T) {
 	}
 }
 
-// lookupKind's switch must name every kind, in any letter case.
+// The decoder's name table must resolve every kind, in any letter case,
+// and no near miss of a name: one letter more, or another first letter.
 func TestLookupKindCoversNames(t *testing.T) {
 	for k, name := range kindNames {
-		for _, spelling := range []string{name, strings.ToUpper(name)} {
-			if got, ok := lookupKind(spelling); !ok || got != Kind(k) {
-				t.Errorf("lookupKind(%q) = %v, %v; want %v", spelling, got, ok, Kind(k))
+		for _, spelling := range []string{name, strings.ToUpper(name), name + "x", "x" + name[1:]} {
+			got, ok := kindOf(spelling)
+			want := spelling == name || spelling == strings.ToUpper(name)
+			if ok != want || (ok && got != Kind(k)) {
+				t.Errorf("kindOf(%q) = %v, %v; want %v, %v", spelling, got, ok, Kind(k), want)
 			}
 		}
 	}

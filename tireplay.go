@@ -96,6 +96,7 @@ import (
 	"io"
 	"iter"
 	"net/http"
+	"slices"
 	"time"
 
 	"tireplay/internal/calibrate"
@@ -122,7 +123,13 @@ type (
 	ActionKind = trace.Kind
 	// TraceProvider hands out per-rank action streams.
 	TraceProvider = trace.Provider
-	// TraceStream is a pull-based per-rank action source.
+	// TraceStream is a pull-based per-rank action source and the one place
+	// an action is checked. Next(a *Action) (ok bool, err error) fills the
+	// caller's record with the next action, valid in the provider's rank
+	// count and belonging to the stream's rank, or reports a malformed
+	// trace naming its file, rank and line; a.Volumes is the stream's,
+	// read-only and valid until the next call. A custom stream must keep
+	// this contract: replay does not check again.
 	TraceStream = trace.Stream
 	// TraceStats summarizes trace volumes.
 	TraceStats = trace.Stats
@@ -669,7 +676,8 @@ func Materialize(p TraceProvider) ([][]Action, error) {
 	out := make([][]Action, p.NumRanks())
 	// Each rank is collected in one scratch slice, reused across ranks, and
 	// kept as an exact-size copy, instead of growing each rank's own slice
-	// through every intermediate size.
+	// through every intermediate size. Each action is decoded straight into
+	// its slot.
 	var scratch []Action
 	for rank := range out {
 		st, err := p.Rank(rank)
@@ -678,14 +686,20 @@ func Materialize(p TraceProvider) ([][]Action, error) {
 		}
 		scratch = scratch[:0]
 		for {
-			a, ok, err := st.Next()
+			scratch = append(scratch, Action{})
+			a := &scratch[len(scratch)-1]
+			ok, err := st.Next(a)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
+				scratch = scratch[:len(scratch)-1]
 				break
 			}
-			scratch = append(scratch, a)
+			if a.Volumes != nil {
+				// The vector is the stream's until its next call.
+				a.Volumes = slices.Clone(a.Volumes)
+			}
 		}
 		if len(scratch) > 0 {
 			out[rank] = make([]Action, len(scratch))

@@ -240,3 +240,69 @@ func TestFacadeSpecWithoutFactorsReplaysLikeNoModel(t *testing.T) {
 		}
 	}
 }
+
+// vectorTraces is a two-rank trace whose ranks exchange different
+// alltoallv and allgatherv vectors from iteration to iteration.
+func vectorTraces(t *testing.T) [][]tireplay.Action {
+	t.Helper()
+	perRank, err := tireplay.SyntheticMixTraces("alltoallv", 2, 3, 1024.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return perRank
+}
+
+// TestMaterializeOwnsVectors: a stream's vector is its own until its next
+// call, so Materialize keeps a copy of each: two different alltoallv
+// lines of a text trace come back as two distinct vectors.
+func TestMaterializeOwnsVectors(t *testing.T) {
+	want := vectorTraces(t)
+	desc, err := tireplay.WriteTraces(t.TempDir(), "v", want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, err := tireplay.LoadTraces(desc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tireplay.Materialize(prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range want {
+		seen := map[*float64]int{}
+		for i := range want[r] {
+			if !got[r][i].Equal(want[r][i]) {
+				t.Fatalf("rank %d action %d = %v, want %v", r, i, got[r][i], want[r][i])
+			}
+			if len(got[r][i].Volumes) == 0 {
+				continue
+			}
+			if j, dup := seen[&got[r][i].Volumes[0]]; dup {
+				t.Fatalf("rank %d: actions %d and %d share one vector", r, j, i)
+			}
+			seen[&got[r][i].Volumes[0]] = i
+		}
+	}
+}
+
+// TestReplayLeavesMemoryTraceIntact: an in-memory stream hands out the
+// caller's vectors read-only, so replaying leaves them bit-identical.
+func TestReplayLeavesMemoryTraceIntact(t *testing.T) {
+	perRank, want := vectorTraces(t), vectorTraces(t)
+	plat := facadePlatform(t, facadePlatformSpec(2))
+	for _, backend := range []string{tireplay.SMPI, tireplay.MSG} {
+		if _, err := tireplay.Replay(tireplay.TracesInMemory(perRank), plat, tireplay.ReplayConfig{Backend: backend}); err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		for r := range want {
+			for i := range want[r] {
+				for k, v := range perRank[r][i].Volumes {
+					if math.Float64bits(v) != math.Float64bits(want[r][i].Volumes[k]) {
+						t.Fatalf("%s: rank %d action %d volumes = %v, were %v", backend, r, i, perRank[r][i].Volumes, want[r][i].Volumes)
+					}
+				}
+			}
+		}
+	}
+}
