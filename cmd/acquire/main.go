@@ -35,7 +35,10 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
 	}
-	class := tireplay.NPBClass((*classStr)[0])
+	spec := tireplay.WorkloadSpec{Benchmark: "lu", Class: *classStr, Procs: *np, Iterations: *iters}
+	lu, err := spec.Build()
+	fatal(err)
+	class := tireplay.NPBClass((*classStr)[0]) // validated by Build
 	compile := tireplay.CompileO0
 	if *o3 {
 		compile = tireplay.CompileO3
@@ -49,8 +52,6 @@ func main() {
 		tireplay.Uninstrumented, tireplay.CoarseInstrumentation,
 		tireplay.MinimalInstrumentation, tireplay.FineInstrumentation,
 	} {
-		lu, err := tireplay.NewLU(class, *np, *iters)
-		fatal(err)
 		run, err := cluster.Run(lu, cluster.InstrConfig(mode, compile, class))
 		fatal(err)
 		times[mode] = run.Time
@@ -62,15 +63,11 @@ func main() {
 	}
 
 	// Counter discrepancies vs the coarse reference.
-	lu, err := tireplay.NewLU(class, *np, *iters)
-	fatal(err)
 	ref, err := instrument.Counters(lu, cluster.InstrConfig(tireplay.CoarseInstrumentation, compile, class))
 	fatal(err)
 	for _, mode := range []tireplay.InstrumentationMode{
 		tireplay.MinimalInstrumentation, tireplay.FineInstrumentation,
 	} {
-		lu, err := tireplay.NewLU(class, *np, *iters)
-		fatal(err)
 		counters, err := instrument.Counters(lu, cluster.InstrConfig(mode, compile, class))
 		fatal(err)
 		diffs := make([]float64, len(counters))

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"tireplay"
 )
@@ -57,28 +58,10 @@ func main() {
 		return
 	}
 
-	class := tireplay.NPBClass((*classStr)[0])
-	var w tireplay.Workload
-	var err error
-	switch *workload {
-	case "lu":
-		w, err = tireplay.NewLU(class, *np, *iters)
-	case "cg":
-		w, err = tireplay.NewCG(class, *np, *iters)
-	case "ep":
-		w, err = tireplay.NewEP(class, *np)
-	case "mg":
-		w, err = tireplay.NewMG(class, *np, *iters)
-	case "bt":
-		w, err = tireplay.NewBT(class, *np, *iters)
-	case "sp":
-		w, err = tireplay.NewSP(class, *np, *iters)
-	case "ft":
-		w, err = tireplay.NewFT(class, *np, *iters)
-	default:
-		err = fmt.Errorf("unknown workload %q", *workload)
-	}
+	spec := tireplay.WorkloadSpec{Benchmark: *workload, Class: *classStr, Procs: *np, Iterations: *iters}
+	w, err := spec.Build()
 	fatal(err)
+	class := tireplay.NPBClass((*classStr)[0]) // validated by Build
 
 	var prov tireplay.TraceProvider
 	switch *mode {
@@ -110,7 +93,7 @@ func main() {
 
 	name := *prefix
 	if name == "" {
-		name = fmt.Sprintf("%s_%s%d", *workload, string(class), *np)
+		name = fmt.Sprintf("%s_%s%d", strings.ToLower(*workload), string(class), *np)
 	}
 	perRank, err := tireplay.Materialize(prov)
 	fatal(err)

@@ -162,17 +162,17 @@ func (c *Cluster) Run(w npb.Workload, icfg instrument.Config) (*RunResult, error
 func (c *Cluster) rankFeed(world *mpi.World, rank int, rate float64, stream npb.OpStream, icfg instrument.Config, busy *float64) sim.Feed {
 	ops := world.TaskRank(rank)
 	npending := 0
+	var a trace.Action
 	return func(p *sim.Prog) (bool, error) {
-		op, ok, err := stream.Next()
+		ok, err := stream.Next(&a)
 		if err != nil {
 			return false, &core.TraceError{Backend: "ground", Rank: rank, Err: fmt.Errorf("reading stream: %w", err)}
 		}
 		if !ok {
 			return false, nil
 		}
-		a := &op.Action
 		if a.Kind == trace.Compute {
-			base, _, probeTime := icfg.ComputeCost(op)
+			base, _, probeTime := icfg.ComputeCost(a.Instructions, stream.Calls())
 			if base > 0 {
 				p.Sleep(base / rate)
 			}
@@ -183,11 +183,11 @@ func (c *Cluster) rankFeed(world *mpi.World, rank int, rate float64, stream npb.
 			return true, nil
 		}
 		if a.Kind != trace.Init && a.Kind != trace.Finalize {
-			if _, probeTime := icfg.MPICost(op); probeTime > 0 {
+			if _, probeTime := icfg.MPICost(); probeTime > 0 {
 				p.Sleep(probeTime)
 			}
 		}
-		if err := core.Lower(ops, p, a, &npending); err != nil {
+		if err := core.Lower(ops, p, &a, &npending); err != nil {
 			return false, &core.TraceError{Backend: "ground", Rank: rank, Kind: a.Kind, Err: err}
 		}
 		return true, nil

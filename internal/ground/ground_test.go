@@ -195,20 +195,29 @@ func TestGroundTruthMagnitudes(t *testing.T) {
 	}
 }
 
-// opsWorkload is a one-rank workload replaying a fixed operation list.
-type opsWorkload []npb.Op
+// opsWorkload is a one-rank workload replaying a fixed action list, one
+// call per action.
+type opsWorkload []trace.Action
 
 func (w opsWorkload) Name() string                      { return "ops" }
 func (w opsWorkload) Ranks() int                        { return 1 }
-func (w opsWorkload) Rank(int) (npb.OpStream, error)    { return npb.NewOpSlice(w), nil }
 func (w opsWorkload) WorkingSet(int) float64            { return 0 }
 func (w opsWorkload) BaseInstructions(rank int) float64 { return 0 }
+
+func (w opsWorkload) Rank(rank int) (npb.OpStream, error) {
+	st, err := trace.NewMemProvider([][]trace.Action{w}).Rank(rank)
+	return opsStream{st}, err
+}
+
+type opsStream struct{ trace.Stream }
+
+func (opsStream) Calls() float64 { return 1 }
 
 // TestMalformedOpStreamIsTraceError: an operation stream the lowering
 // rejects must surface as a structured *core.TraceError from Run, not as a
 // panic report.
 func TestMalformedOpStreamIsTraceError(t *testing.T) {
-	w := opsWorkload{{Action: trace.Action{Kind: trace.Wait, Peer: -1}, Calls: 1}}
+	w := opsWorkload{{Kind: trace.Wait, Peer: -1}}
 	_, err := Bordereau().Run(w, instrument.Config{Mode: instrument.None})
 	var te *core.TraceError
 	if !errors.As(err, &te) || !errors.Is(err, core.ErrNoOutstandingRequest) {

@@ -157,25 +157,26 @@ func (c Config) compileScale() float64 {
 	return O3Scale(c.Class)
 }
 
-// ComputeCost evaluates a compute operation under this configuration.
+// ComputeCost evaluates a compute segment of instr base instructions
+// spanning calls application function calls under this configuration.
 // It returns the scaled base instruction count (what actually executes of
 // the application), the counted instructions (what the hardware counter
 // reports: base plus probe instructions), and the probe wall-time added to
 // the segment.
-func (c Config) ComputeCost(op npb.Op) (base, counted, probeTime float64) {
-	base = op.Action.Instructions * c.compileScale()
+func (c Config) ComputeCost(instr, calls float64) (base, counted, probeTime float64) {
+	base = instr * c.compileScale()
 	counted = base
 	if c.Mode == Fine {
 		k := c.costs()
-		counted += k.AppProbeInstr * op.Calls
-		probeTime = k.AppProbeTime * op.Calls
+		counted += k.AppProbeInstr * calls
+		probeTime = k.AppProbeTime * calls
 	}
 	return base, counted, probeTime
 }
 
-// MPICost evaluates an MPI operation: the extra counted instructions and
-// the probe wall-time attributable to the event.
-func (c Config) MPICost(op npb.Op) (extraInstr, probeTime float64) {
+// MPICost evaluates one MPI event: the extra counted instructions and the
+// probe wall-time attributable to it.
+func (c Config) MPICost() (extraInstr, probeTime float64) {
 	k := c.costs()
 	switch c.Mode {
 	case Fine:
@@ -196,6 +197,7 @@ func Counters(w npb.Workload, cfg Config) ([]float64, error) {
 		return nil, fmt.Errorf("instrument: the uninstrumented build has no counters")
 	}
 	out := make([]float64, w.Ranks())
+	var a trace.Action
 	for rank := 0; rank < w.Ranks(); rank++ {
 		st, err := w.Rank(rank)
 		if err != nil {
@@ -203,18 +205,18 @@ func Counters(w npb.Workload, cfg Config) ([]float64, error) {
 		}
 		total := cfg.costs().CoarseSectionInstr // section-boundary reads
 		for {
-			op, ok, err := st.Next()
+			ok, err := st.Next(&a)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
 				break
 			}
-			if op.Action.Kind == trace.Compute {
-				_, counted, _ := cfg.ComputeCost(op)
+			if a.Kind == trace.Compute {
+				_, counted, _ := cfg.ComputeCost(a.Instructions, st.Calls())
 				total += counted
-			} else if op.Action.Kind != trace.Init && op.Action.Kind != trace.Finalize {
-				extra, _ := cfg.MPICost(op)
+			} else if a.Kind != trace.Init && a.Kind != trace.Finalize {
+				extra, _ := cfg.MPICost()
 				total += extra
 			}
 		}
@@ -259,18 +261,19 @@ type acquiredStream struct {
 	pendingExtra float64
 }
 
+// Next implements trace.Stream, rewriting the operation stream's record in
+// place.
 func (s *acquiredStream) Next(a *trace.Action) (bool, error) {
-	op, ok, err := s.ops.Next()
+	ok, err := s.ops.Next(a)
 	if err != nil || !ok {
 		return false, err
 	}
-	*a = op.Action
 	if a.Kind == trace.Compute {
-		_, counted, _ := s.cfg.ComputeCost(op)
+		_, counted, _ := s.cfg.ComputeCost(a.Instructions, s.ops.Calls())
 		a.Instructions = counted + s.pendingExtra
 		s.pendingExtra = 0
 	} else if a.Kind != trace.Init && a.Kind != trace.Finalize {
-		extra, _ := s.cfg.MPICost(op)
+		extra, _ := s.cfg.MPICost()
 		s.pendingExtra += extra
 	}
 	return true, nil

@@ -8,20 +8,9 @@ import (
 	"tireplay/internal/trace"
 )
 
-func computeOp(instr, calls float64) npb.Op {
-	return npb.Op{
-		Action: trace.Action{Rank: 0, Kind: trace.Compute, Instructions: instr, Peer: -1},
-		Calls:  calls,
-	}
-}
-
-func sendOp() npb.Op {
-	return npb.Op{Action: trace.Action{Rank: 0, Kind: trace.Send, Peer: 1, Bytes: 100}, Calls: 1}
-}
-
 func TestComputeCostNone(t *testing.T) {
 	cfg := Config{Mode: None, Compile: O0}
-	base, counted, probe := cfg.ComputeCost(computeOp(1000, 10))
+	base, counted, probe := cfg.ComputeCost(1000, 10)
 	if base != 1000 || counted != 1000 || probe != 0 {
 		t.Fatalf("none: %v %v %v", base, counted, probe)
 	}
@@ -29,7 +18,7 @@ func TestComputeCostNone(t *testing.T) {
 
 func TestComputeCostFineAddsProbes(t *testing.T) {
 	cfg := Config{Mode: Fine, Compile: O0}
-	base, counted, probe := cfg.ComputeCost(computeOp(1000, 10))
+	base, counted, probe := cfg.ComputeCost(1000, 10)
 	if base != 1000 {
 		t.Fatalf("base = %v", base)
 	}
@@ -43,7 +32,7 @@ func TestComputeCostFineAddsProbes(t *testing.T) {
 
 func TestComputeCostMinimalAddsNothingPerCall(t *testing.T) {
 	cfg := Config{Mode: Minimal, Compile: O0}
-	base, counted, probe := cfg.ComputeCost(computeOp(1000, 10))
+	base, counted, probe := cfg.ComputeCost(1000, 10)
 	if base != 1000 || counted != 1000 || probe != 0 {
 		t.Fatalf("minimal compute: %v %v %v", base, counted, probe)
 	}
@@ -51,7 +40,7 @@ func TestComputeCostMinimalAddsNothingPerCall(t *testing.T) {
 
 func TestO3ScalesBaseNotProbes(t *testing.T) {
 	cfg := Config{Mode: Fine, Compile: O3, Class: npb.ClassB}
-	base, counted, _ := cfg.ComputeCost(computeOp(1000, 10))
+	base, counted, _ := cfg.ComputeCost(1000, 10)
 	wantBase := 1000 * O3Scale(npb.ClassB)
 	if math.Abs(base-wantBase) > 1e-9 {
 		t.Fatalf("base = %v, want %v", base, wantBase)
@@ -71,10 +60,10 @@ func TestO3ScalePerClass(t *testing.T) {
 }
 
 func TestMPICostByMode(t *testing.T) {
-	fine, _ := Config{Mode: Fine}.MPICost(sendOp())
-	min, _ := Config{Mode: Minimal}.MPICost(sendOp())
-	coarse, _ := Config{Mode: Coarse}.MPICost(sendOp())
-	none, _ := Config{Mode: None}.MPICost(sendOp())
+	fine, _ := Config{Mode: Fine}.MPICost()
+	min, _ := Config{Mode: Minimal}.MPICost()
+	coarse, _ := Config{Mode: Coarse}.MPICost()
+	none, _ := Config{Mode: None}.MPICost()
 	if fine != DefaultCosts.MPIProbeInstrFine || min != DefaultCosts.MPIProbeInstrMinimal {
 		t.Fatalf("fine=%v min=%v", fine, min)
 	}
@@ -89,11 +78,11 @@ func TestMPICostByMode(t *testing.T) {
 func TestCustomCostsOverride(t *testing.T) {
 	costs := Costs{AppProbeInstr: 1, AppProbeTime: 2, MPIProbeInstrFine: 3, MPIEventTimeFine: 4}
 	cfg := Config{Mode: Fine, Costs: &costs}
-	_, counted, probe := cfg.ComputeCost(computeOp(0, 5))
+	_, counted, probe := cfg.ComputeCost(0, 5)
 	if counted != 5 || probe != 10 {
 		t.Fatalf("custom costs: counted=%v probe=%v", counted, probe)
 	}
-	extra, ptime := cfg.MPICost(sendOp())
+	extra, ptime := cfg.MPICost()
 	if extra != 3 || ptime != 4 {
 		t.Fatalf("custom MPI costs: %v %v", extra, ptime)
 	}

@@ -18,7 +18,8 @@ type BT struct {
 	// Iterations overrides the class niter when positive.
 	Iterations int
 
-	n, niter, q int
+	niter int
+	pencil
 }
 
 // btParams returns (grid dimension, iterations) for a class.
@@ -85,7 +86,7 @@ func NewBT(class Class, procs, iterations int) (*BT, error) {
 	if q > n {
 		return nil, fmt.Errorf("npb: BT %s on %d processes exceeds the %d^3 grid", string(class), procs, n)
 	}
-	return &BT{Class: class, Procs: procs, Iterations: iterations, n: n, niter: niter, q: q}, nil
+	return &BT{Class: class, Procs: procs, Iterations: iterations, niter: niter, pencil: pencil{n, q}}, nil
 }
 
 // Name implements Workload.
@@ -93,21 +94,6 @@ func (b *BT) Name() string { return fmt.Sprintf("BT %s-%d", b.Class, b.Procs) }
 
 // Ranks implements Workload.
 func (b *BT) Ranks() int { return b.Procs }
-
-// coords returns the rank's position in the q x q grid.
-func (b *BT) coords(rank int) (ix, iy int) { return rank % b.q, rank / b.q }
-
-// localDims returns the rank's pencil cross-section.
-func (b *BT) localDims(rank int) (nx, ny int) {
-	ix, iy := b.coords(rank)
-	return split(b.n, b.q, ix), split(b.n, b.q, iy)
-}
-
-// localPoints is the rank's grid-point count (the pencil spans all of z).
-func (b *BT) localPoints(rank int) float64 {
-	nx, ny := b.localDims(rank)
-	return float64(nx) * float64(ny) * float64(b.n)
-}
 
 // WorkingSet implements Workload: solution, rhs, and the three block
 // Jacobians of the line solves.
@@ -121,151 +107,129 @@ func (b *BT) BaseInstructions(rank int) float64 {
 	return float64(b.niter) * perPoint * b.localPoints(rank)
 }
 
-// Rank implements Workload.
-func (b *BT) Rank(rank int) (OpStream, error) {
-	if rank < 0 || rank >= b.Procs {
-		return nil, fmt.Errorf("npb: rank %d out of range [0,%d)", rank, b.Procs)
-	}
-	return &btStream{bt: b, rank: rank}, nil
-}
+// Rank implements Workload: init, the iterations, the verification
+// teardown.
+func (b *BT) Rank(rank int) (OpStream, error) { return newStream(b, rank, b.Procs, b.niter+2) }
 
-type btStream struct {
-	bt    *BT
-	rank  int
-	buf   []Op
-	pos   int
-	phase int // 0 init, 1..niter iterations, niter+1 teardown
-}
-
-func (s *btStream) Next() (Op, bool, error) {
-	for s.pos >= len(s.buf) {
-		if !s.refill() {
-			return Op{}, false, nil
-		}
-	}
-	op := s.buf[s.pos]
-	s.pos++
-	return op, true, nil
-}
-
-func (s *btStream) refill() bool {
-	b := s.bt
-	s.buf = s.buf[:0]
-	s.pos = 0
+func (b *BT) phase(s *stream, i int) {
 	switch {
-	case s.phase == 0:
+	case i == 0:
 		s.emit(trace.Init, 0, 0, -1, 0)
-	case s.phase <= b.niter:
-		s.emitIteration()
-	case s.phase == b.niter+1:
+	case i <= b.niter:
+		pts := b.localPoints(s.rank)
+		s.emit(trace.Compute, InstrBTRHS*pts, 0, -1, btCallsPerPoint*pts)
+		b.copyFaces(s)
+		// x and y line solves sweep across the grid; z is pencil-local.
+		b.sweep(s, 0, btLineBytes, InstrBTSolve, btCallsPerPoint)
+		b.sweep(s, 1, btLineBytes, InstrBTSolve, btCallsPerPoint)
+		s.emit(trace.Compute, InstrBTSolve*pts, 0, -1, btCallsPerPoint*pts)
+		s.emit(trace.Compute, InstrBTAdd*pts, 0, -1, btCallsPerPoint*pts)
+	default:
 		s.emit(trace.AllReduce, 0, 8*btVars, -1, 1) // verification norms
 		s.emit(trace.Finalize, 0, 0, -1, 0)
-	default:
-		return false
 	}
-	s.phase++
-	return len(s.buf) > 0 || s.refill()
 }
 
-func (s *btStream) emit(kind trace.Kind, instr, bytes float64, peer int, calls float64) {
-	s.buf = append(s.buf, Op{
-		Action: trace.Action{Rank: s.rank, Kind: kind, Instructions: instr, Bytes: bytes, Peer: peer},
-		Calls:  calls,
-	})
-}
-
-func (s *btStream) emitIteration() {
-	b := s.bt
-	pts := b.localPoints(s.rank)
-	s.emit(trace.Compute, InstrBTRHS*pts, 0, -1, btCallsPerPoint*pts)
-	s.emitCopyFaces()
-	// x and y line solves sweep across the grid; z is pencil-local.
-	s.emitSweep(0)
-	s.emitSweep(1)
-	s.emit(trace.Compute, InstrBTSolve*pts, 0, -1, btCallsPerPoint*pts)
-	s.emit(trace.Compute, InstrBTAdd*pts, 0, -1, btCallsPerPoint*pts)
-}
-
-// emitCopyFaces posts nonblocking receives and sends for the four pencil
-// faces (periodic in both grid directions), then drains them out of order:
+// copyFaces posts the four face transfers, then drains them out of order:
 // a waitsome for the first half, a waitall for the rest.
-func (s *btStream) emitCopyFaces() {
-	b := s.bt
-	if b.q == 1 {
-		return
-	}
-	ix, iy := b.coords(s.rank)
-	nx, ny := b.localDims(s.rank)
-	at := func(x, y int) int { return y*b.q + x }
-	type face struct {
-		peer  int
-		bytes float64
-	}
-	faces := []face{
-		{at((ix+1)%b.q, iy), 8 * btVars * float64(ny) * float64(b.n)},
-		{at((ix-1+b.q)%b.q, iy), 8 * btVars * float64(ny) * float64(b.n)},
-		{at(ix, (iy+1)%b.q), 8 * btVars * float64(nx) * float64(b.n)},
-		{at(ix, (iy-1+b.q)%b.q), 8 * btVars * float64(nx) * float64(b.n)},
-	}
-	posted := 0
-	for _, f := range faces {
-		if f.peer != s.rank {
-			s.emit(trace.IRecv, 0, f.bytes, f.peer, 1)
-			posted++
-		}
-	}
-	for _, f := range faces {
-		if f.peer != s.rank {
-			s.emit(trace.ISend, 0, f.bytes, f.peer, 1)
-			posted++
-		}
-	}
+func (b *BT) copyFaces(s *stream) {
+	posted := b.postFaces(s, btVars)
 	if posted == 0 {
 		return
 	}
 	if half := posted / 2; half > 0 {
-		s.buf = append(s.buf, Op{
-			Action: trace.Action{Rank: s.rank, Kind: trace.WaitSome, Peer: -1, Count: half},
-			Calls:  1,
-		})
+		s.emit(trace.WaitSome, 0, 0, -1, 1).Count = half
 	}
 	s.emit(trace.WaitAll, 0, 0, -1, 1)
 }
 
-// emitSweep is one direction's line solve: a forward elimination pipelined
-// toward higher grid coordinates, then the back substitution flowing the
-// other way — the wavefront structure of BT's solve stages.
-func (s *btStream) emitSweep(dir int) {
-	b := s.bt
-	ix, iy := b.coords(s.rank)
-	nx, ny := b.localDims(s.rank)
-	at := func(x, y int) int { return y*b.q + x }
-	var pos, lo, hi int
-	var ifaceBytes float64
-	if dir == 0 {
-		pos = ix
-		lo, hi = at(ix-1, iy), at(ix+1, iy)
-		ifaceBytes = btLineBytes * float64(ny) * float64(b.n)
-	} else {
-		pos = iy
-		lo, hi = at(ix, iy-1), at(ix, iy+1)
-		ifaceBytes = btLineBytes * float64(nx) * float64(b.n)
+// pencil is the x-y pencil decomposition BT and SP share: a q x q process
+// grid over the n^3 grid, each rank's pencil spanning all of z.
+type pencil struct{ n, q int }
+
+// coords returns the rank's position in the q x q grid.
+func (p *pencil) coords(rank int) (ix, iy int) { return rank % p.q, rank / p.q }
+
+// localDims returns the rank's pencil cross-section.
+func (p *pencil) localDims(rank int) (nx, ny int) {
+	ix, iy := p.coords(rank)
+	return split(p.n, p.q, ix), split(p.n, p.q, iy)
+}
+
+// localPoints is the rank's grid-point count.
+func (p *pencil) localPoints(rank int) float64 {
+	nx, ny := p.localDims(rank)
+	return float64(nx) * float64(ny) * float64(p.n)
+}
+
+// face is one of a pencil's four faces: the rank across it and its area in
+// grid points.
+type face struct {
+	peer int
+	area float64
+}
+
+// faces returns the rank's four faces, periodic in both grid directions:
+// +x, -x, +y, -y.
+func (p *pencil) faces(rank int) [4]face {
+	ix, iy := p.coords(rank)
+	nx, ny := p.localDims(rank)
+	at := func(x, y int) int { return y*p.q + x }
+	xArea, yArea := float64(ny)*float64(p.n), float64(nx)*float64(p.n)
+	return [4]face{
+		{at((ix+1)%p.q, iy), xArea},
+		{at((ix-1+p.q)%p.q, iy), xArea},
+		{at(ix, (iy+1)%p.q), yArea},
+		{at(ix, (iy-1+p.q)%p.q), yArea},
 	}
-	pts := b.localPoints(s.rank)
-	half := InstrBTSolve * pts / 2
+}
+
+// postFaces posts a nonblocking receive for every face whose peer is
+// another rank, then a nonblocking send, each of vars doubles per face
+// point, and returns the number of requests posted.
+func (p *pencil) postFaces(s *stream, vars float64) int {
+	faces := p.faces(s.rank)
+	posted := 0
+	for _, kind := range [2]trace.Kind{trace.IRecv, trace.ISend} {
+		for _, f := range faces {
+			if f.peer != s.rank {
+				s.emit(kind, 0, 8*vars*f.area, f.peer, 1)
+				posted++
+			}
+		}
+	}
+	return posted
+}
+
+// sweep is one direction's line solve (dir 0 across x, 1 across y): a
+// forward elimination pipelined toward higher grid coordinates, then the
+// back substitution flowing the other way — the wavefront structure of
+// the solve stages. lineBytes is the interface payload per line, and
+// solveInstr and callsPerPoint the solve's compute per point.
+func (p *pencil) sweep(s *stream, dir int, lineBytes, solveInstr, callsPerPoint float64) {
+	ix, iy := p.coords(s.rank)
+	nx, ny := p.localDims(s.rank)
+	at := func(x, y int) int { return y*p.q + x }
+	pos, lo, hi, width := ix, at(ix-1, iy), at(ix+1, iy), ny
+	if dir == 1 {
+		pos, lo, hi, width = iy, at(ix, iy-1), at(ix, iy+1), nx
+	}
+	ifaceBytes := lineBytes * float64(width) * float64(p.n)
+	pts := p.localPoints(s.rank)
+	half := solveInstr * pts / 2
 	// Forward elimination.
 	if pos > 0 {
 		s.emit(trace.Recv, 0, 0, lo, 1)
 	}
-	s.emit(trace.Compute, half, 0, -1, btCallsPerPoint*pts/2)
-	if pos < b.q-1 {
+	s.emit(trace.Compute, half, 0, -1, callsPerPoint*pts/2)
+	if pos < p.q-1 {
 		s.emit(trace.Send, 0, ifaceBytes, hi, 1)
 	}
 	// Back substitution.
-	if pos < b.q-1 {
+	if pos < p.q-1 {
 		s.emit(trace.Recv, 0, 0, hi, 1)
 	}
-	s.emit(trace.Compute, half, 0, -1, btCallsPerPoint*pts/2)
+	s.emit(trace.Compute, half, 0, -1, callsPerPoint*pts/2)
 	if pos > 0 {
 		s.emit(trace.Send, 0, ifaceBytes, lo, 1)
 	}

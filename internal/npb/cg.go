@@ -95,80 +95,40 @@ func (c *CG) BaseInstructions(rank int) float64 {
 	return float64(c.niter) * cgInnerIters * c.innerInstr()
 }
 
-// Rank implements Workload.
-func (c *CG) Rank(rank int) (OpStream, error) {
-	if rank < 0 || rank >= c.Procs {
-		return nil, fmt.Errorf("npb: rank %d out of range [0,%d)", rank, c.Procs)
-	}
-	return &cgStream{cg: c, rank: rank}, nil
-}
+// Rank implements Workload: init, the outer iterations, finalize.
+func (c *CG) Rank(rank int) (OpStream, error) { return newStream(c, rank, c.Procs, c.niter+2) }
 
-type cgStream struct {
-	cg    *CG
-	rank  int
-	buf   []Op
-	pos   int
-	phase int // 0 = setup, 1..niter = outer iterations, niter+1 = done marker
-}
-
-// Next implements OpStream.
-func (s *cgStream) Next() (Op, bool, error) {
-	for s.pos >= len(s.buf) {
-		if !s.refill() {
-			return Op{}, false, nil
-		}
-	}
-	op := s.buf[s.pos]
-	s.pos++
-	return op, true, nil
-}
-
-func (s *cgStream) refill() bool {
-	c := s.cg
-	s.buf = s.buf[:0]
-	s.pos = 0
+func (c *CG) phase(s *stream, i int) {
 	switch {
-	case s.phase == 0:
-		s.buf = append(s.buf, Op{Action: trace.Action{Rank: s.rank, Kind: trace.Init, Peer: -1}})
-	case s.phase <= c.niter:
-		s.emitOuter()
-	case s.phase == c.niter+1:
-		s.buf = append(s.buf, Op{Action: trace.Action{Rank: s.rank, Kind: trace.Finalize, Peer: -1}})
+	case i == 0:
+		s.emit(trace.Init, 0, 0, -1, 0)
+	case i <= c.niter:
+		c.outer(s)
 	default:
-		return false
+		s.emit(trace.Finalize, 0, 0, -1, 0)
 	}
-	s.phase++
-	return len(s.buf) > 0 || s.refill()
 }
 
-func (s *cgStream) emitOuter() {
-	c := s.cg
+func (c *CG) outer(s *stream) {
 	calls := cgCallsPerRow * c.rowsPerRank()
 	levels := int(math.Round(math.Log2(float64(c.Procs))))
 	segBytes := 8 * c.rowsPerRank()
 	for inner := 0; inner < cgInnerIters; inner++ {
-		s.buf = append(s.buf, Op{
-			Action: trace.Action{Rank: s.rank, Kind: trace.Compute, Instructions: c.innerInstr(), Peer: -1},
-			Calls:  calls,
-		})
+		s.emit(trace.Compute, c.innerInstr(), 0, -1, calls)
 		// Reduction across the exchange dimension: recursive halving,
 		// irecv/send/wait against XOR partners.
 		for l := 0; l < levels; l++ {
 			partner := s.rank ^ (1 << l)
-			s.buf = append(s.buf,
-				Op{Action: trace.Action{Rank: s.rank, Kind: trace.IRecv, Peer: partner, Bytes: segBytes}, Calls: 1},
-				Op{Action: trace.Action{Rank: s.rank, Kind: trace.Send, Peer: partner, Bytes: segBytes}, Calls: 1},
-				Op{Action: trace.Action{Rank: s.rank, Kind: trace.Wait, Peer: -1}, Calls: 1},
-			)
+			s.emit(trace.IRecv, 0, segBytes, partner, 1)
+			s.emit(trace.Send, 0, segBytes, partner, 1)
+			s.emit(trace.Wait, 0, 0, -1, 1)
 		}
 		// rho and alpha dot products.
-		s.buf = append(s.buf,
-			Op{Action: trace.Action{Rank: s.rank, Kind: trace.AllReduce, Bytes: 8, Peer: -1}, Calls: 1},
-			Op{Action: trace.Action{Rank: s.rank, Kind: trace.AllReduce, Bytes: 8, Peer: -1}, Calls: 1},
-		)
+		s.emit(trace.AllReduce, 0, 8, -1, 1)
+		s.emit(trace.AllReduce, 0, 8, -1, 1)
 	}
 	// Residual norm of the outer step.
-	s.buf = append(s.buf, Op{Action: trace.Action{Rank: s.rank, Kind: trace.AllReduce, Bytes: 8, Peer: -1}, Calls: 1})
+	s.emit(trace.AllReduce, 0, 8, -1, 1)
 }
 
 var _ Workload = (*CG)(nil)

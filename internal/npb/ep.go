@@ -85,47 +85,21 @@ func (e *EP) BaseInstructions(rank int) float64 {
 	return InstrPerPair * e.pairsPerRank()
 }
 
-// Rank implements Workload.
-func (e *EP) Rank(rank int) (OpStream, error) {
-	if rank < 0 || rank >= e.Procs {
-		return nil, fmt.Errorf("npb: rank %d out of range [0,%d)", rank, e.Procs)
-	}
-	var ops []Op
-	emit := func(kind trace.Kind, instr, bytes float64, calls float64) {
-		ops = append(ops, Op{
-			Action: trace.Action{Rank: rank, Kind: kind, Instructions: instr, Bytes: bytes, Peer: -1},
-			Calls:  calls,
-		})
-	}
-	emit(trace.Init, 0, 0, 0)
-	perSeg := e.BaseInstructions(rank) / epSegments
+// Rank implements Workload: the whole stream is one phase.
+func (e *EP) Rank(rank int) (OpStream, error) { return newStream(e, rank, e.Procs, 1) }
+
+func (e *EP) phase(s *stream, _ int) {
+	s.emit(trace.Init, 0, 0, -1, 0)
+	perSeg := e.BaseInstructions(s.rank) / epSegments
 	callsPerSeg := epCallsPerPair * e.pairsPerRank() / epSegments
-	for s := 0; s < epSegments; s++ {
-		emit(trace.Compute, perSeg, 0, callsPerSeg)
+	for i := 0; i < epSegments; i++ {
+		s.emit(trace.Compute, perSeg, 0, -1, callsPerSeg)
 	}
 	// sx, sy sums and the ten annulus counts.
-	emit(trace.AllReduce, 0, 8, 1)
-	emit(trace.AllReduce, 0, 8, 1)
-	emit(trace.AllReduce, 0, 80, 1)
-	emit(trace.Finalize, 0, 0, 0)
-	return NewOpSlice(ops), nil
-}
-
-// NewOpSlice wraps a materialized op list as an OpStream.
-func NewOpSlice(ops []Op) OpStream { return &opSlice{ops: ops} }
-
-type opSlice struct {
-	ops []Op
-	pos int
-}
-
-func (s *opSlice) Next() (Op, bool, error) {
-	if s.pos >= len(s.ops) {
-		return Op{}, false, nil
-	}
-	op := s.ops[s.pos]
-	s.pos++
-	return op, true, nil
+	s.emit(trace.AllReduce, 0, 8, -1, 1)
+	s.emit(trace.AllReduce, 0, 8, -1, 1)
+	s.emit(trace.AllReduce, 0, 80, -1, 1)
+	s.emit(trace.Finalize, 0, 0, -1, 0)
 }
 
 var _ Workload = (*EP)(nil)

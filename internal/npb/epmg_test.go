@@ -33,16 +33,17 @@ func TestEPInstructionsMatchStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0.0
+	var a trace.Action
 	for {
-		op, ok, err := st.Next()
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if op.Action.Kind == trace.Compute {
-			sum += op.Action.Instructions
+		if a.Kind == trace.Compute {
+			sum += a.Instructions
 		}
 	}
 	want := ep.BaseInstructions(0)
@@ -68,15 +69,16 @@ func TestEPTraceIsComputeDominatedAndBalanced(t *testing.T) {
 	}
 	st, _ := ep.Rank(3)
 	p2p := 0
+	var a trace.Action
 	for {
-		op, ok, err := st.Next()
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if op.Action.Kind.HasPeer() {
+		if a.Kind.HasPeer() {
 			p2p++
 		}
 	}
@@ -130,16 +132,17 @@ func TestMGInstructionsMatchStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := 0.0
+		var a trace.Action
 		for {
-			op, ok, err := st.Next()
+			ok, err := st.Next(&a)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			if op.Action.Kind == trace.Compute {
-				sum += op.Action.Instructions
+			if a.Kind == trace.Compute {
+				sum += a.Instructions
 			}
 		}
 		want := mg.BaseInstructions(rank)
@@ -168,16 +171,17 @@ func TestMGHaloSizesShrinkWithLevel(t *testing.T) {
 	}
 	st, _ := mg.Rank(0)
 	var sizes []float64
+	var a trace.Action
 	for {
-		op, ok, err := st.Next()
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if op.Action.Kind == trace.Send {
-			sizes = append(sizes, op.Action.Bytes)
+		if a.Kind == trace.Send {
+			sizes = append(sizes, a.Bytes)
 		}
 	}
 	if len(sizes) == 0 {
@@ -221,16 +225,17 @@ func TestMGSingleRankNoMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := mg.Rank(0)
+	var a trace.Action
 	for {
-		op, ok, err := st.Next()
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if op.Action.Kind.HasPeer() {
-			t.Fatalf("single-rank MG emitted %v", op.Action)
+		if a.Kind.HasPeer() {
+			t.Fatalf("single-rank MG emitted %v", a)
 		}
 	}
 }

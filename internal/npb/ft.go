@@ -138,76 +138,33 @@ func (f *FT) checksumVols() []float64 {
 	return vols
 }
 
-// Rank implements Workload.
-func (f *FT) Rank(rank int) (OpStream, error) {
-	if rank < 0 || rank >= f.Procs {
-		return nil, fmt.Errorf("npb: rank %d out of range [0,%d)", rank, f.Procs)
-	}
-	return &ftStream{ft: f, rank: rank}, nil
-}
+// Rank implements Workload: init, the iterations, the checksum teardown.
+func (f *FT) Rank(rank int) (OpStream, error) { return newStream(f, rank, f.Procs, f.niter+2) }
 
-type ftStream struct {
-	ft    *FT
-	rank  int
-	buf   []Op
-	pos   int
-	phase int // 0 init, 1..niter iterations, niter+1 teardown
-}
-
-func (s *ftStream) Next() (Op, bool, error) {
-	for s.pos >= len(s.buf) {
-		if !s.refill() {
-			return Op{}, false, nil
-		}
-	}
-	op := s.buf[s.pos]
-	s.pos++
-	return op, true, nil
-}
-
-func (s *ftStream) refill() bool {
-	f := s.ft
-	s.buf = s.buf[:0]
-	s.pos = 0
+func (f *FT) phase(s *stream, i int) {
 	switch {
-	case s.phase == 0:
-		s.buf = append(s.buf, Op{Action: trace.Action{Rank: s.rank, Kind: trace.Init, Peer: -1}})
-	case s.phase <= f.niter:
-		s.emitIteration()
-	case s.phase == f.niter+1:
-		// Checksum collection and teardown.
-		s.buf = append(s.buf,
-			Op{Action: trace.Action{Rank: s.rank, Kind: trace.AllGatherV, Peer: -1, Volumes: f.checksumVols()}, Calls: 1},
-			Op{Action: trace.Action{Rank: s.rank, Kind: trace.Finalize, Peer: -1}})
+	case i == 0:
+		s.emit(trace.Init, 0, 0, -1, 0)
+	case i <= f.niter:
+		f.iteration(s)
 	default:
-		return false
+		// Checksum collection and teardown.
+		s.emit(trace.AllGatherV, 0, 0, -1, 1).Volumes = f.checksumVols()
+		s.emit(trace.Finalize, 0, 0, -1, 0)
 	}
-	s.phase++
-	return len(s.buf) > 0 || s.refill()
 }
 
-// emitIteration is one evolve + forward/inverse FFT step: local passes
+// iteration is one evolve + forward/inverse FFT step: local passes
 // separated by the transpose, then the iteration checksum.
-func (s *ftStream) emitIteration() {
-	f := s.ft
+func (f *FT) iteration(s *stream) {
 	pts := f.localPoints(s.rank)
 	calls := ftCallsPerPoint * pts
-	s.buf = append(s.buf, Op{
-		Action: trace.Action{Rank: s.rank, Kind: trace.Compute, Peer: -1,
-			Instructions: InstrFTEvolve*pts + f.fftPassInstr(s.rank)},
-		Calls: calls,
-	})
+	s.emit(trace.Compute, InstrFTEvolve*pts+f.fftPassInstr(s.rank), 0, -1, calls)
 	if f.Procs > 1 {
-		s.buf = append(s.buf, Op{
-			Action: trace.Action{Rank: s.rank, Kind: trace.AllToAllV, Peer: -1, Volumes: f.transposeVols(s.rank)},
-			Calls:  1,
-		})
+		s.emit(trace.AllToAllV, 0, 0, -1, 1).Volumes = f.transposeVols(s.rank)
 	}
-	s.buf = append(s.buf,
-		Op{Action: trace.Action{Rank: s.rank, Kind: trace.Compute, Peer: -1, Instructions: f.fftPassInstr(s.rank)},
-			Calls: calls},
-		Op{Action: trace.Action{Rank: s.rank, Kind: trace.AllReduce, Peer: -1, Bytes: ftComplexBytes}, Calls: 1},
-	)
+	s.emit(trace.Compute, f.fftPassInstr(s.rank), 0, -1, calls)
+	s.emit(trace.AllReduce, 0, ftComplexBytes, -1, 1)
 }
 
 var _ Workload = (*FT)(nil)

@@ -183,94 +183,43 @@ func normComputeInstr(points float64) float64 {
 	return 8 * points
 }
 
-// Rank implements Workload with a lazily refilled per-iteration stream, so
-// replaying a 64-rank instance never materializes millions of ops at once.
-func (l *LU) Rank(rank int) (OpStream, error) {
-	if rank < 0 || rank >= l.Procs {
-		return nil, fmt.Errorf("npb: rank %d out of range [0,%d)", rank, l.Procs)
-	}
-	return &luStream{lu: l, rank: rank}, nil
-}
+// Rank implements Workload: set-up, the SSOR iterations, teardown.
+func (l *LU) Rank(rank int) (OpStream, error) { return newStream(l, rank, l.Procs, l.itmax+2) }
 
-// luStream generates one rank's operations phase by phase.
-type luStream struct {
-	lu   *LU
-	rank int
-	buf  []Op
-	pos  int
-	// phase: 0 = setup pending, 1..itmax = that iteration pending,
-	// itmax+1 = teardown pending, itmax+2 = done.
-	phase int
-}
-
-// Next implements OpStream.
-func (s *luStream) Next() (Op, bool, error) {
-	for s.pos >= len(s.buf) {
-		if !s.refill() {
-			return Op{}, false, nil
-		}
-	}
-	op := s.buf[s.pos]
-	s.pos++
-	return op, true, nil
-}
-
-func (s *luStream) refill() bool {
-	l := s.lu
-	s.buf = s.buf[:0]
-	s.pos = 0
+func (l *LU) phase(s *stream, i int) {
 	switch {
-	case s.phase == 0:
-		s.emitSetup()
-	case s.phase <= l.itmax:
-		s.emitIteration(s.phase)
-	case s.phase == l.itmax+1:
-		s.emitTeardown()
+	case i == 0:
+		l.setup(s)
+	case i <= l.itmax:
+		l.iteration(s, i)
 	default:
-		return false
+		l.teardown(s)
 	}
-	s.phase++
-	return len(s.buf) > 0 || s.refill()
 }
 
-func (s *luStream) emit(kind trace.Kind, instr, bytes float64, peer int, calls float64) {
-	s.buf = append(s.buf, Op{
-		Action: trace.Action{
-			Rank:         s.rank,
-			Kind:         kind,
-			Instructions: instr,
-			Peer:         peer,
-			Bytes:        bytes,
-		},
-		Calls: calls,
-	})
-}
-
-func (s *luStream) compute(instr, calls float64) {
+func (l *LU) compute(s *stream, instr, calls float64) {
 	if instr > 0 {
-		s.emit(trace.Compute, s.lu.instrScale()*instr, 0, -1, calls)
+		s.emit(trace.Compute, l.instrScale()*instr, 0, -1, calls)
 	}
 }
 
-// emitSetup models init: parameter broadcasts, initial state computation,
-// one halo swap and the initial residual norm.
-func (s *luStream) emitSetup() {
-	l := s.lu
+// setup models init: parameter broadcasts, initial state computation, one
+// halo swap and the initial residual norm.
+func (l *LU) setup(s *stream) {
 	pts := l.points(s.rank)
 	s.emit(trace.Init, 0, 0, -1, 0)
 	s.emit(trace.Bcast, 0, normBytes, -1, 1)
 	s.emit(trace.Bcast, 0, normBytes, -1, 1)
-	s.compute(float64(InstrSetupPerPoint)*pts, CallsPerPoint*pts/10)
-	s.emitExchange3()
-	s.compute(normComputeInstr(pts), pts/10)
+	l.compute(s, float64(InstrSetupPerPoint)*pts, CallsPerPoint*pts/10)
+	l.exchange3(s)
+	l.compute(s, normComputeInstr(pts), pts/10)
 	s.emit(trace.AllReduce, 0, normBytes, -1, 1)
 }
 
-// emitExchange3 is the full halo swap of the RHS computation: ghost planes
+// exchange3 is the full halo swap of the RHS computation: ghost planes
 // to/from the four neighbors, posted as irecv / send / wait (the NPB
 // exchange_3 pattern), first in x then in y.
-func (s *luStream) emitExchange3() {
-	l := s.lu
+func (l *LU) exchange3(s *stream) {
 	nxLoc, nyLoc, nz := l.Dims(s.rank)
 	north, south, west, east := l.neighbors(s.rank)
 	xBytes := float64(ghostPlanes * wordsPerBoundaryPoint * doubleBytes * nyLoc * nz)
@@ -299,9 +248,8 @@ func (s *luStream) emitExchange3() {
 	swap(west, east, yBytes)
 }
 
-// emitIteration generates one SSOR time step.
-func (s *luStream) emitIteration(it int) {
-	l := s.lu
+// iteration generates one SSOR time step.
+func (l *LU) iteration(s *stream, it int) {
 	nxLoc, nyLoc, nz := l.Dims(s.rank)
 	planePts := float64(nxLoc) * float64(nyLoc)
 	pts := planePts * float64(nz)
@@ -310,9 +258,9 @@ func (s *luStream) emitIteration(it int) {
 	weBytes := float64(wordsPerBoundaryPoint * doubleBytes * nxLoc) // column along x
 
 	// Right-hand side with halo swaps.
-	s.compute(float64(InstrRHSX)*pts, CallsPerPoint*pts*float64(InstrRHSX)/float64(InstrPerPointIter))
-	s.emitExchange3()
-	s.compute(float64(InstrRHSY)*pts, CallsPerPoint*pts*float64(InstrRHSY)/float64(InstrPerPointIter))
+	l.compute(s, float64(InstrRHSX)*pts, CallsPerPoint*pts*float64(InstrRHSX)/float64(InstrPerPointIter))
+	l.exchange3(s)
+	l.compute(s, float64(InstrRHSY)*pts, CallsPerPoint*pts*float64(InstrRHSY)/float64(InstrPerPointIter))
 
 	planeCallsBLTS := CallsPerPoint * planePts * float64(InstrBLTS) / float64(InstrPerPointIter)
 	planeCallsBUTS := CallsPerPoint * planePts * float64(InstrBUTS) / float64(InstrPerPointIter)
@@ -325,7 +273,7 @@ func (s *luStream) emitIteration(it int) {
 		if west >= 0 {
 			s.emit(trace.Recv, 0, weBytes, west, 1)
 		}
-		s.compute(float64(InstrBLTS)*planePts, planeCallsBLTS)
+		l.compute(s, float64(InstrBLTS)*planePts, planeCallsBLTS)
 		if south >= 0 {
 			s.emit(trace.Send, 0, nsBytes, south, 1)
 		}
@@ -341,7 +289,7 @@ func (s *luStream) emitIteration(it int) {
 		if east >= 0 {
 			s.emit(trace.Recv, 0, weBytes, east, 1)
 		}
-		s.compute(float64(InstrBUTS)*planePts, planeCallsBUTS)
+		l.compute(s, float64(InstrBUTS)*planePts, planeCallsBUTS)
 		if north >= 0 {
 			s.emit(trace.Send, 0, nsBytes, north, 1)
 		}
@@ -351,15 +299,15 @@ func (s *luStream) emitIteration(it int) {
 	}
 	// Residual norm.
 	if l.isNormIteration(it) {
-		s.compute(normComputeInstr(pts), pts/10)
+		l.compute(s, normComputeInstr(pts), pts/10)
 		s.emit(trace.AllReduce, 0, normBytes, -1, 1)
 	}
 }
 
-// emitTeardown models verification: error and surface-integral norms.
-func (s *luStream) emitTeardown() {
-	pts := s.lu.points(s.rank)
-	s.compute(normComputeInstr(pts), pts/10)
+// teardown models verification: error and surface-integral norms.
+func (l *LU) teardown(s *stream) {
+	pts := l.points(s.rank)
+	l.compute(s, normComputeInstr(pts), pts/10)
 	s.emit(trace.AllReduce, 0, normBytes, -1, 1)
 	s.emit(trace.AllReduce, 0, normBytes, -1, 1)
 	s.emit(trace.AllReduce, 0, normBytes, -1, 1)

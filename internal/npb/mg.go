@@ -184,84 +184,44 @@ func (m *MG) BaseInstructions(rank int) float64 {
 	return float64(m.niter) * total
 }
 
-// Rank implements Workload with one V-cycle per refill.
-func (m *MG) Rank(rank int) (OpStream, error) {
-	if rank < 0 || rank >= m.Procs {
-		return nil, fmt.Errorf("npb: rank %d out of range [0,%d)", rank, m.Procs)
-	}
-	return &mgStream{mg: m, rank: rank}, nil
-}
+// Rank implements Workload: init, one V-cycle per iteration, teardown.
+func (m *MG) Rank(rank int) (OpStream, error) { return newStream(m, rank, m.Procs, m.niter+2) }
 
-type mgStream struct {
-	mg    *MG
-	rank  int
-	buf   []Op
-	pos   int
-	phase int // 0 init, 1..niter cycles, niter+1 teardown
-}
-
-func (s *mgStream) Next() (Op, bool, error) {
-	for s.pos >= len(s.buf) {
-		if !s.refill() {
-			return Op{}, false, nil
-		}
-	}
-	op := s.buf[s.pos]
-	s.pos++
-	return op, true, nil
-}
-
-func (s *mgStream) refill() bool {
-	m := s.mg
-	s.buf = s.buf[:0]
-	s.pos = 0
+func (m *MG) phase(s *stream, i int) {
 	switch {
-	case s.phase == 0:
+	case i == 0:
 		s.emit(trace.Init, 0, 0, -1, 0)
-	case s.phase <= m.niter:
-		s.emitVCycle()
+	case i <= m.niter:
+		m.vcycle(s)
 		// Residual norm after each cycle.
 		s.emit(trace.AllReduce, 0, 8, -1, 1)
-	case s.phase == m.niter+1:
+	default:
 		s.emit(trace.AllReduce, 0, 8, -1, 1) // final verification norm
 		s.emit(trace.Finalize, 0, 0, -1, 0)
-	default:
-		return false
 	}
-	s.phase++
-	return len(s.buf) > 0 || s.refill()
 }
 
-func (s *mgStream) emit(kind trace.Kind, instr, bytes float64, peer int, calls float64) {
-	s.buf = append(s.buf, Op{
-		Action: trace.Action{Rank: s.rank, Kind: kind, Instructions: instr, Bytes: bytes, Peer: peer},
-		Calls:  calls,
-	})
-}
-
-// emitVCycle descends to the coarsest level and climbs back, exchanging
-// halos at each level.
-func (s *mgStream) emitVCycle() {
-	m := s.mg
+// vcycle descends to the coarsest level and climbs back, exchanging halos
+// at each level.
+func (m *MG) vcycle(s *stream) {
 	L := m.levels()
 	// Downstroke: smooth + residual + restrict.
 	for l := 0; l < L; l++ {
 		pts := m.pointsAtLevel(s.rank, l)
 		s.emit(trace.Compute, float64(InstrMGSmooth+InstrMGResidual)*pts, 0, -1, mgCallsPerPoint*pts)
-		s.emitHalo(l)
+		m.halo(s, l)
 	}
 	// Upstroke: prolongate + smooth.
 	for l := L - 1; l >= 0; l-- {
 		pts := m.pointsAtLevel(s.rank, l)
 		s.emit(trace.Compute, float64(InstrMGSmooth+InstrMGTransfer)*pts, 0, -1, mgCallsPerPoint*pts)
-		s.emitHalo(l)
+		m.halo(s, l)
 	}
 }
 
-// emitHalo exchanges the six faces at a level: irecv all, send all, waitall
+// halo exchanges the six faces at a level: irecv all, send all, waitall
 // (the comm3 pattern of NPB-MG).
-func (s *mgStream) emitHalo(level int) {
-	m := s.mg
+func (m *MG) halo(s *stream, level int) {
 	nx, ny, nz := m.localDims(s.rank)
 	f := 1 << level
 	lx, ly, lz := max(nx/f, 1), max(ny/f, 1), max(nz/f, 1)

@@ -24,19 +24,16 @@ import (
 	"tireplay/internal/trace"
 )
 
-// Op is one operation of a workload stream: a trace action plus the
-// application-function-call count the instrumentation model consumes.
-type Op struct {
-	Action trace.Action
-	// Calls is the number of instrumented application function calls
-	// attributable to this operation: callsPerPoint * points for compute
-	// segments, 1 for MPI calls.
-	Calls float64
-}
-
-// OpStream is a pull-based stream of operations for one rank.
+// OpStream is one rank's operation stream: a trace.Stream whose actions
+// each also carry the number of application-level function calls they
+// stand for. Next fills the caller's record, as every trace.Stream does.
 type OpStream interface {
-	Next() (op Op, ok bool, err error)
+	trace.Stream
+	// Calls is the number of instrumented application function calls
+	// attributable to the action Next last yielded: callsPerPoint * points
+	// for compute segments, 1 for MPI calls. It is valid only after Next
+	// reported an action.
+	Calls() float64
 }
 
 // Workload is an application whose execution can be generated rank by rank.
@@ -139,9 +136,70 @@ func split(n, parts, idx int) int {
 	return base
 }
 
-// workloadProvider adapts a Workload into a trace.Provider by dropping the
-// call counts — the "perfect" (coarse-instrumentation) trace of the
-// workload.
+// phaser is a model's side of its rank streams: phase appends phase i of
+// rank s.rank's operations to s (set-up, then one phase per iteration,
+// then teardown).
+type phaser interface {
+	phase(s *stream, i int)
+}
+
+// stream is the operation stream of every model. It generates one phase of
+// the rank's operations at a time, so replaying a 64-rank instance never
+// materializes millions of operations at once.
+type stream struct {
+	gen    phaser
+	rank   int
+	phases int // phases in the stream
+	next   int // next phase to generate
+	buf    []buffered
+	pos    int
+}
+
+// buffered is one generated operation: its action and its call count.
+type buffered struct {
+	trace.Action
+	calls float64
+}
+
+// newStream opens rank's stream of a model of ranks processes whose
+// operations come in the given number of phases.
+func newStream(gen phaser, rank, ranks, phases int) (OpStream, error) {
+	if rank < 0 || rank >= ranks {
+		return nil, fmt.Errorf("npb: rank %d out of range [0,%d)", rank, ranks)
+	}
+	return &stream{gen: gen, rank: rank, phases: phases}, nil
+}
+
+// Next implements trace.Stream.
+func (s *stream) Next(a *trace.Action) (bool, error) {
+	for s.pos == len(s.buf) {
+		if s.next == s.phases {
+			return false, nil
+		}
+		s.buf, s.pos = s.buf[:0], 0
+		s.gen.phase(s, s.next)
+		s.next++
+	}
+	*a = s.buf[s.pos].Action
+	s.pos++
+	return true, nil
+}
+
+// Calls implements OpStream.
+func (s *stream) Calls() float64 { return s.buf[s.pos-1].calls }
+
+// emit appends one operation of the rank to the phase being generated and
+// returns its action, for the fields emit does not set. It fills the new
+// entry in place: appending a built entry would copy it once more.
+func (s *stream) emit(kind trace.Kind, instr, bytes float64, peer int, calls float64) *trace.Action {
+	s.buf = append(s.buf, buffered{})
+	b := &s.buf[len(s.buf)-1]
+	b.Rank, b.Kind, b.Instructions, b.Bytes, b.Peer, b.calls = s.rank, kind, instr, bytes, peer, calls
+	return &b.Action
+}
+
+// workloadProvider exposes a workload's streams without their call counts:
+// the "perfect" (coarse-instrumentation) trace of the workload.
 type workloadProvider struct{ w Workload }
 
 // AsProvider exposes a workload's exact action streams as a trace.Provider.
@@ -154,16 +212,5 @@ func (p workloadProvider) Rank(rank int) (trace.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return trace.Checked(opActionStream{ops}, "", rank, p.w.Ranks()), nil
-}
-
-type opActionStream struct{ ops OpStream }
-
-func (s opActionStream) Next(a *trace.Action) (bool, error) {
-	op, ok, err := s.ops.Next()
-	if err != nil || !ok {
-		return false, err
-	}
-	*a = op.Action
-	return true, nil
+	return trace.Checked(ops, "", rank, p.w.Ranks()), nil
 }

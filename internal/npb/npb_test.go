@@ -134,16 +134,17 @@ func TestLUStreamMatchesAnalytic(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := 0.0
+		var a trace.Action
 		for {
-			op, ok, err := st.Next()
+			ok, err := st.Next(&a)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			if op.Action.Kind == trace.Compute {
-				sum += op.Action.Instructions
+			if a.Kind == trace.Compute {
+				sum += a.Instructions
 			}
 		}
 		want := lu.BaseInstructions(rank)
@@ -180,15 +181,15 @@ func TestLUSendRecvVolumesMatchProperty(t *testing.T) {
 		recvd := map[[2]int]float64{}
 		for rank := 0; rank < procs; rank++ {
 			st, _ := lu.Rank(rank)
+			var a trace.Action
 			for {
-				op, ok, err := st.Next()
+				ok, err := st.Next(&a)
 				if err != nil {
 					return false
 				}
 				if !ok {
 					break
 				}
-				a := op.Action
 				switch a.Kind {
 				case trace.Send, trace.ISend:
 					sent[[2]int{a.Rank, a.Peer}] += a.Bytes
@@ -305,16 +306,17 @@ func TestLUMessageSizesEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	var small, large int
+	var a trace.Action
 	for {
-		op, ok, err := st.Next()
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if op.Action.Kind == trace.Send {
-			if op.Action.Bytes < 65536 {
+		if a.Kind == trace.Send {
+			if a.Bytes < 65536 {
 				small++
 			} else {
 				large++
@@ -346,16 +348,17 @@ func TestLUSingleRankHasNoMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := lu.Rank(0)
+	var a trace.Action
 	for {
-		op, ok, err := st.Next()
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if op.Action.Kind.HasPeer() {
-			t.Fatalf("single-rank LU emitted %v", op.Action)
+		if a.Kind.HasPeer() {
+			t.Fatalf("single-rank LU emitted %v", a)
 		}
 	}
 }
@@ -383,16 +386,17 @@ func TestCGInstructionsMatchAnalytic(t *testing.T) {
 	}
 	st, _ := cg.Rank(0)
 	sum := 0.0
+	var a trace.Action
 	for {
-		op, ok, err := st.Next()
+		ok, err := st.Next(&a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if op.Action.Kind == trace.Compute {
-			sum += op.Action.Instructions
+		if a.Kind == trace.Compute {
+			sum += a.Instructions
 		}
 	}
 	want := cg.BaseInstructions(0)

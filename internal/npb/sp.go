@@ -17,7 +17,8 @@ type SP struct {
 	// Iterations overrides the class niter when positive.
 	Iterations int
 
-	n, niter, q int
+	niter int
+	pencil
 }
 
 // spParams returns (grid dimension, iterations) for a class.
@@ -69,182 +70,67 @@ func NewSP(class Class, procs, iterations int) (*SP, error) {
 	if q > n {
 		return nil, fmt.Errorf("npb: SP %s on %d processes exceeds the %d^3 grid", string(class), procs, n)
 	}
-	return &SP{Class: class, Procs: procs, Iterations: iterations, n: n, niter: niter, q: q}, nil
+	return &SP{Class: class, Procs: procs, Iterations: iterations, niter: niter, pencil: pencil{n, q}}, nil
 }
 
 // Name implements Workload.
-func (s *SP) Name() string { return fmt.Sprintf("SP %s-%d", s.Class, s.Procs) }
+func (sp *SP) Name() string { return fmt.Sprintf("SP %s-%d", sp.Class, sp.Procs) }
 
 // Ranks implements Workload.
-func (s *SP) Ranks() int { return s.Procs }
-
-func (s *SP) coords(rank int) (ix, iy int) { return rank % s.q, rank / s.q }
-
-func (s *SP) localDims(rank int) (nx, ny int) {
-	ix, iy := s.coords(rank)
-	return split(s.n, s.q, ix), split(s.n, s.q, iy)
-}
-
-func (s *SP) localPoints(rank int) float64 {
-	nx, ny := s.localDims(rank)
-	return float64(nx) * float64(ny) * float64(s.n)
-}
+func (sp *SP) Ranks() int { return sp.Procs }
 
 // WorkingSet implements Workload: solution, rhs, and the scalar
 // pentadiagonal coefficient arrays.
-func (s *SP) WorkingSet(rank int) float64 {
-	return 8 * float64(2*spVars+15) * s.localPoints(rank)
+func (sp *SP) WorkingSet(rank int) float64 {
+	return 8 * float64(2*spVars+15) * sp.localPoints(rank)
 }
 
 // BaseInstructions implements Workload.
-func (s *SP) BaseInstructions(rank int) float64 {
+func (sp *SP) BaseInstructions(rank int) float64 {
 	perPoint := float64(InstrSPRHS + 3*InstrSPSolve + InstrSPAdd)
-	return float64(s.niter) * perPoint * s.localPoints(rank)
+	return float64(sp.niter) * perPoint * sp.localPoints(rank)
 }
 
-// Rank implements Workload.
-func (s *SP) Rank(rank int) (OpStream, error) {
-	if rank < 0 || rank >= s.Procs {
-		return nil, fmt.Errorf("npb: rank %d out of range [0,%d)", rank, s.Procs)
-	}
-	return &spStream{sp: s, rank: rank}, nil
-}
+// Rank implements Workload: init, the iterations, the verification
+// teardown.
+func (sp *SP) Rank(rank int) (OpStream, error) { return newStream(sp, rank, sp.Procs, sp.niter+2) }
 
-type spStream struct {
-	sp    *SP
-	rank  int
-	buf   []Op
-	pos   int
-	phase int // 0 init, 1..niter iterations, niter+1 teardown
-}
-
-func (s *spStream) Next() (Op, bool, error) {
-	for s.pos >= len(s.buf) {
-		if !s.refill() {
-			return Op{}, false, nil
-		}
-	}
-	op := s.buf[s.pos]
-	s.pos++
-	return op, true, nil
-}
-
-func (s *spStream) refill() bool {
-	sp := s.sp
-	s.buf = s.buf[:0]
-	s.pos = 0
+func (sp *SP) phase(s *stream, i int) {
 	switch {
-	case s.phase == 0:
+	case i == 0:
 		s.emit(trace.Init, 0, 0, -1, 0)
-	case s.phase <= sp.niter:
-		s.emitIteration()
-	case s.phase == sp.niter+1:
+	case i <= sp.niter:
+		pts := sp.localPoints(s.rank)
+		s.emit(trace.Compute, InstrSPRHS*pts, 0, -1, spCallsPerPoint*pts)
+		sp.faceExchange(s)
+		sp.sweep(s, 0, spLineBytes, InstrSPSolve, spCallsPerPoint)
+		sp.sweep(s, 1, spLineBytes, InstrSPSolve, spCallsPerPoint)
+		s.emit(trace.Compute, InstrSPSolve*pts, 0, -1, spCallsPerPoint*pts)
+		s.emit(trace.Compute, InstrSPAdd*pts, 0, -1, spCallsPerPoint*pts)
+	default:
 		s.emit(trace.AllReduce, 0, 8*spVars, -1, 1)
 		s.emit(trace.Finalize, 0, 0, -1, 0)
-	default:
-		return false
 	}
-	s.phase++
-	return len(s.buf) > 0 || s.refill()
 }
 
-func (s *spStream) emit(kind trace.Kind, instr, bytes float64, peer int, calls float64) {
-	s.buf = append(s.buf, Op{
-		Action: trace.Action{Rank: s.rank, Kind: kind, Instructions: instr, Bytes: bytes, Peer: peer},
-		Calls:  calls,
-	})
-}
-
-func (s *spStream) emitIteration() {
-	sp := s.sp
-	pts := sp.localPoints(s.rank)
-	s.emit(trace.Compute, InstrSPRHS*pts, 0, -1, spCallsPerPoint*pts)
-	s.emitFaceExchange()
-	s.emitSweep(0)
-	s.emitSweep(1)
-	s.emit(trace.Compute, InstrSPSolve*pts, 0, -1, spCallsPerPoint*pts)
-	s.emit(trace.Compute, InstrSPAdd*pts, 0, -1, spCallsPerPoint*pts)
-}
-
-// emitFaceExchange posts the four periodic face transfers and drains them
-// one at a time: each waitany completion is followed by that face's unpack
-// compute, overlapped with the transfers still in flight.
-func (s *spStream) emitFaceExchange() {
-	sp := s.sp
-	if sp.q == 1 {
-		return
-	}
-	ix, iy := sp.coords(s.rank)
-	nx, ny := sp.localDims(s.rank)
-	at := func(x, y int) int { return y*sp.q + x }
-	type face struct {
-		peer  int
-		bytes float64
-		area  float64
-	}
-	faces := []face{
-		{at((ix+1)%sp.q, iy), 8 * spVars * float64(ny) * float64(sp.n), float64(ny) * float64(sp.n)},
-		{at((ix-1+sp.q)%sp.q, iy), 8 * spVars * float64(ny) * float64(sp.n), float64(ny) * float64(sp.n)},
-		{at(ix, (iy+1)%sp.q), 8 * spVars * float64(nx) * float64(sp.n), float64(nx) * float64(sp.n)},
-		{at(ix, (iy-1+sp.q)%sp.q), 8 * spVars * float64(nx) * float64(sp.n), float64(nx) * float64(sp.n)},
-	}
-	posted := 0
-	var unpack float64
-	for _, f := range faces {
-		if f.peer != s.rank {
-			s.emit(trace.IRecv, 0, f.bytes, f.peer, 1)
-			posted++
-			unpack += InstrSPUnpack * f.area
-		}
-	}
-	for _, f := range faces {
-		if f.peer != s.rank {
-			s.emit(trace.ISend, 0, f.bytes, f.peer, 1)
-			posted++
-		}
-	}
+// faceExchange posts the four face transfers and drains them one at a
+// time: each waitany completion is followed by that face's unpack compute,
+// overlapped with the transfers still in flight.
+func (sp *SP) faceExchange(s *stream) {
+	posted := sp.postFaces(s, spVars)
 	if posted == 0 {
 		return
+	}
+	var unpack float64
+	for _, f := range sp.faces(s.rank) {
+		if f.peer != s.rank {
+			unpack += InstrSPUnpack * f.area
+		}
 	}
 	perDrain := unpack / float64(posted)
 	for i := 0; i < posted; i++ {
 		s.emit(trace.WaitAny, 0, 0, -1, 1)
 		s.emit(trace.Compute, perDrain, 0, -1, 1)
-	}
-}
-
-// emitSweep mirrors BT's sweep with scalar interface payloads.
-func (s *spStream) emitSweep(dir int) {
-	sp := s.sp
-	ix, iy := sp.coords(s.rank)
-	nx, ny := sp.localDims(s.rank)
-	at := func(x, y int) int { return y*sp.q + x }
-	var pos, lo, hi int
-	var ifaceBytes float64
-	if dir == 0 {
-		pos = ix
-		lo, hi = at(ix-1, iy), at(ix+1, iy)
-		ifaceBytes = spLineBytes * float64(ny) * float64(sp.n)
-	} else {
-		pos = iy
-		lo, hi = at(ix, iy-1), at(ix, iy+1)
-		ifaceBytes = spLineBytes * float64(nx) * float64(sp.n)
-	}
-	pts := sp.localPoints(s.rank)
-	half := InstrSPSolve * pts / 2
-	if pos > 0 {
-		s.emit(trace.Recv, 0, 0, lo, 1)
-	}
-	s.emit(trace.Compute, half, 0, -1, spCallsPerPoint*pts/2)
-	if pos < sp.q-1 {
-		s.emit(trace.Send, 0, ifaceBytes, hi, 1)
-	}
-	if pos < sp.q-1 {
-		s.emit(trace.Recv, 0, 0, hi, 1)
-	}
-	s.emit(trace.Compute, half, 0, -1, spCallsPerPoint*pts/2)
-	if pos > 0 {
-		s.emit(trace.Send, 0, ifaceBytes, lo, 1)
 	}
 }
 

@@ -129,8 +129,8 @@ func replayJournal(f *os.File) ([]journalEntry, int64, error) {
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > 1<<26 {
-			break // implausible frame: treat as tail corruption
+		if length == 0 || length > 1<<26 || int64(length) > fi.Size()-good-8 {
+			break // implausible or torn frame: treat as tail corruption
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(f, payload); err != nil {
