@@ -49,7 +49,7 @@ func BenchmarkTable2Graphene(b *testing.B) {
 // discrepancy, bordereau).
 func BenchmarkFigure1Discrepancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FigureDiscrepancy(ground.Bordereau(), experiments.FineVsCoarse, benchClasses(), benchProcs, benchOpt); err != nil {
+		if _, err := experiments.FigureDiscrepancy(ground.Bordereau(), experiments.OldPipeline, benchClasses(), benchProcs, benchOpt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func BenchmarkFigure1Discrepancy(b *testing.B) {
 // graphene, incl. 128 procs).
 func BenchmarkFigure2Discrepancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FigureDiscrepancy(ground.Graphene(), experiments.FineVsCoarse, benchClasses(), []int{8, 128}, benchOpt); err != nil {
+		if _, err := experiments.FigureDiscrepancy(ground.Graphene(), experiments.OldPipeline, benchClasses(), []int{8, 128}, benchOpt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkFigure3OldPipeline(b *testing.B) {
 // bordereau).
 func BenchmarkFigure4Discrepancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FigureDiscrepancy(ground.Bordereau(), experiments.MinimalVsCoarse, benchClasses(), benchProcs, benchOpt); err != nil {
+		if _, err := experiments.FigureDiscrepancy(ground.Bordereau(), experiments.NewPipeline, benchClasses(), benchProcs, benchOpt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func BenchmarkFigure4Discrepancy(b *testing.B) {
 // graphene).
 func BenchmarkFigure5Discrepancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FigureDiscrepancy(ground.Graphene(), experiments.MinimalVsCoarse, benchClasses(), []int{8, 128}, benchOpt); err != nil {
+		if _, err := experiments.FigureDiscrepancy(ground.Graphene(), experiments.NewPipeline, benchClasses(), []int{8, 128}, benchOpt); err != nil {
 			b.Fatal(err)
 		}
 	}

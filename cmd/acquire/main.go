@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"tireplay"
+	"tireplay/internal/ground"
 	"tireplay/internal/instrument"
 	"tireplay/internal/stats"
 )
@@ -26,15 +27,8 @@ func main() {
 	o3 := flag.Bool("O3", false, "use the -O3 build")
 	flag.Parse()
 
-	var cluster *tireplay.GroundCluster
-	switch *clusterName {
-	case "bordereau":
-		cluster = tireplay.Bordereau()
-	case "graphene":
-		cluster = tireplay.Graphene()
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
-	}
+	cluster, err := ground.Lookup(*clusterName)
+	fatal(err)
 	spec := tireplay.WorkloadSpec{Benchmark: "lu", Class: *classStr, Procs: *np, Iterations: *iters}
 	lu, err := spec.Build()
 	fatal(err)

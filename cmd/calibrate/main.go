@@ -12,8 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"tireplay"
+	"tireplay/internal/ground"
+	"tireplay/internal/npb"
 )
 
 func main() {
@@ -22,14 +25,17 @@ func main() {
 	classesStr := flag.String("classes", "BC", "classes for the cache-aware procedure")
 	flag.Parse()
 
-	var cluster *tireplay.GroundCluster
-	switch *clusterName {
-	case "bordereau":
-		cluster = tireplay.Bordereau()
-	case "graphene":
-		cluster = tireplay.Graphene()
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
+	cluster, err := ground.Lookup(*clusterName)
+	fatal(err)
+	// Every class is validated before the first calibration run, and a
+	// repeated one is measured once.
+	var classes []tireplay.NPBClass
+	for _, ch := range *classesStr {
+		class, err := npb.ParseClass(string(ch))
+		fatal(err)
+		if !slices.Contains(classes, class) {
+			classes = append(classes, class)
+		}
 	}
 
 	fmt.Printf("calibrating on %s (nominal in-cache rate %.4g instr/s, L2 %d KiB)\n",
@@ -40,10 +46,6 @@ func main() {
 	fmt.Printf("classic A-4 rate (fine,-O0 counters / original compute time): %.4g instr/s (%+.1f%% vs nominal)\n",
 		classic, 100*(classic/cluster.BaseRate-1))
 
-	var classes []tireplay.NPBClass
-	for _, ch := range *classesStr {
-		classes = append(classes, tireplay.NPBClass(ch))
-	}
 	ca, err := tireplay.CalibrateCacheAware(cluster, classes, *iters)
 	fatal(err)
 	fmt.Printf("cache-aware rates (minimal,-O3):\n")

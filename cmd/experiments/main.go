@@ -64,7 +64,7 @@ func run(which string, opt experiments.Options, workers int) error {
 		fmt.Println()
 	}
 	if all || which == "fig1" {
-		rows, err := experiments.FigureDiscrepancy(bordereau, experiments.FineVsCoarse, classes, experiments.BordereauProcs, opt)
+		rows, err := experiments.FigureDiscrepancy(bordereau, experiments.OldPipeline, classes, experiments.BordereauProcs, opt)
 		if err != nil {
 			return err
 		}
@@ -72,7 +72,7 @@ func run(which string, opt experiments.Options, workers int) error {
 		fmt.Println()
 	}
 	if all || which == "fig2" {
-		rows, err := experiments.FigureDiscrepancy(graphene, experiments.FineVsCoarse, classes, experiments.GrapheneProcs, opt)
+		rows, err := experiments.FigureDiscrepancy(graphene, experiments.OldPipeline, classes, experiments.GrapheneProcs, opt)
 		if err != nil {
 			return err
 		}
@@ -88,7 +88,7 @@ func run(which string, opt experiments.Options, workers int) error {
 		fmt.Println()
 	}
 	if all || which == "fig4" {
-		rows, err := experiments.FigureDiscrepancy(bordereau, experiments.MinimalVsCoarse, classes, experiments.BordereauProcs, opt)
+		rows, err := experiments.FigureDiscrepancy(bordereau, experiments.NewPipeline, classes, experiments.BordereauProcs, opt)
 		if err != nil {
 			return err
 		}
@@ -96,7 +96,7 @@ func run(which string, opt experiments.Options, workers int) error {
 		fmt.Println()
 	}
 	if all || which == "fig5" {
-		rows, err := experiments.FigureDiscrepancy(graphene, experiments.MinimalVsCoarse, classes, experiments.GrapheneProcs, opt)
+		rows, err := experiments.FigureDiscrepancy(graphene, experiments.NewPipeline, classes, experiments.GrapheneProcs, opt)
 		if err != nil {
 			return err
 		}

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"tireplay"
+	"tireplay/internal/ground"
 )
 
 func main() {
@@ -68,15 +69,8 @@ func main() {
 	case "perfect":
 		prov = tireplay.PerfectTrace(w)
 	case "minimal", "fine":
-		var cluster *tireplay.GroundCluster
-		switch *clusterName {
-		case "bordereau":
-			cluster = tireplay.Bordereau()
-		case "graphene":
-			cluster = tireplay.Graphene()
-		default:
-			fatal(fmt.Errorf("unknown cluster %q", *clusterName))
-		}
+		cluster, err := ground.Lookup(*clusterName)
+		fatal(err)
 		imode := tireplay.MinimalInstrumentation
 		if *mode == "fine" {
 			imode = tireplay.FineInstrumentation

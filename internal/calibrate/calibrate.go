@@ -26,26 +26,27 @@ import (
 // not raise any issue").
 const calibrationProcs = 4
 
-// MeasureRate runs the class-4 LU instance on the cluster with the given
-// acquisition configuration and returns instructions-per-second as a user
-// of the real framework measures it: mean per-rank counter total divided by
-// mean per-rank *exclusive application time* (TAU's profile separates time
-// spent inside MPI from time spent computing, so the quotient is not
+// MeasureRate runs the class-4 LU instance on the cluster and returns
+// instructions-per-second as a user of the real framework measures it:
+// mean per-rank counter total of the counted build divided by mean per-rank
+// *exclusive application time* of the timed build (TAU's profile separates
+// time spent inside MPI from time spent computing, so the quotient is not
 // polluted by communication waits — but it is still distorted by counter
 // inflation, probe time and machine jitter, which is part of what the
-// paper's accuracy analysis observes). iterations>0 shortens the run
-// (rates converge after a few iterations).
-func MeasureRate(c *ground.Cluster, class npb.Class, icfg instrument.Config, iterations int) (float64, error) {
+// paper's accuracy analysis observes). Both configurations are set to
+// the class. iterations>0 shortens the run (rates converge after a few
+// iterations).
+func MeasureRate(c *ground.Cluster, class npb.Class, timed, counted instrument.Config, iterations int) (float64, error) {
 	lu, err := npb.NewLU(class, calibrationProcs, iterations)
 	if err != nil {
 		return 0, err
 	}
-	icfg.Class = class
-	run, err := c.Run(lu, icfg)
+	timed.Class, counted.Class = class, class
+	run, err := c.Run(lu, timed)
 	if err != nil {
 		return 0, err
 	}
-	counters, err := instrument.Counters(lu, icfg)
+	counters, err := instrument.Counters(lu, counted)
 	if err != nil {
 		return 0, err
 	}
@@ -76,30 +77,9 @@ func MeasureRate(c *ground.Cluster, class npb.Class, icfg instrument.Config, ite
 // cache-resident, A-4 additionally hides the slower out-of-cache regime
 // (Section 2.3).
 func ClassicA4(c *ground.Cluster, iterations int) (float64, error) {
-	lu, err := npb.NewLU(npb.ClassA, calibrationProcs, iterations)
-	if err != nil {
-		return 0, err
-	}
-	orig, err := c.Run(lu, instrument.Config{Mode: instrument.None, Compile: instrument.O0, Class: npb.ClassA})
-	if err != nil {
-		return 0, err
-	}
-	counters, err := instrument.Counters(lu, instrument.Config{Mode: instrument.Fine, Compile: instrument.O0, Class: npb.ClassA})
-	if err != nil {
-		return 0, err
-	}
-	meanInstr, err := stats.Mean(counters)
-	if err != nil {
-		return 0, err
-	}
-	busy, err := stats.Mean(orig.ComputeSeconds)
-	if err != nil {
-		return 0, err
-	}
-	if busy <= 0 {
-		return 0, fmt.Errorf("calibrate: %s A-4 original run has no compute time", c.Name)
-	}
-	return meanInstr / busy, nil
+	return MeasureRate(c, npb.ClassA,
+		c.InstrConfig(instrument.None, instrument.O0, npb.ClassA),
+		c.InstrConfig(instrument.Fine, instrument.O0, npb.ClassA), iterations)
 }
 
 // CacheAware is the improved procedure of Section 3.4: per-class rates from
@@ -121,8 +101,11 @@ type CacheAware struct {
 // and the procedure gracefully degrades to the classic one — exactly the
 // graphene situation described in Section 3.4.
 func NewCacheAware(c *ground.Cluster, classes []npb.Class, iterations int) (*CacheAware, error) {
-	aRate, err := MeasureRate(c, npb.ClassA,
-		c.InstrConfig(instrument.Minimal, instrument.O3, npb.ClassA), iterations)
+	measure := func(class npb.Class) (float64, error) {
+		build := c.InstrConfig(instrument.Minimal, instrument.O3, class)
+		return MeasureRate(c, class, build, build, iterations)
+	}
+	aRate, err := measure(npb.ClassA)
 	if err != nil {
 		return nil, err
 	}
@@ -132,12 +115,9 @@ func NewCacheAware(c *ground.Cluster, classes []npb.Class, iterations int) (*Cac
 		L2Bytes:    c.L2Bytes,
 	}
 	for _, class := range classes {
-		rate, err := MeasureRate(c, class,
-			c.InstrConfig(instrument.Minimal, instrument.O3, class), iterations)
-		if err != nil {
+		if ca.ClassRates[class], err = measure(class); err != nil {
 			return nil, err
 		}
-		ca.ClassRates[class] = rate
 	}
 	return ca, nil
 }

@@ -16,8 +16,8 @@ func TestMeasureRateNearBase(t *testing.T) {
 	// cluster's base rate. Fine instrumentation inflates counters, so the
 	// classic procedure may overestimate slightly.
 	b := ground.Bordereau()
-	rate, err := MeasureRate(b, npb.ClassA,
-		instrument.Config{Mode: instrument.Minimal, Compile: instrument.O3}, calIters)
+	build := instrument.Config{Mode: instrument.Minimal, Compile: instrument.O3}
+	rate, err := MeasureRate(b, npb.ClassA, build, build, calIters)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,149 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
-	"tireplay/internal/calibrate"
-	"tireplay/internal/core"
 	"tireplay/internal/ground"
-	"tireplay/internal/instrument"
-	"tireplay/internal/msgreplay"
 	"tireplay/internal/npb"
-	"tireplay/internal/stats"
 )
-
-// PipelineConfig decomposes the paper's "old vs new" comparison into its
-// three independent fixes, enabling the ablation study the paper itself
-// does not report (it only evaluates all fixes combined), plus the feature
-// listed as future work in Section 6: modelling the eager-mode memory copy
-// in the replay.
-type PipelineConfig struct {
-	// NewAcquisition selects minimal instrumentation + -O3 (Section 3.1/3.2)
-	// instead of fine instrumentation + -O0.
-	NewAcquisition bool
-	// CacheAwareCalibration selects the Section 3.4 procedure instead of
-	// the classic A-4-only one.
-	CacheAwareCalibration bool
-	// SMPIBackend selects the rewritten backend (Section 3.3) instead of
-	// the MSG prototype.
-	SMPIBackend bool
-	// ModelMemcpy additionally gives the SMPI backend the sender-side eager
-	// copy model — the paper's Section 6 future work ("implement the
-	// missing feature to model the time taken in sends ... to copy data in
-	// memory in the eager mode of MPI").
-	ModelMemcpy bool
-}
-
-// Name renders a short label for result tables.
-func (p PipelineConfig) Name() string {
-	switch {
-	case !p.NewAcquisition && !p.CacheAwareCalibration && !p.SMPIBackend:
-		return "baseline (old)"
-	case p.NewAcquisition && p.CacheAwareCalibration && p.SMPIBackend && p.ModelMemcpy:
-		return "all fixes + memcpy"
-	case p.NewAcquisition && p.CacheAwareCalibration && p.SMPIBackend:
-		return "all fixes (new)"
-	}
-	s := "old"
-	if p.NewAcquisition {
-		s += "+acq"
-	}
-	if p.CacheAwareCalibration {
-		s += "+cal"
-	}
-	if p.SMPIBackend {
-		s += "+smpi"
-	}
-	if p.ModelMemcpy {
-		s += "+memcpy"
-	}
-	return s
-}
-
-// AccuracyWithConfig runs the accuracy experiment for one instance under an
-// arbitrary combination of fixes.
-func AccuracyWithConfig(c *ground.Cluster, pcfg PipelineConfig, class npb.Class, procs int, opt Options) (*AccuracyRow, error) {
-	mkLU := func() (*npb.LU, error) { return npb.NewLU(class, procs, opt.iters()) }
-
-	// Real execution: the original binary at the acquisition pipeline's
-	// optimization level (the paper compares against the build users run).
-	lu, err := mkLU()
-	if err != nil {
-		return nil, err
-	}
-	realCompile := instrument.O0
-	if pcfg.NewAcquisition {
-		realCompile = instrument.O3
-	}
-	real, err := c.Run(lu, c.InstrConfig(instrument.None, realCompile, class))
-	if err != nil {
-		return nil, err
-	}
-
-	// Acquisition.
-	lu, err = mkLU()
-	if err != nil {
-		return nil, err
-	}
-	var acq instrument.Config
-	if pcfg.NewAcquisition {
-		acq = c.InstrConfig(instrument.Minimal, instrument.O3, class)
-	} else {
-		acq = c.InstrConfig(instrument.Fine, instrument.O0, class)
-	}
-	prov := instrument.Acquired{W: lu, Cfg: acq}
-
-	// Calibration.
-	var rate float64
-	if pcfg.CacheAwareCalibration {
-		ca, err := calibrate.NewCacheAware(c, []npb.Class{class}, opt.calIters())
-		if err != nil {
-			return nil, err
-		}
-		rate = ca.RateFor(lu, class)
-	} else {
-		rate, err = calibrate.ClassicA4(c, opt.calIters())
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Replay.
-	plat, pwModel, err := c.Platform(procs)
-	if err != nil {
-		return nil, err
-	}
-	plat.SetSpeed(rate)
-	var cfg core.Config
-	if pcfg.SMPIBackend {
-		replayMPI := c.MPI
-		if !pcfg.ModelMemcpy {
-			replayMPI.MemcpyBandwidth = 0
-			replayMPI.MemcpyLatency = 0
-		}
-		cfg = core.Config{Backend: core.SMPI, Network: pwModel, MPI: replayMPI}
-	} else {
-		cfg = core.Config{
-			Backend: core.MSG,
-			MSG:     msgreplay.PrototypeConfig(),
-		}
-	}
-	res, err := core.Replay(prov, plat, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	return &AccuracyRow{
-		Instance:          fmt.Sprintf("%s-%d", class, procs),
-		Class:             class,
-		Procs:             procs,
-		Real:              scaleToFull(real.Time, class, opt.iters()),
-		Sim:               scaleToFull(res.SimulatedTime, class, opt.iters()),
-		ErrPct:            stats.RelErr(res.SimulatedTime, real.Time),
-		ReplayWallSeconds: res.Wall.Seconds(),
-		ReplayActions:     res.Actions,
-	}, nil
-}
 
 // AblationRow holds the error of one fix combination on one instance.
 type AblationRow struct {
@@ -155,34 +15,17 @@ type AblationRow struct {
 // AblationConfigs is the sequence the ablation study evaluates: the
 // baseline, each fix in isolation, and all fixes together.
 var AblationConfigs = []PipelineConfig{
-	{},
+	OldPipeline,
 	{NewAcquisition: true},
 	{CacheAwareCalibration: true},
 	{SMPIBackend: true},
-	{NewAcquisition: true, CacheAwareCalibration: true, SMPIBackend: true},
+	NewPipeline,
 }
 
 // Ablation quantifies each fix's individual contribution to the accuracy
 // improvement between Figure 3 and Figure 6, on the given instances.
 func Ablation(c *ground.Cluster, class npb.Class, procs []int, opt Options) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, pcfg := range AblationConfigs {
-		for _, p := range procs {
-			if p > c.Hosts {
-				continue
-			}
-			row, err := AccuracyWithConfig(c, pcfg, class, p, opt)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, AblationRow{
-				Config:   pcfg.Name(),
-				Instance: row.Instance,
-				ErrPct:   row.ErrPct,
-			})
-		}
-	}
-	return rows, nil
+	return ablationRows(c, AblationConfigs, []npb.Class{class}, procs, opt)
 }
 
 // FutureWorkMemcpy evaluates the Section 6 extension: the new pipeline with
@@ -190,29 +33,22 @@ func Ablation(c *ground.Cluster, class npb.Class, procs []int, opt Options) ([]A
 // systematic underestimation of Figures 6/7 "should be compensated by
 // taking memory copy into account".
 func FutureWorkMemcpy(c *ground.Cluster, classes []npb.Class, procs []int, opt Options) ([]AblationRow, error) {
+	withCopy := NewPipeline
+	withCopy.ModelMemcpy = true
+	return ablationRows(c, []PipelineConfig{NewPipeline, withCopy}, classes, procs, opt)
+}
+
+// ablationRows runs the accuracy experiment under each configuration in
+// turn and keeps every row's error.
+func ablationRows(c *ground.Cluster, configs []PipelineConfig, classes []npb.Class, procs []int, opt Options) ([]AblationRow, error) {
 	var rows []AblationRow
-	for _, withCopy := range []bool{false, true} {
-		pcfg := PipelineConfig{
-			NewAcquisition:        true,
-			CacheAwareCalibration: true,
-			SMPIBackend:           true,
-			ModelMemcpy:           withCopy,
+	for _, pcfg := range configs {
+		acc, err := FigureAccuracy(c, pcfg, classes, procs, opt)
+		if err != nil {
+			return nil, err
 		}
-		for _, class := range classes {
-			for _, p := range procs {
-				if p > c.Hosts {
-					continue
-				}
-				row, err := AccuracyWithConfig(c, pcfg, class, p, opt)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, AblationRow{
-					Config:   pcfg.Name(),
-					Instance: row.Instance,
-					ErrPct:   row.ErrPct,
-				})
-			}
+		for _, r := range acc {
+			rows = append(rows, AblationRow{Config: pcfg.Name(), Instance: r.Instance, ErrPct: r.ErrPct})
 		}
 	}
 	return rows, nil

@@ -28,22 +28,6 @@ func TestPipelineConfigNames(t *testing.T) {
 	}
 }
 
-func TestAccuracyWithConfigMatchesPipelines(t *testing.T) {
-	// The two named pipelines must be expressible via PipelineConfig.
-	c := ground.Bordereau()
-	viaCfg, err := AccuracyWithConfig(c, PipelineConfig{}, npb.ClassB, 8, fastOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFig, err := FigureAccuracy(c, OldPipeline, []npb.Class{npb.ClassB}, []int{8}, fastOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(viaCfg.ErrPct-viaFig[0].ErrPct) > 0.5 {
-		t.Fatalf("config route %.2f%% != pipeline route %.2f%%", viaCfg.ErrPct, viaFig[0].ErrPct)
-	}
-}
-
 func TestAblationBackendDominates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-second campaign test in -short mode")
@@ -51,17 +35,17 @@ func TestAblationBackendDominates(t *testing.T) {
 	// At 64 processes the backend swap must provide the bulk of the
 	// improvement: |error(old+smpi)| << |error(baseline)|.
 	c := ground.Bordereau()
-	base, err := AccuracyWithConfig(c, PipelineConfig{}, npb.ClassB, 64, fastOpt)
+	base, err := FigureAccuracy(c, OldPipeline, []npb.Class{npb.ClassB}, []int{64}, fastOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smpi, err := AccuracyWithConfig(c, PipelineConfig{SMPIBackend: true}, npb.ClassB, 64, fastOpt)
+	smpi, err := FigureAccuracy(c, PipelineConfig{SMPIBackend: true}, []npb.Class{npb.ClassB}, []int{64}, fastOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(smpi.ErrPct) >= math.Abs(base.ErrPct)/2 {
+	if math.Abs(smpi[0].ErrPct) >= math.Abs(base[0].ErrPct)/2 {
 		t.Fatalf("backend fix alone: %.1f%%, baseline %.1f%% — expected the backend to dominate",
-			smpi.ErrPct, base.ErrPct)
+			smpi[0].ErrPct, base[0].ErrPct)
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"tireplay/internal/calibrate"
 	"tireplay/internal/core"
 	"tireplay/internal/ground"
 	"tireplay/internal/instrument"
-	"tireplay/internal/msgreplay"
 	"tireplay/internal/npb"
 	"tireplay/internal/stats"
 )
@@ -36,22 +34,26 @@ type DecouplingRow struct {
 	DeltaPct float64
 }
 
-// Decoupling acquires an LU instance on each cluster in sites and replays
-// every acquired trace on the *target* cluster's platform with the target's
-// calibration, returning one row per acquisition site.
+// Decoupling acquires an LU instance on each cluster in sites with the new
+// pipeline's build and replays every acquired trace on the *target*
+// cluster's platform with the target's calibration, returning one row per
+// acquisition site. The row acquired on the target is FigureAccuracy's
+// NewPipeline prediction.
 func Decoupling(target *ground.Cluster, sites []*ground.Cluster, class npb.Class, procs int, opt Options) ([]DecouplingRow, error) {
-	// Calibrate once against the target (prediction always targets it).
-	rate, err := targetRate(target, class, opt)
+	lu, err := npb.NewLU(class, procs, opt.iters())
 	if err != nil {
 		return nil, err
 	}
+	// Calibrate once against the target (prediction always targets it),
+	// choosing the rate by the replayed instance (Section 3.4).
+	rateFor, err := NewPipeline.calibration(target, []npb.Class{class}, opt)
+	if err != nil {
+		return nil, err
+	}
+	mode, compile := NewPipeline.acquisition()
 	var rows []DecouplingRow
 	for _, site := range sites {
-		lu, err := npb.NewLU(class, procs, opt.iters())
-		if err != nil {
-			return nil, err
-		}
-		acq := site.InstrConfig(instrument.Minimal, instrument.O3, class)
+		acq := site.InstrConfig(mode, compile, class)
 		counters, err := instrument.Counters(lu, acq)
 		if err != nil {
 			return nil, err
@@ -60,17 +62,7 @@ func Decoupling(target *ground.Cluster, sites []*ground.Cluster, class npb.Class
 		if err != nil {
 			return nil, err
 		}
-		prov := instrument.Acquired{W: lu, Cfg: acq}
-		plat, model, err := target.Platform(procs)
-		if err != nil {
-			return nil, err
-		}
-		plat.SetSpeed(rate)
-		replayMPI := target.MPI
-		replayMPI.MemcpyBandwidth, replayMPI.MemcpyLatency = 0, 0
-		res, err := core.Replay(prov, plat, core.Config{
-			Backend: core.SMPI, Network: model, MPI: replayMPI,
-		})
+		res, err := NewPipeline.predict(target, instrument.Acquired{W: lu, Cfg: acq}, rateFor(lu, class))
 		if err != nil {
 			return nil, err
 		}
@@ -85,18 +77,6 @@ func Decoupling(target *ground.Cluster, sites []*ground.Cluster, class npb.Class
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-func targetRate(target *ground.Cluster, class npb.Class, opt Options) (float64, error) {
-	ca, err := calibrate.NewCacheAware(target, []npb.Class{class}, opt.calIters())
-	if err != nil {
-		return 0, err
-	}
-	lu, err := npb.NewLU(class, 4, 1)
-	if err != nil {
-		return 0, err
-	}
-	return ca.RateFor(lu, class), nil
 }
 
 // MaxDecouplingDelta returns the largest |DeltaPct| across rows.
@@ -128,36 +108,31 @@ type EfficiencyRow struct {
 }
 
 // Efficiency replays perfect traces of the class across process counts on
-// the target cluster's platform, for both backends.
+// the target cluster's platform, for both backends: SMPI with the eager
+// copy modelled, and the MSG prototype.
 func Efficiency(target *ground.Cluster, class npb.Class, procs []int, opt Options) ([]EfficiencyRow, error) {
 	var rows []EfficiencyRow
 	for _, p := range procs {
 		if p > target.Hosts {
 			continue
 		}
-		for _, backend := range []core.BackendKind{core.SMPI, core.MSG} {
-			lu, err := npb.NewLU(class, p, opt.iters())
-			if err != nil {
-				return nil, err
-			}
+		lu, err := npb.NewLU(class, p, opt.iters())
+		if err != nil {
+			return nil, err
+		}
+		for _, pipe := range []PipelineConfig{{SMPIBackend: true, ModelMemcpy: true}, OldPipeline} {
 			plat, model, err := target.Platform(p)
 			if err != nil {
 				return nil, err
 			}
-			cfg := core.Config{Backend: backend}
-			if backend == core.SMPI {
-				cfg.Network = model
-				cfg.MPI = target.MPI
-			} else {
-				cfg.MSG = msgreplay.PrototypeConfig()
-			}
+			cfg := pipe.replay(target, model)
 			res, err := core.Replay(npb.AsProvider(lu), plat, cfg)
 			if err != nil {
 				return nil, err
 			}
 			row := EfficiencyRow{
 				Instance:         fmt.Sprintf("%s-%d", class, p),
-				Backend:          backend,
+				Backend:          cfg.Backend,
 				Sim:              res.SimulatedTime,
 				Wall:             res.Wall.Seconds(),
 				Actions:          res.Actions,

@@ -30,6 +30,34 @@ func TestDecouplingInvariance(t *testing.T) {
 	}
 }
 
+// TestDecouplingCalibratesPerInstance requires the row acquired on the
+// target to be the new pipeline's prediction, whose cache-aware rate is
+// chosen by the replayed instance's working set (Section 3.4). Bordereau
+// B-8 and graphene C-8 spill out of L2; a rate chosen by any other
+// instance's working set would replay them in-cache.
+func TestDecouplingCalibratesPerInstance(t *testing.T) {
+	for _, tc := range []struct {
+		target *ground.Cluster
+		class  npb.Class
+	}{
+		{ground.Bordereau(), npb.ClassB},
+		{ground.Graphene(), npb.ClassC},
+	} {
+		rows, err := Decoupling(tc.target, []*ground.Cluster{tc.target}, tc.class, 8, fastOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := FigureAccuracy(tc.target, NewPipeline, []npb.Class{tc.class}, []int{8}, fastOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[0].Sim != acc[0].Sim {
+			t.Errorf("%s %s-8: decoupling predicts %v, the new pipeline %v",
+				tc.target.Name, tc.class, rows[0].Sim, acc[0].Sim)
+		}
+	}
+}
+
 func TestEfficiencyRows(t *testing.T) {
 	rows, err := Efficiency(ground.Graphene(), npb.ClassB, []int{8, 16}, fastOpt)
 	if err != nil {

@@ -4,6 +4,10 @@
 // calibration, trace replay — and returns structured rows; the render
 // functions print them in a shape comparable to the paper's tables.
 //
+// A PipelineConfig describes one generation of that tool chain; the
+// paper's two generations are OldPipeline and NewPipeline, and every
+// runner takes its acquisition build, calibration and replay from one.
+//
 // The SSOR loop is steady-state, so runners default to a reduced iteration
 // count and scale reported times back to the class itmax; relative
 // overheads and errors are iteration-invariant (see DESIGN.md §5.6 and
@@ -19,6 +23,7 @@ import (
 	"tireplay/internal/instrument"
 	"tireplay/internal/msgreplay"
 	"tireplay/internal/npb"
+	"tireplay/internal/sim"
 	"tireplay/internal/stats"
 )
 
@@ -64,6 +69,116 @@ var (
 )
 
 // ---------------------------------------------------------------------------
+// The tool chain under evaluation.
+
+// PipelineConfig describes one generation of the tool chain as its three
+// independent fixes. The paper compares two generations, OldPipeline and
+// NewPipeline; the other combinations give the ablation study the paper
+// itself does not report, and ModelMemcpy the feature it lists as future
+// work in Section 6: modelling the eager-mode memory copy in the replay.
+type PipelineConfig struct {
+	// NewAcquisition selects minimal instrumentation + -O3 (Section 3.1/3.2)
+	// instead of fine instrumentation + -O0.
+	NewAcquisition bool
+	// CacheAwareCalibration selects the Section 3.4 procedure instead of
+	// the classic A-4-only one.
+	CacheAwareCalibration bool
+	// SMPIBackend selects the rewritten backend (Section 3.3) instead of
+	// the MSG prototype.
+	SMPIBackend bool
+	// ModelMemcpy additionally gives the SMPI backend the sender-side eager
+	// copy model — the paper's Section 6 future work ("implement the
+	// missing feature to model the time taken in sends ... to copy data in
+	// memory in the eager mode of MPI").
+	ModelMemcpy bool
+}
+
+var (
+	// OldPipeline is the first implementation: fine instrumentation, -O0,
+	// A-4-only calibration, MSG replay backend (Figure 3).
+	OldPipeline = PipelineConfig{}
+	// NewPipeline applies every fix of Section 3: minimal instrumentation,
+	// -O3, cache-aware calibration, SMPI replay backend (Figures 6 and 7).
+	NewPipeline = PipelineConfig{NewAcquisition: true, CacheAwareCalibration: true, SMPIBackend: true}
+)
+
+// Name renders a short label for result tables.
+func (p PipelineConfig) Name() string {
+	switch {
+	case !p.NewAcquisition && !p.CacheAwareCalibration && !p.SMPIBackend:
+		return "baseline (old)"
+	case p.NewAcquisition && p.CacheAwareCalibration && p.SMPIBackend && p.ModelMemcpy:
+		return "all fixes + memcpy"
+	case p.NewAcquisition && p.CacheAwareCalibration && p.SMPIBackend:
+		return "all fixes (new)"
+	}
+	s := "old"
+	if p.NewAcquisition {
+		s += "+acq"
+	}
+	if p.CacheAwareCalibration {
+		s += "+cal"
+	}
+	if p.SMPIBackend {
+		s += "+smpi"
+	}
+	if p.ModelMemcpy {
+		s += "+memcpy"
+	}
+	return s
+}
+
+// acquisition returns the instrumentation mode and compile level of the
+// acquisition build; the original build users run is the same compile
+// level uninstrumented.
+func (p PipelineConfig) acquisition() (instrument.Mode, instrument.Compile) {
+	if p.NewAcquisition {
+		return instrument.Minimal, instrument.O3
+	}
+	return instrument.Fine, instrument.O0
+}
+
+// calibration runs the calibration procedure once on c — the classic A-4
+// rate, or the cache-aware table over classes — and returns the rate a
+// simulated instance of the class replays at.
+func (p PipelineConfig) calibration(c *ground.Cluster, classes []npb.Class, opt Options) (func(npb.Workload, npb.Class) float64, error) {
+	if !p.CacheAwareCalibration {
+		rate, err := calibrate.ClassicA4(c, opt.calIters())
+		return func(npb.Workload, npb.Class) float64 { return rate }, err
+	}
+	ca, err := calibrate.NewCacheAware(c, classes, opt.calIters())
+	if err != nil {
+		return nil, err
+	}
+	return ca.RateFor, nil
+}
+
+// replay returns the replay configuration on c's platform, whose network
+// model is model: the MSG prototype with its crude hard-coded network
+// reference, or SMPI on the platform's model, which copies eager payloads
+// only under ModelMemcpy (the paper-era SMPI does not, Section 4.3).
+func (p PipelineConfig) replay(c *ground.Cluster, model sim.NetworkModel) core.Config {
+	if !p.SMPIBackend {
+		return core.Config{Backend: core.MSG, MSG: msgreplay.PrototypeConfig()}
+	}
+	mpiCfg := c.MPI
+	if !p.ModelMemcpy {
+		mpiCfg.MemcpyBandwidth, mpiCfg.MemcpyLatency = 0, 0
+	}
+	return core.Config{Backend: core.SMPI, Network: model, MPI: mpiCfg}
+}
+
+// predict replays an acquired trace on c's platform at the calibrated rate.
+func (p PipelineConfig) predict(c *ground.Cluster, prov instrument.Acquired, rate float64) (*core.Result, error) {
+	plat, model, err := c.Platform(prov.NumRanks())
+	if err != nil {
+		return nil, err
+	}
+	plat.SetSpeed(rate)
+	return core.Replay(prov, plat, p.replay(c, model))
+}
+
+// ---------------------------------------------------------------------------
 // Tables 1 and 2: instrumentation time overhead, old vs new acquisition.
 
 // OverheadRow is one instance line of Table 1/2.
@@ -84,27 +199,21 @@ func TableOverhead(c *ground.Cluster, classes []npb.Class, procs []int, opt Opti
 			if p > c.Hosts {
 				continue
 			}
-			row := OverheadRow{Instance: fmt.Sprintf("%s-%d", class, p)}
-			runs := []struct {
-				dst  *float64
-				mode instrument.Mode
-				comp instrument.Compile
-			}{
-				{&row.OldOrig, instrument.None, instrument.O0},
-				{&row.OldInstr, instrument.Fine, instrument.O0},
-				{&row.NewOrig, instrument.None, instrument.O3},
-				{&row.NewInstr, instrument.Minimal, instrument.O3},
+			lu, err := npb.NewLU(class, p, opt.iters())
+			if err != nil {
+				return nil, err
 			}
-			for _, r := range runs {
-				lu, err := npb.NewLU(class, p, opt.iters())
-				if err != nil {
-					return nil, err
+			row := OverheadRow{Instance: fmt.Sprintf("%s-%d", class, p)}
+			dst := [2][2]*float64{{&row.OldOrig, &row.OldInstr}, {&row.NewOrig, &row.NewInstr}}
+			for g, pipe := range []PipelineConfig{OldPipeline, NewPipeline} {
+				mode, compile := pipe.acquisition()
+				for i, m := range []instrument.Mode{instrument.None, mode} {
+					res, err := c.Run(lu, c.InstrConfig(m, compile, class))
+					if err != nil {
+						return nil, err
+					}
+					*dst[g][i] = scaleToFull(res.Time, class, opt.iters())
 				}
-				res, err := c.Run(lu, c.InstrConfig(r.mode, r.comp, class))
-				if err != nil {
-					return nil, err
-				}
-				*r.dst = scaleToFull(res.Time, class, opt.iters())
 			}
 			row.OldOverheadPct = stats.RelErr(row.OldInstr, row.OldOrig)
 			row.NewOverheadPct = stats.RelErr(row.NewInstr, row.NewOrig)
@@ -117,23 +226,6 @@ func TableOverhead(c *ground.Cluster, classes []npb.Class, procs []int, opt Opti
 // ---------------------------------------------------------------------------
 // Figures 1, 2, 4, 5: instruction counter discrepancy distributions.
 
-// DiscrepancyKind selects which comparison a figure shows.
-type DiscrepancyKind int
-
-const (
-	// FineVsCoarse at -O0: Figures 1 (bordereau) and 2 (graphene).
-	FineVsCoarse DiscrepancyKind = iota
-	// MinimalVsCoarse at -O3: Figures 4 and 5.
-	MinimalVsCoarse
-)
-
-func (k DiscrepancyKind) String() string {
-	if k == MinimalVsCoarse {
-		return "minimal vs coarse (-O3)"
-	}
-	return "fine vs coarse (-O0)"
-}
-
 // DiscrepancyRow is one instance of a counter-discrepancy figure: the
 // distribution across processes of the relative difference (in %) between
 // the instrumented and reference counter readings.
@@ -142,8 +234,12 @@ type DiscrepancyRow struct {
 	Dist     stats.Summary
 }
 
-// FigureDiscrepancy reproduces Figures 1/2/4/5.
-func FigureDiscrepancy(c *ground.Cluster, kind DiscrepancyKind, classes []npb.Class, procs []int, opt Options) ([]DiscrepancyRow, error) {
+// FigureDiscrepancy compares the counters of the pipeline's acquisition
+// build with the coarse reference at the same compile level: OldPipeline
+// gives Figures 1/2 (fine vs coarse, -O0), NewPipeline Figures 4/5
+// (minimal vs coarse, -O3).
+func FigureDiscrepancy(c *ground.Cluster, pipe PipelineConfig, classes []npb.Class, procs []int, opt Options) ([]DiscrepancyRow, error) {
+	mode, compile := pipe.acquisition()
 	var rows []DiscrepancyRow
 	for _, class := range classes {
 		for _, p := range procs {
@@ -154,20 +250,11 @@ func FigureDiscrepancy(c *ground.Cluster, kind DiscrepancyKind, classes []npb.Cl
 			if err != nil {
 				return nil, err
 			}
-			var instCfg, refCfg instrument.Config
-			switch kind {
-			case FineVsCoarse:
-				instCfg = c.InstrConfig(instrument.Fine, instrument.O0, class)
-				refCfg = c.InstrConfig(instrument.Coarse, instrument.O0, class)
-			case MinimalVsCoarse:
-				instCfg = c.InstrConfig(instrument.Minimal, instrument.O3, class)
-				refCfg = c.InstrConfig(instrument.Coarse, instrument.O3, class)
-			}
-			inst, err := instrument.Counters(lu, instCfg)
+			inst, err := instrument.Counters(lu, c.InstrConfig(mode, compile, class))
 			if err != nil {
 				return nil, err
 			}
-			ref, err := instrument.Counters(lu, refCfg)
+			ref, err := instrument.Counters(lu, c.InstrConfig(instrument.Coarse, compile, class))
 			if err != nil {
 				return nil, err
 			}
@@ -191,25 +278,6 @@ func FigureDiscrepancy(c *ground.Cluster, kind DiscrepancyKind, classes []npb.Cl
 // ---------------------------------------------------------------------------
 // Figures 3, 6, 7: accuracy of the simulated execution.
 
-// Pipeline selects the whole tool-chain generation being evaluated.
-type Pipeline int
-
-const (
-	// OldPipeline is the first implementation: fine instrumentation, -O0,
-	// A-4-only calibration, MSG replay backend (Figure 3).
-	OldPipeline Pipeline = iota
-	// NewPipeline applies every fix of Section 3: minimal instrumentation,
-	// -O3, cache-aware calibration, SMPI replay backend (Figures 6 and 7).
-	NewPipeline
-)
-
-func (p Pipeline) String() string {
-	if p == NewPipeline {
-		return "new (minimal,-O3,cache-aware,SMPI)"
-	}
-	return "old (fine,-O0,A-4,MSG)"
-}
-
 // AccuracyRow is one instance of an accuracy figure.
 type AccuracyRow struct {
 	Instance string
@@ -225,112 +293,48 @@ type AccuracyRow struct {
 	ReplayActions     int64
 }
 
-// FigureAccuracy reproduces Figure 3 (OldPipeline on bordereau) and
-// Figures 6/7 (NewPipeline on bordereau/graphene).
-func FigureAccuracy(c *ground.Cluster, pipe Pipeline, classes []npb.Class, procs []int, opt Options) ([]AccuracyRow, error) {
+// FigureAccuracy runs the whole tool chain on each instance: the original
+// build's real execution, acquisition, calibration and replay. It
+// reproduces Figure 3 (OldPipeline on bordereau), Figures 6/7 (NewPipeline
+// on bordereau/graphene) and, with the other configurations, the ablation
+// study.
+func FigureAccuracy(c *ground.Cluster, pipe PipelineConfig, classes []npb.Class, procs []int, opt Options) ([]AccuracyRow, error) {
 	// Calibration is done once per cluster and reused, as in practice.
-	var classicRate float64
-	var cacheAware *calibrate.CacheAware
-	var err error
-	switch pipe {
-	case OldPipeline:
-		classicRate, err = calibrate.ClassicA4(c, opt.calIters())
-	case NewPipeline:
-		cacheAware, err = calibrate.NewCacheAware(c, classes, opt.calIters())
-	default:
-		return nil, fmt.Errorf("experiments: unknown pipeline %d", int(pipe))
-	}
+	rateFor, err := pipe.calibration(c, classes, opt)
 	if err != nil {
 		return nil, err
 	}
-
+	mode, compile := pipe.acquisition()
 	var rows []AccuracyRow
 	for _, class := range classes {
 		for _, p := range procs {
 			if p > c.Hosts {
 				continue
 			}
-			row, err := accuracyOne(c, pipe, class, p, classicRate, cacheAware, opt)
+			lu, err := npb.NewLU(class, p, opt.iters())
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, *row)
+			real, err := c.Run(lu, c.InstrConfig(instrument.None, compile, class))
+			if err != nil {
+				return nil, err
+			}
+			prov := instrument.Acquired{W: lu, Cfg: c.InstrConfig(mode, compile, class)}
+			res, err := pipe.predict(c, prov, rateFor(lu, class))
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, AccuracyRow{
+				Instance:          fmt.Sprintf("%s-%d", class, p),
+				Class:             class,
+				Procs:             p,
+				Real:              scaleToFull(real.Time, class, opt.iters()),
+				Sim:               scaleToFull(res.SimulatedTime, class, opt.iters()),
+				ErrPct:            stats.RelErr(res.SimulatedTime, real.Time),
+				ReplayWallSeconds: res.Wall.Seconds(),
+				ReplayActions:     res.Actions,
+			})
 		}
 	}
 	return rows, nil
-}
-
-func accuracyOne(c *ground.Cluster, pipe Pipeline, class npb.Class, p int,
-	classicRate float64, cacheAware *calibrate.CacheAware, opt Options) (*AccuracyRow, error) {
-
-	mkLU := func() (*npb.LU, error) { return npb.NewLU(class, p, opt.iters()) }
-
-	// 1. Real execution of the original application.
-	lu, err := mkLU()
-	if err != nil {
-		return nil, err
-	}
-	realCompile := instrument.O0
-	if pipe == NewPipeline {
-		realCompile = instrument.O3
-	}
-	real, err := c.Run(lu, c.InstrConfig(instrument.None, realCompile, class))
-	if err != nil {
-		return nil, err
-	}
-
-	// 2. Acquire the trace with the pipeline's instrumentation settings.
-	lu, err = mkLU()
-	if err != nil {
-		return nil, err
-	}
-	var acq instrument.Config
-	if pipe == OldPipeline {
-		acq = c.InstrConfig(instrument.Fine, instrument.O0, class)
-	} else {
-		acq = c.InstrConfig(instrument.Minimal, instrument.O3, class)
-	}
-	prov := instrument.Acquired{W: lu, Cfg: acq}
-
-	// 3. Build the target platform and install the calibrated rate.
-	plat, pwModel, err := c.Platform(p)
-	if err != nil {
-		return nil, err
-	}
-	var cfg core.Config
-	if pipe == OldPipeline {
-		plat.SetSpeed(classicRate)
-		cfg = core.Config{
-			Backend: core.MSG,
-			// The MSG prototype's crude hard-coded network reference.
-			MSG: msgreplay.PrototypeConfig(),
-		}
-	} else {
-		plat.SetSpeed(cacheAware.RateFor(lu, class))
-		replayMPI := c.MPI
-		replayMPI.MemcpyBandwidth = 0 // SMPI does not model the eager copy yet (§4.3)
-		replayMPI.MemcpyLatency = 0
-		cfg = core.Config{
-			Backend: core.SMPI,
-			Network: pwModel,
-			MPI:     replayMPI,
-		}
-	}
-
-	// 4. Replay.
-	res, err := core.Replay(prov, plat, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	return &AccuracyRow{
-		Instance:          fmt.Sprintf("%s-%d", class, p),
-		Class:             class,
-		Procs:             p,
-		Real:              scaleToFull(real.Time, class, opt.iters()),
-		Sim:               scaleToFull(res.SimulatedTime, class, opt.iters()),
-		ErrPct:            stats.RelErr(res.SimulatedTime, real.Time),
-		ReplayWallSeconds: res.Wall.Seconds(),
-		ReplayActions:     res.Actions,
-	}, nil
 }

@@ -51,11 +51,11 @@ func TestTableOverheadShapes(t *testing.T) {
 }
 
 func TestDiscrepancyShapes(t *testing.T) {
-	fine, err := FigureDiscrepancy(ground.Graphene(), FineVsCoarse, []npb.Class{npb.ClassB}, []int{8, 128}, fastOpt)
+	fine, err := FigureDiscrepancy(ground.Graphene(), OldPipeline, []npb.Class{npb.ClassB}, []int{8, 128}, fastOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, err := FigureDiscrepancy(ground.Graphene(), MinimalVsCoarse, []npb.Class{npb.ClassB}, []int{8, 128}, fastOpt)
+	min, err := FigureDiscrepancy(ground.Graphene(), NewPipeline, []npb.Class{npb.ClassB}, []int{8, 128}, fastOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"io"
 
 	"tireplay/internal/ground"
-	"tireplay/internal/msgreplay"
 	"tireplay/internal/npb"
 	"tireplay/internal/runner"
 	"tireplay/internal/scenario"
@@ -39,8 +38,9 @@ func SweepSpec(target *ground.Cluster, classes []npb.Class, procs []int, opt Opt
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("experiments: sweep needs at least one class")
 	}
-	replayMPI := target.MPI
-	replayMPI.MemcpyBandwidth, replayMPI.MemcpyLatency = 0, 0 // paper-era SMPI (§4.3)
+	// The SMPI points replay as the new pipeline does (no eager copy, as
+	// in the paper-era SMPI), the MSG points as the old one.
+	smpi, msg := NewPipeline.replay(target, nil), OldPipeline.replay(target, nil)
 
 	classVals := make([]any, len(classes))
 	for i, c := range classes {
@@ -70,7 +70,7 @@ func SweepSpec(target *ground.Cluster, classes []npb.Class, procs []int, opt Opt
 		return nil, fmt.Errorf("experiments: no process count in %v fits %s's %d hosts", procs, target.Name, target.Hosts)
 	}
 
-	msgCfg, err := toDoc(msgreplay.PrototypeConfig())
+	msgCfg, err := toDoc(msg.MSG)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func SweepSpec(target *ground.Cluster, classes []npb.Class, procs []int, opt Opt
 				Benchmark: "lu", Class: classes[0].String(), Procs: 1,
 				Iterations: opt.iters(),
 			},
-			MPI: replayMPI,
+			MPI: smpi.MPI,
 		},
 		NameFormat: "{bench} {class}-{procs}/{backend}",
 		Axes: []sweep.Axis{

@@ -1,12 +1,25 @@
 package ground
 
 import (
-	"tireplay/internal/instrument"
-	"tireplay/internal/npb"
+	"fmt"
+	"strings"
 
+	"tireplay/internal/instrument"
 	"tireplay/internal/mpi"
+	"tireplay/internal/npb"
 	"tireplay/internal/platform"
 )
+
+// Lookup returns the emulated cluster of the given name, ignoring case.
+func Lookup(name string) (*Cluster, error) {
+	switch strings.ToLower(name) {
+	case "bordereau":
+		return Bordereau(), nil
+	case "graphene":
+		return Graphene(), nil
+	}
+	return nil, fmt.Errorf("ground: unknown cluster %q (want bordereau or graphene)", name)
+}
 
 // Factor tables of the piece-wise-linear network model, shared by the
 // ground truth and the SMPI replay (SMPI's model was validated against the

@@ -2,6 +2,7 @@ package ground
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"tireplay/internal/core"
@@ -25,6 +26,22 @@ func TestClusterDefinitions(t *testing.T) {
 	// Ground truth must model the eager memcpy (the feature SMPI lacks).
 	if b.MPI.MemcpyBandwidth <= 0 || g.MPI.MemcpyBandwidth <= 0 {
 		t.Fatal("ground truth must model the eager memcpy")
+	}
+}
+
+func TestLookup(t *testing.T) {
+	for _, name := range []string{"bordereau", "Graphene", "BORDEREAU"} {
+		c, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.EqualFold(c.Name, name) {
+			t.Errorf("Lookup(%q) = %s", name, c.Name)
+		}
+	}
+	_, err := Lookup("nowhere")
+	if err == nil || !strings.Contains(err.Error(), "bordereau") || !strings.Contains(err.Error(), "graphene") {
+		t.Fatalf("unknown cluster error %v does not name both clusters", err)
 	}
 }
 

@@ -102,16 +102,14 @@ func (a *AcquisitionSpec) config(class npb.Class) (instrument.Config, error) {
 	default:
 		return instrument.Config{}, fmt.Errorf("scenario: unknown compile level %q (want O0 or O3)", a.Compile)
 	}
-	switch strings.ToLower(a.Cluster) {
-	case "":
+	if a.Cluster == "" {
 		return instrument.Config{Mode: mode, Compile: compile, Class: class}, nil
-	case "bordereau":
-		return ground.Bordereau().InstrConfig(mode, compile, class), nil
-	case "graphene":
-		return ground.Graphene().InstrConfig(mode, compile, class), nil
-	default:
-		return instrument.Config{}, fmt.Errorf("scenario: unknown cluster %q (want bordereau or graphene)", a.Cluster)
 	}
+	c, err := ground.Lookup(a.Cluster)
+	if err != nil {
+		return instrument.Config{}, err
+	}
+	return c.InstrConfig(mode, compile, class), nil
 }
 
 // Scenario is one declarative replay description. Exactly one platform

@@ -80,6 +80,11 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 			Workload:    &WorkloadSpec{Benchmark: "lu", Class: "S", Procs: 4},
 			Acquisition: &AcquisitionSpec{Mode: "nope", Compile: "O3"},
 		}},
+		{"unknown acquisition cluster", &Scenario{
+			Platform:    flatSpec(4),
+			Workload:    &WorkloadSpec{Benchmark: "lu", Class: "S", Procs: 4},
+			Acquisition: &AcquisitionSpec{Mode: "fine", Compile: "O0", Cluster: "nowhere"},
+		}},
 		{"negative mapping", &Scenario{
 			Platform:    flatSpec(4),
 			Workload:    &WorkloadSpec{Benchmark: "lu", Class: "S", Procs: 4},
