@@ -15,6 +15,11 @@
 // model:
 //
 //	tracegen -mix alltoallv -np 8 -iters 4 [-bytes 65536] [-o traces] [-tib]
+//
+// A flag the chosen mode does not read is an error, not a silent default:
+// -cluster and -O3 under -mode perfect, the workload flags (-workload,
+// -class, -mode, -cluster, -O3) under -mix, -bytes without -mix, and
+// -fold with -tib.
 package main
 
 import (
@@ -22,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"tireplay"
@@ -44,7 +50,11 @@ func main() {
 	mixBytes := flag.Float64("bytes", 65536, "with -mix: base payload in bytes (the mixes scale it unevenly)")
 	flag.Parse()
 
+	if *tib {
+		rejectIgnored("with -tib", "fold")
+	}
 	if *mix != "" {
+		rejectIgnored("with -mix", "workload", "class", "mode", "cluster", "O3")
 		mixIters := *iters
 		if mixIters == 0 {
 			mixIters = 4
@@ -59,6 +69,7 @@ func main() {
 		return
 	}
 
+	rejectIgnored("without -mix", "bytes")
 	spec := tireplay.WorkloadSpec{Benchmark: *workload, Class: *classStr, Procs: *np, Iterations: *iters}
 	w, err := spec.Build()
 	fatal(err)
@@ -67,6 +78,7 @@ func main() {
 	var prov tireplay.TraceProvider
 	switch *mode {
 	case "perfect":
+		rejectIgnored("with -mode perfect", "cluster", "O3")
 		prov = tireplay.PerfectTrace(w)
 	case "minimal", "fine":
 		cluster, err := ground.Lookup(*clusterName)
@@ -119,6 +131,17 @@ func write(perRank [][]tireplay.Action, name, outDir string, tib, fold bool) {
 	fmt.Printf("  instructions: %.4g total\n", stats.Instructions)
 	fmt.Printf("  p2p: %d messages, %.4g bytes (%d eager < 64 KiB)\n",
 		stats.P2PMessages, stats.P2PBytes, stats.EagerMessages)
+}
+
+// rejectIgnored exits naming the first of names set on the command line:
+// the chosen mode (why) does not read them, and a typo or a request that
+// silently fell back to the default would go unnoticed.
+func rejectIgnored(why string, names ...string) {
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			fatal(fmt.Errorf("-%s has no effect %s", f.Name, why))
+		}
+	})
 }
 
 func fatal(err error) {

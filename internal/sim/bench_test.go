@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkContextSwitch measures the scheduler handoff — one process
 // resumed through a long run of short sleeps: a direct function call into
@@ -109,5 +112,34 @@ func BenchmarkDetachedSends(b *testing.B) {
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkFanIn pins the match queues' worst case: every sender posts one
+// detached send to rank 0, which then receives them in reverse rank order,
+// so each receive walks past every send still queued toward rank 0 — O(k)
+// per post for k unmatched comms at one destination.
+func BenchmarkFanIn(b *testing.B) {
+	for _, senders := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e := NewEngine(pairRouter{&Link{Name: "l", Bandwidth: 1e9, Latency: 1e-6}})
+				hs := newTestHosts(senders+1, 1e9)
+				space := e.NewPairSpace("t", hs)
+				for r := 1; r <= senders; r++ {
+					mb := space.Box(r, 0)
+					e.SpawnProg("s", hs[r], script(func(p *Prog) { p.PutDetached(mb, 1024) }))
+				}
+				e.SpawnProg("r", hs[0], script(func(p *Prog) {
+					for r := senders; r >= 1; r-- {
+						p.GetPending(space.Box(r, 0))
+					}
+					p.WaitAllPending()
+				}))
+				if err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

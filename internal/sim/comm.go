@@ -47,18 +47,22 @@ type Comm struct {
 	// time of a copy of the data in the memory").
 	Detached bool
 
+	// The flags and the reference count fill the word Detached starts, so
+	// the struct keeps to the 352-byte allocation size class, and the
+	// fields a match-queue walk reads (hasSend, box, next) lie together.
+	hasSend bool
+	hasRecv bool
+	queued  bool // sitting in its pair space's match queue
+	refs    int32
 	// box identifies the mailbox this comm was posted on; the name is
 	// materialized lazily (Mailbox) so rank-pair transfers never allocate a
 	// string on the hot path.
 	box        Mbox
+	next       *Comm // the comm queued after it, while queued
 	src, dst   *Host
 	sender     *Proc // nil once detached
 	receiver   *Proc // nil until recv posted
 	state      CommState
-	hasSend    bool
-	hasRecv    bool
-	queued     bool // sitting in a mailbox send/recv queue
-	refs       int32
 	fl         *flow
 	engine     *Engine
 	waiters    []*Proc
@@ -102,10 +106,12 @@ func (c *Comm) StartTime() float64 { return c.startTime }
 // FinishTime returns the simulated completion time of the transfer.
 func (c *Comm) FinishTime() float64 { return c.finishTime }
 
-// newComm hands out a Comm, recycling completed ones.
-func (e *Engine) newComm() *Comm {
+// newComm hands out the comm of a first post on mb, with the next ID,
+// recycling completed ones.
+func (e *Engine) newComm(mb Mbox) *Comm {
+	var c *Comm
 	if n := len(e.commPool); n > 0 {
-		c := e.commPool[n-1]
+		c = e.commPool[n-1]
 		e.commPool[n-1] = nil
 		e.commPool = e.commPool[:n-1]
 		linkPos := c.flowStore.linkPos[:0]
@@ -115,9 +121,14 @@ func (e *Engine) newComm() *Comm {
 		c.flowStore.linkPos = linkPos
 		c.flowStore.lstates = lstates
 		c.linkBuf = linkBuf
-		return c
+	} else {
+		c = &Comm{engine: e}
 	}
-	return &Comm{engine: e}
+	e.commSeq++
+	c.ID = e.commSeq
+	c.box = mb
+	c.state = CommPending
+	return c
 }
 
 // retain marks one more holder of c (a machine register or pending queue
@@ -143,7 +154,7 @@ func (c *Comm) release() {
 }
 
 // maybeRecycle returns a comm to the engine pool once it is completed,
-// unreferenced, and out of every mailbox queue.
+// unreferenced, and out of its match queue.
 func (c *Comm) maybeRecycle() {
 	e := c.engine
 	if c.refs != 0 || c.queued || c.state != CommDone {
@@ -156,88 +167,54 @@ func (c *Comm) maybeRecycle() {
 }
 
 // postSend registers a send on mailbox mb. If a receive is already waiting
-// the comm starts immediately; otherwise (or if detached) it is queued.
-func (e *Engine) postSend(mb *mailbox, p *Proc, size float64, detached bool) *Comm {
-	if len(mb.recvs) > 0 {
-		c := mb.recvs[0]
-		// Pop by shifting rather than re-slicing the head off: the slice keeps
-		// its base pointer, so the capacity survives reapBox's reset and the
-		// recycled mailbox appends without reallocating. Queues are almost
-		// always length one, so the copy is free.
-		n := copy(mb.recvs, mb.recvs[1:])
-		mb.recvs[n] = nil
-		mb.recvs = mb.recvs[:n]
-		c.queued = false
-		c.Size = size
-		c.Detached = detached
-		c.src = p.Host
-		c.sender = p
-		c.hasSend = true
-		e.reapBox(mb)
-		e.startComm(c)
-		return c
+// the comm starts immediately; otherwise it is queued.
+func (e *Engine) postSend(mb Mbox, p *Proc, size float64, detached bool) *Comm {
+	s := e.space(mb)
+	q := s.queue(mb)
+	c := q.take(mb, false)
+	if c == nil {
+		c = e.newComm(mb)
+		q.push(c)
+		// A detached send needs no matching receive to start moving: the
+		// data is pushed toward the destination mailbox and buffered there.
+		// The destination host is resolved when the receive is posted; until
+		// then the transfer is held in the match queue. To model the eager
+		// protocol's behaviour — data travels immediately — we optimistically
+		// start the transfer toward the mailbox's pinned host if one is
+		// declared, and otherwise defer to match time.
+		if detached {
+			c.dst = s.pinnedHost(mb)
+		}
 	}
-	e.commSeq++
-	c := e.newComm()
-	c.ID = e.commSeq
-	c.box = mb.box
 	c.Size = size
 	c.Detached = detached
 	c.src = p.Host
 	c.sender = p
 	c.hasSend = true
-	c.state = CommPending
-	if detached {
-		// A detached send needs no matching receive to start moving: the
-		// data is pushed toward the destination mailbox and buffered there.
-		// The destination host is resolved when the receive is posted; until
-		// then the transfer is held in the mailbox queue. To model the eager
-		// protocol's behaviour — data travels immediately — we optimistically
-		// start the transfer toward the mailbox's pinned host if one is
-		// declared, and otherwise defer to match time.
-		if dst := e.pinnedHost(mb); dst != nil {
-			c.dst = dst
-			c.queued = true
-			mb.sends = append(mb.sends, c)
-			e.startComm(c)
-			return c
-		}
+	if c.dst != nil {
+		e.startComm(c)
 	}
-	c.queued = true
-	mb.sends = append(mb.sends, c)
 	return c
 }
 
 // postRecv registers a receive on mailbox mb. If a send is waiting the comm
-// starts (or, for an in-flight detached send, is simply claimed).
-func (e *Engine) postRecv(mb *mailbox, p *Proc) *Comm {
-	if len(mb.sends) > 0 {
-		c := mb.sends[0]
-		n := copy(mb.sends, mb.sends[1:])
-		mb.sends[n] = nil
-		mb.sends = mb.sends[:n]
-		c.queued = false
-		c.receiver = p
-		c.hasRecv = true
-		e.reapBox(mb)
-		if c.state == CommPending {
-			c.dst = p.Host
-			e.startComm(c)
-		}
-		// If the detached transfer is already in flight (or done), the
-		// receive just attaches to it.
-		return c
+// starts (or, for an in-flight detached send, is simply claimed); otherwise
+// it is queued.
+func (e *Engine) postRecv(mb Mbox, p *Proc) *Comm {
+	q := e.space(mb).queue(mb)
+	c := q.take(mb, true)
+	if c == nil {
+		c = e.newComm(mb)
+		q.push(c)
 	}
-	e.commSeq++
-	c := e.newComm()
-	c.ID = e.commSeq
-	c.box = mb.box
-	c.dst = p.Host
 	c.receiver = p
 	c.hasRecv = true
-	c.state = CommPending
-	c.queued = true
-	mb.recvs = append(mb.recvs, c)
+	if c.state == CommPending {
+		c.dst = p.Host
+		if c.hasSend {
+			e.startComm(c)
+		}
+	}
 	return c
 }
 

@@ -49,11 +49,8 @@ type Engine struct {
 	timerSeq int64
 	commSeq  int64
 
-	// Mailbox registries: every live mailbox keyed by integer id, the pair
-	// namespaces, and the recycle pool for drained mailboxes.
-	boxes   map[Mbox]*mailbox
-	spaces  []*PairSpace
-	boxPool []*mailbox
+	// Pair mailbox namespaces, indexed by their id less one (see Mbox).
+	spaces []*PairSpace
 
 	// Recycled comms. Machines release every comm they reference (see
 	// progMachine), so a completed, unreferenced comm is always reusable.
@@ -110,7 +107,6 @@ func NewEngine(router Router, opts ...Option) *Engine {
 	e := &Engine{
 		router:   router,
 		netModel: DefaultModel{},
-		boxes:    make(map[Mbox]*mailbox),
 	}
 	for _, o := range opts {
 		o(e)

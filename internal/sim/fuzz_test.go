@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -179,6 +180,129 @@ func FuzzMaxMin(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 15, 0, 3, 0, 12, 0, 5, 0, 10, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := checkMaxMinSequence(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// Bounds of one decoded match-queue sequence: posts among fuzzRanks ranks.
+const (
+	fuzzRanks    = 4
+	fuzzMaxPosts = 64
+)
+
+// checkMatchSequence decodes data into posts made straight through postSend
+// and postRecv, without running the engine, and checks every result against
+// a reference that keeps one FIFO of unmatched posts per mailbox. Each byte
+// is one post: bit 0 picks the unpinned (0) or the pinned (1) space, bits
+// 1-2 the source and bits 3-4 the destination rank, bit 5 a send (0) or a
+// receive (1), and bit 6 makes a send detached.
+func checkMatchSequence(data []byte) error {
+	e := NewEngine(pairRouter{&Link{Name: "l", Bandwidth: 1e9, Latency: 1e-6}})
+	hs := newTestHosts(fuzzRanks, 1e9)
+	procs := make([]*Proc, fuzzRanks)
+	for i, h := range hs {
+		procs[i] = &Proc{Name: h.Name, Host: h, engine: e}
+	}
+	spaces := [2]*PairSpace{e.NewPairSpace("u", nil), e.NewPairSpace("p", hs)}
+	// The reference records each post's side: a match sets both on the comm.
+	type post struct {
+		c    *Comm
+		send bool
+	}
+	unmatched := make(map[Mbox][]post)
+	var matched []*Comm
+	var ids int64
+	for i, b := range data[:min(len(data), fuzzMaxPosts)] {
+		s := spaces[b&1]
+		src, dst := int(b>>1&3), int(b>>3&3)
+		send := b>>5&1 == 0
+		detached := send && b>>6&1 == 1
+		mb := s.Box(src, dst)
+		var c *Comm
+		if send {
+			c = e.postSend(mb, procs[src], 1, detached)
+		} else {
+			c = e.postRecv(mb, procs[dst])
+		}
+		if fifo := unmatched[mb]; len(fifo) > 0 && fifo[0].send != send {
+			if c != fifo[0].c {
+				return fmt.Errorf("post %d on %s returned comm %d, want a match with comm %d", i, e.boxName(mb), c.ID, fifo[0].c.ID)
+			}
+			unmatched[mb] = fifo[1:]
+			matched = append(matched, c)
+		} else {
+			ids++
+			if c.ID != ids || c.hasSend != send {
+				return fmt.Errorf("post %d on %s returned comm %d (send %v), want a new comm %d (send %v)", i, e.boxName(mb), c.ID, c.hasSend, ids, send)
+			}
+			unmatched[mb] = append(fifo, post{c, send})
+		}
+		// A matched transfer starts at once; an unmatched send only when it
+		// is detached toward a pinned host.
+		started := c.hasSend && c.hasRecv || detached && s.hosts != nil
+		if (c.state == CommLatency) != started {
+			return fmt.Errorf("post %d on %s: comm %d in state %s", i, e.boxName(mb), c.ID, c.state)
+		}
+		for _, s := range spaces {
+			for d := range fuzzRanks {
+				var want, got []*Comm
+				for m, fifo := range unmatched {
+					if e.space(m) == s && int(uint64(m)&mboxRankMask) == d {
+						for _, p := range fifo {
+							want = append(want, p.c)
+						}
+					}
+				}
+				// Comm IDs grow in post order.
+				slices.SortFunc(want, func(a, b *Comm) int { return int(a.ID - b.ID) })
+				var q matchQueue
+				if d < len(s.queues) {
+					q = s.queues[d]
+				}
+				for c := q.head; c != nil; c = c.next {
+					if !c.queued || len(got) > len(want) {
+						return fmt.Errorf("post %d: queue %s>%d corrupt at comm %d", i, s.prefix, d, c.ID)
+					}
+					got = append(got, c)
+				}
+				if !slices.Equal(got, want) || len(got) > 0 && q.tail != got[len(got)-1] || len(got) == 0 && q.tail != nil {
+					return fmt.Errorf("post %d: queue %s>%d holds %v, want %v", i, s.prefix, d, commIDs(got), commIDs(want))
+				}
+			}
+		}
+		for _, c := range matched {
+			if c.next != nil || c.queued {
+				return fmt.Errorf("post %d: matched comm %d still linked (next %v, queued %v)", i, c.ID, c.next != nil, c.queued)
+			}
+		}
+	}
+	return nil
+}
+
+func commIDs(cs []*Comm) []int64 {
+	ids := make([]int64, len(cs))
+	for i, c := range cs {
+		ids[i] = c.ID
+	}
+	return ids
+}
+
+// FuzzMatchQueues checks the per-destination match queues against per-mailbox
+// FIFO matching on arbitrary post sequences (see checkMatchSequence).
+func FuzzMatchQueues(f *testing.F) {
+	// A backlog of three sends 1>0 drained by three receives.
+	f.Add([]byte{0x02, 0x02, 0x02, 0x22, 0x22, 0x22})
+	// Sends from ranks 1 and 2 interleaved toward rank 0, received from 2
+	// first: each receive passes the other source's queued sends.
+	f.Add([]byte{0x02, 0x04, 0x02, 0x04, 0x24, 0x22, 0x24, 0x22})
+	// A receive 1>3 posted before its send.
+	f.Add([]byte{0x3a, 0x1a})
+	// A detached send 2>1 on the pinned space starts before its receive,
+	// which then claims it.
+	f.Add([]byte{0x4d, 0x2d})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := checkMatchSequence(data); err != nil {
 			t.Fatal(err)
 		}
 	})

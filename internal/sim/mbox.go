@@ -19,11 +19,23 @@ const (
 // hosts is non-nil, the mailbox (src,dst) is pinned to hosts[dst]: detached
 // (eager) sends start their transfer before the receive is posted, which is
 // exactly the behaviour the paper's SMPI backend models for small messages.
+//
+// Sends and receives match in FIFO order per mailbox, as in SimGrid/SMPI.
+// The space keeps one match queue per destination rank, holding the comms
+// posted toward that rank and not yet matched, from every source, in post
+// order; a mailbox's unmatched comms are all sends or all receives, so the
+// first queued comm on a mailbox is the one a new post either matches or
+// queues behind. Like an MPI runtime's posted and unexpected queues, these
+// stay short in real codes, and a post touches only its destination's queue.
 type PairSpace struct {
 	id     uint64
 	prefix string
-	hosts  []*Host // pinned destination hosts; nil = unpinned
+	hosts  []*Host      // pinned destination hosts; nil = unpinned
+	queues []matchQueue // indexed by destination rank, grown on first post
 }
+
+// matchQueue is a FIFO of unmatched comms linked through Comm.next.
+type matchQueue struct{ head, tail *Comm }
 
 // NewPairSpace registers a pair-mailbox namespace. prefix appears in
 // diagnostics only (names render as "prefix:src>dst"). hosts, when non-nil,
@@ -42,62 +54,66 @@ func (s *PairSpace) Box(src, dst int) Mbox {
 	return Mbox(s.id<<(2*mboxRankBits) | uint64(src)<<mboxRankBits | uint64(dst))
 }
 
-// mailbox is a rendezvous point where sends and receives match in FIFO
-// order, as in SimGrid/SMPI. Mailboxes are created lazily on first use and
-// recycled once both queues drain, so live memory tracks in-flight traffic
-// rather than the quadratic number of rank pairs.
-type mailbox struct {
-	box   Mbox
-	sends []*Comm // posted sends not yet matched by a recv
-	recvs []*Comm // posted recvs not yet matched by a send
+// space returns the pair space m belongs to.
+func (e *Engine) space(m Mbox) *PairSpace { return e.spaces[uint64(m)>>(2*mboxRankBits)-1] }
+
+// queue returns the match queue of m's destination rank.
+func (s *PairSpace) queue(m Mbox) *matchQueue {
+	dst := int(uint64(m) & mboxRankMask)
+	if dst >= len(s.queues) {
+		s.queues = append(s.queues, make([]matchQueue, dst+1-len(s.queues))...)
+	}
+	return &s.queues[dst]
 }
 
-// box returns the mailbox for m, creating it (from the recycle pool if
-// possible) on first use.
-func (e *Engine) box(m Mbox) *mailbox {
-	mb := e.boxes[m]
-	if mb == nil {
-		if n := len(e.boxPool); n > 0 {
-			mb = e.boxPool[n-1]
-			e.boxPool[n-1] = nil
-			e.boxPool = e.boxPool[:n-1]
-		} else {
-			mb = &mailbox{}
+// take unlinks and returns the oldest comm queued on m if it is a send
+// (sends) or a receive (!sends), and otherwise returns nil. The walk passes
+// the comms of other sources toward the same rank: O(k) for k of them.
+func (q *matchQueue) take(m Mbox, sends bool) *Comm {
+	var prev *Comm
+	for c := q.head; c != nil; prev, c = c, c.next {
+		if c.box != m {
+			continue
 		}
-		mb.box = m
-		e.boxes[m] = mb
+		if c.hasSend != sends {
+			return nil
+		}
+		if prev == nil {
+			q.head = c.next
+		} else {
+			prev.next = c.next
+		}
+		if q.tail == c {
+			q.tail = prev
+		}
+		c.next = nil
+		c.queued = false
+		return c
 	}
-	return mb
+	return nil
 }
 
-// reapBox recycles a mailbox whose queues have both drained. The next post
-// to the same Mbox simply recreates it, so this is purely a memory bound:
-// long replays touch quadratically many pairs but keep only the active ones
-// alive.
-func (e *Engine) reapBox(mb *mailbox) {
-	if len(mb.sends) != 0 || len(mb.recvs) != 0 {
-		return
+func (q *matchQueue) push(c *Comm) {
+	c.queued = true
+	if q.tail == nil {
+		q.head = c
+	} else {
+		q.tail.next = c
 	}
-	delete(e.boxes, mb.box)
-	mb.box = 0
-	mb.sends = mb.sends[:0]
-	mb.recvs = mb.recvs[:0]
-	e.boxPool = append(e.boxPool, mb)
+	q.tail = c
 }
 
 // boxName renders a mailbox id for diagnostics. Pair names are formatted on
 // demand and never stored.
 func (e *Engine) boxName(m Mbox) string {
-	s := e.spaces[uint64(m)>>(2*mboxRankBits)-1]
-	return fmt.Sprintf("%s:%d>%d", s.prefix, (uint64(m)>>mboxRankBits)&mboxRankMask, uint64(m)&mboxRankMask)
+	return fmt.Sprintf("%s:%d>%d", e.space(m).prefix, (uint64(m)>>mboxRankBits)&mboxRankMask, uint64(m)&mboxRankMask)
 }
 
-// pinnedHost returns the host mb is pinned to, or nil: the declared
+// pinnedHost returns the host m is pinned to, or nil: the declared
 // destination of receives, which lets detached sends start early.
-func (e *Engine) pinnedHost(mb *mailbox) *Host {
-	s := e.spaces[uint64(mb.box)>>(2*mboxRankBits)-1]
+func (s *PairSpace) pinnedHost(m Mbox) *Host {
 	if s.hosts == nil {
 		return nil
 	}
-	return s.hosts[uint64(mb.box)&mboxRankMask]
+	return s.hosts[uint64(m)&mboxRankMask]
 }

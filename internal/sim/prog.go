@@ -242,11 +242,11 @@ func (m *progMachine) step(p *Proc) (done bool) {
 			if op.amt < 0 {
 				p.faultf("send of negative size %g", op.amt)
 			}
-			c := e.postSend(e.box(op.mb), p, op.amt, op.kind == opPutDetached)
+			c := e.postSend(op.mb, p, op.amt, op.kind == opPutDetached)
 			m.dispose(c, op.reg)
 			m.pc++
 		case opGet:
-			c := e.postRecv(e.box(op.mb), p)
+			c := e.postRecv(op.mb, p)
 			m.dispose(c, op.reg)
 			m.pc++
 		case opPushDone:
