@@ -1,7 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,17 +29,28 @@ func testPlatform(t *testing.T, n int) *platform.Platform {
 	return p
 }
 
+// provFromText writes one trace file per rank and opens the set through its
+// description file, the text path replay takes.
 func provFromText(t *testing.T, perRank ...string) trace.Provider {
 	t.Helper()
-	var all [][]trace.Action
-	for _, src := range perRank {
-		actions, err := trace.ReadAll(strings.NewReader(src))
-		if err != nil {
+	dir := t.TempDir()
+	var desc strings.Builder
+	for r, src := range perRank {
+		name := "r_" + strconv.Itoa(r) + ".trace"
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, actions)
+		desc.WriteString(name + "\n")
 	}
-	return trace.NewMemProvider(all)
+	path := filepath.Join(dir, "r.desc")
+	if err := os.WriteFile(path, []byte(desc.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := trace.LoadDescription(path, len(perRank))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestReplayComputeOnly(t *testing.T) {
@@ -231,6 +246,24 @@ func TestReplayErrors(t *testing.T) {
 	prov = provFromText(t, "p0 compute 1\n")
 	if _, err := Replay(prov, plat, Config{Backend: "no-such-backend"}); err == nil {
 		t.Error("expected error for unknown backend")
+	}
+}
+
+// A peer outside the communicator, or the sender itself, is rejected where
+// the action is read, as a *TraceError: lowering does not check it again.
+func TestPeerValidationFaults(t *testing.T) {
+	prov := provFromText(t, "p0 send p5 10\n", "p1 compute 1\n")
+	var te *TraceError
+	if _, err := Replay(prov, testPlatform(t, 2), Config{}); !errors.As(err, &te) {
+		t.Fatalf("err = %v, want a *TraceError for an out-of-range peer", err)
+	}
+}
+
+func TestSelfSendFaults(t *testing.T) {
+	prov := provFromText(t, "p0 send p0 10\n", "p1 compute 1\n")
+	var te *TraceError
+	if _, err := Replay(prov, testPlatform(t, 2), Config{}); !errors.As(err, &te) {
+		t.Fatalf("err = %v, want a *TraceError for a self send", err)
 	}
 }
 

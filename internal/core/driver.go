@@ -35,13 +35,18 @@ type TraceError struct {
 	Backend string
 	// Rank is the rank whose stream was malformed.
 	Rank int
-	// Kind is the offending action kind, when the failure is tied to one.
-	Kind trace.Kind
+	// Kind is the offending action's kind when HasKind is set: when the
+	// failure is tied to an action.
+	Kind    trace.Kind
+	HasKind bool
 	// Err is the underlying cause.
 	Err error
 }
 
 func (e *TraceError) Error() string {
+	if !e.HasKind {
+		return fmt.Sprintf("%s replay, rank %d: %v", e.Backend, e.Rank, e.Err)
+	}
 	return fmt.Sprintf("%s replay, rank %d, action %q: %v", e.Backend, e.Rank, e.Kind, e.Err)
 }
 
@@ -60,7 +65,7 @@ func rankFeed(ops TaskOps, backend string, rank int, stream trace.Stream, action
 		if err != nil {
 			te := &TraceError{Backend: backend, Rank: rank, Err: fmt.Errorf("reading stream: %w", err)}
 			if errors.Is(err, ErrUnsupportedAction) {
-				te.Kind = a.Kind // the stream hands the rejected action back
+				te.Kind, te.HasKind = a.Kind, true // the stream hands the rejected action back
 			}
 			return false, te
 		}
@@ -71,7 +76,7 @@ func rankFeed(ops TaskOps, backend string, rank int, stream trace.Stream, action
 		// needs no synchronization.
 		*actions++
 		if err := Lower(ops, prog, &a, &npending); err != nil {
-			return false, &TraceError{Backend: backend, Rank: rank, Kind: a.Kind, Err: err}
+			return false, &TraceError{Backend: backend, Rank: rank, Kind: a.Kind, HasKind: true, Err: err}
 		}
 		return true, nil
 	}
@@ -85,7 +90,9 @@ func rankFeed(ops TaskOps, backend string, rank int, stream trace.Stream, action
 // the FIFO's depth across a rank's actions, which is all the
 // no-outstanding-request check needs. Lower returns the cause of a malformed
 // action (ErrNoOutstandingRequest, ErrUnsupportedAction); callers wrap it in
-// a TraceError naming the rank.
+// a TraceError naming the rank. a must pass ValidateFor for its rank and
+// communicator, as every stream's action does: the backends do not check
+// peers, roots or volume vectors again.
 func Lower(ops TaskOps, p *sim.Prog, a *trace.Action, npending *int) error {
 	switch a.Kind {
 	case trace.Init, trace.Finalize:

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"tireplay/internal/core"
 	"tireplay/internal/ground"
@@ -77,17 +76,6 @@ func Decoupling(target *ground.Cluster, sites []*ground.Cluster, class npb.Class
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// MaxDecouplingDelta returns the largest |DeltaPct| across rows.
-func MaxDecouplingDelta(rows []DecouplingRow) float64 {
-	m := 0.0
-	for _, r := range rows {
-		if d := math.Abs(r.DeltaPct); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -88,4 +89,15 @@ func TestRenderDecouplingAndEfficiency(t *testing.T) {
 	if !strings.Contains(sb.String(), "B-8") || !strings.Contains(sb.String(), "smpi") {
 		t.Fatalf("efficiency render: %q", sb.String())
 	}
+}
+
+// MaxDecouplingDelta returns the largest |DeltaPct| across rows.
+func MaxDecouplingDelta(rows []DecouplingRow) float64 {
+	m := 0.0
+	for _, r := range rows {
+		if d := math.Abs(r.DeltaPct); d > m {
+			m = d
+		}
+	}
+	return m
 }

@@ -108,16 +108,6 @@ func (c *Cluster) InstrConfig(mode instrument.Mode, compile instrument.Compile, 
 	return cfg
 }
 
-// CacheResident reports whether every rank of the workload fits in L2.
-func (c *Cluster) CacheResident(w npb.Workload) bool {
-	for r := 0; r < w.Ranks(); r++ {
-		if w.WorkingSet(r) > c.L2Bytes {
-			return false
-		}
-	}
-	return true
-}
-
 // Run emulates one execution of w built and instrumented as icfg describes,
 // and returns its wall-clock time. Use instrument.Counters for the counter
 // readings and instrument.Acquired for the trace the run would produce.
@@ -157,14 +147,17 @@ func (c *Cluster) Run(w npb.Workload, icfg instrument.Config) (*RunResult, error
 // compute operation runs at the rank's cache- and jitter-aware rate instead
 // of the host speed, followed by its instrumentation probe time, and both
 // count as busy time; an MPI operation pays its probe time and is then
-// lowered exactly as SMPI replay lowers the same action. A malformed stream
-// surfaces as a *core.TraceError.
+// lowered exactly as SMPI replay lowers the same action. Workload streams
+// do not check their operations, so each is checked here, once, as a trace
+// stream checks its actions; a malformed stream surfaces as a
+// *core.TraceError.
 func (c *Cluster) rankFeed(world *mpi.World, rank int, rate float64, stream npb.OpStream, icfg instrument.Config, busy *float64) sim.Feed {
 	ops := world.TaskRank(rank)
+	checked := trace.Checked(stream, "", rank, world.Size())
 	npending := 0
 	var a trace.Action
 	return func(p *sim.Prog) (bool, error) {
-		ok, err := stream.Next(&a)
+		ok, err := checked.Next(&a)
 		if err != nil {
 			return false, &core.TraceError{Backend: "ground", Rank: rank, Err: fmt.Errorf("reading stream: %w", err)}
 		}
@@ -188,7 +181,7 @@ func (c *Cluster) rankFeed(world *mpi.World, rank int, rate float64, stream npb.
 			}
 		}
 		if err := core.Lower(ops, p, &a, &npending); err != nil {
-			return false, &core.TraceError{Backend: "ground", Rank: rank, Kind: a.Kind, Err: err}
+			return false, &core.TraceError{Backend: "ground", Rank: rank, Kind: a.Kind, HasKind: true, Err: err}
 		}
 		return true, nil
 	}

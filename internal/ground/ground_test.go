@@ -47,16 +47,25 @@ func TestLookup(t *testing.T) {
 
 func TestCacheResidency(t *testing.T) {
 	b, g := Bordereau(), Graphene()
+	// Resident: every rank's working set fits in the cluster's L2.
+	resident := func(c *Cluster, w npb.Workload) bool {
+		for r := 0; r < w.Ranks(); r++ {
+			if w.WorkingSet(r) > c.L2Bytes {
+				return false
+			}
+		}
+		return true
+	}
 	luA4, _ := npb.NewLU(npb.ClassA, 4, 1)
 	luB4, _ := npb.NewLU(npb.ClassB, 4, 1)
 	luC8, _ := npb.NewLU(npb.ClassC, 8, 1)
-	if !b.CacheResident(luA4) {
+	if !resident(b, luA4) {
 		t.Error("A-4 must be cache-resident on bordereau (Section 2.3)")
 	}
-	if b.CacheResident(luB4) {
+	if resident(b, luB4) {
 		t.Error("B-4 must spill on bordereau (Section 3.4)")
 	}
-	if b.CacheResident(luC8) {
+	if resident(b, luC8) {
 		t.Error("C-8 must spill on bordereau")
 	}
 	for _, procs := range []int{8, 16, 32, 64, 128} {
@@ -65,7 +74,7 @@ func TestCacheResidency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !g.CacheResident(lu) {
+			if !resident(g, lu) {
 				t.Errorf("%s must be cache-resident on graphene (Section 3.4)", lu.Name())
 			}
 		}
@@ -213,7 +222,8 @@ func TestGroundTruthMagnitudes(t *testing.T) {
 }
 
 // opsWorkload is a one-rank workload replaying a fixed action list, one
-// call per action.
+// call per action. Its stream checks nothing, as a custom workload's may
+// not.
 type opsWorkload []trace.Action
 
 func (w opsWorkload) Name() string                      { return "ops" }
@@ -222,26 +232,47 @@ func (w opsWorkload) WorkingSet(int) float64            { return 0 }
 func (w opsWorkload) BaseInstructions(rank int) float64 { return 0 }
 
 func (w opsWorkload) Rank(rank int) (npb.OpStream, error) {
-	st, err := trace.NewMemProvider([][]trace.Action{w}).Rank(rank)
-	return opsStream{st}, err
+	return &opsStream{actions: w}, nil
 }
 
-type opsStream struct{ trace.Stream }
+type opsStream struct{ actions []trace.Action }
 
-func (opsStream) Calls() float64 { return 1 }
-
-// TestMalformedOpStreamIsTraceError: an operation stream the lowering
-// rejects must surface as a structured *core.TraceError from Run, not as a
-// panic report.
-func TestMalformedOpStreamIsTraceError(t *testing.T) {
-	w := opsWorkload{{Kind: trace.Wait, Peer: -1}}
-	_, err := Bordereau().Run(w, instrument.Config{Mode: instrument.None})
-	var te *core.TraceError
-	if !errors.As(err, &te) || !errors.Is(err, core.ErrNoOutstandingRequest) {
-		t.Fatalf("err = %v, want a TraceError wrapping ErrNoOutstandingRequest", err)
+func (s *opsStream) Next(a *trace.Action) (bool, error) {
+	if len(s.actions) == 0 {
+		return false, nil
 	}
-	const want = `ground: emulating ops on bordereau: ground replay, rank 0, action "wait": wait with no outstanding request`
-	if err.Error() != want {
-		t.Fatalf("err = %q, want %q", err, want)
+	*a, s.actions = s.actions[0], s.actions[1:]
+	return true, nil
+}
+
+func (*opsStream) Calls() float64 { return 1 }
+
+// TestMalformedOpStreamIsTraceError: an operation the lowering rejects, or
+// that is invalid in its communicator, must surface as a structured
+// *core.TraceError from Run, not as a panic report.
+func TestMalformedOpStreamIsTraceError(t *testing.T) {
+	for _, tc := range []struct {
+		op    trace.Action
+		cause error // matched with errors.Is, when set
+		want  string
+	}{
+		{
+			op:    trace.Action{Kind: trace.Wait, Peer: -1},
+			cause: core.ErrNoOutstandingRequest,
+			want:  `ground: emulating ops on bordereau: ground replay, rank 0, action "wait": wait with no outstanding request`,
+		},
+		{
+			op:   trace.Action{Kind: trace.Send, Peer: 7, Bytes: 100},
+			want: `ground: emulating ops on bordereau: ground replay, rank 0: reading stream: trace: rank 0: action 0: trace: p0 send peer p7 outside communicator of size 1`,
+		},
+	} {
+		_, err := Bordereau().Run(opsWorkload{tc.op}, instrument.Config{Mode: instrument.None})
+		var te *core.TraceError
+		if !errors.As(err, &te) || tc.cause != nil && !errors.Is(err, tc.cause) {
+			t.Fatalf("%s: err = %v, want a TraceError wrapping %v", tc.op.Kind, err, tc.cause)
+		}
+		if err.Error() != tc.want {
+			t.Fatalf("%s: err = %q, want %q", tc.op.Kind, err, tc.want)
+		}
 	}
 }

@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // Collective operations simulated as sets of point-to-point messages
 // (Section 3.3: the SMPI rewrite replaces the MSG prototype's "monolithic
 // performance models of collective communications" with actual message
@@ -183,25 +181,5 @@ func reduceTree(c *TaskRank, root int, bytes float64) {
 		m := first >> 1
 		parent := ((vrank - m) + root) % p
 		c.sendColl(parent, bytes)
-	}
-}
-
-func checkRootColl(c *TaskRank, root int, op string) {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: rank %d: %s root %d outside communicator of size %d",
-			c.rank, op, root, c.Size()))
-	}
-}
-
-func checkVolsColl(c *TaskRank, vols []float64, op string) {
-	if len(vols) != c.Size() {
-		panic(fmt.Sprintf("mpi: rank %d: %s volume vector has %d entries for communicator of size %d",
-			c.rank, op, len(vols), c.Size()))
-	}
-	for k, v := range vols {
-		if v < 0 {
-			panic(fmt.Sprintf("mpi: rank %d: %s negative volume %g for rank %d",
-				c.rank, op, v, k))
-		}
 	}
 }

@@ -40,7 +40,6 @@ const chainSegmentBytes = 8192
 
 // bcastWithColl broadcasts using an explicit algorithm.
 func bcastWithColl(c *TaskRank, algo BcastAlgo, bytes float64, root int) {
-	checkRootColl(c, root, "BcastWith")
 	p := c.Size()
 	if p == 1 {
 		return

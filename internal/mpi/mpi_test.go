@@ -410,19 +410,3 @@ func TestWorldValidation(t *testing.T) {
 		t.Error("expected error for nil host")
 	}
 }
-
-func TestPeerValidationFaults(t *testing.T) {
-	w, e := testWorld(t, 2, ModelConfig{})
-	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 5, 10) })
-	if err := e.Run(); err == nil {
-		t.Fatal("expected error for out-of-range peer")
-	}
-}
-
-func TestSelfSendFaults(t *testing.T) {
-	w, e := testWorld(t, 2, ModelConfig{})
-	spawn(w, 0, func(tr *TaskRank, p *sim.Prog) { tr.Send(p, 0, 10) })
-	if err := e.Run(); err == nil {
-		t.Fatal("expected error for self send")
-	}
-}

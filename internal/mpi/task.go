@@ -46,7 +46,6 @@ func (tr *TaskRank) Compute(p *sim.Prog, instr float64) {
 // until the transfer completes (rendezvous).
 func (tr *TaskRank) Send(p *sim.Prog, dst int, bytes float64) {
 	tr.bind(p)
-	tr.checkPeer(dst, "Send")
 	tr.emitSend(tr.world.p2pBox(tr.rank, dst), bytes)
 }
 
@@ -55,7 +54,6 @@ func (tr *TaskRank) Send(p *sim.Prog, dst int, bytes float64) {
 // stay FIFO-aligned. Rendezvous sends complete when the transfer does.
 func (tr *TaskRank) Isend(p *sim.Prog, dst int, bytes float64) {
 	tr.bind(p)
-	tr.checkPeer(dst, "Isend")
 	cfg := tr.world.cfg
 	if cfg.SendOverhead > 0 {
 		p.Sleep(cfg.SendOverhead)
@@ -73,14 +71,12 @@ func (tr *TaskRank) Isend(p *sim.Prog, dst int, bytes float64) {
 // Recv blocks until a message from src has fully arrived.
 func (tr *TaskRank) Recv(p *sim.Prog, src int) {
 	tr.bind(p)
-	tr.checkPeer(src, "Recv")
 	tr.emitRecv(tr.world.p2pBox(src, tr.rank))
 }
 
 // Irecv posts a nonblocking receive from src onto the pending FIFO.
 func (tr *TaskRank) Irecv(p *sim.Prog, src int) {
 	tr.bind(p)
-	tr.checkPeer(src, "Irecv")
 	p.GetPending(tr.world.p2pBox(src, tr.rank))
 }
 
@@ -101,7 +97,6 @@ func (tr *TaskRank) Bcast(p *sim.Prog, bytes float64, root int) {
 // Reduce combines bytes from every rank onto root along a binomial tree.
 func (tr *TaskRank) Reduce(p *sim.Prog, bytes float64, root int) {
 	tr.bind(p)
-	checkRootColl(tr, root, "Reduce")
 	reduceTree(tr, root, bytes)
 }
 
@@ -125,7 +120,6 @@ func (tr *TaskRank) AllToAll(p *sim.Prog, bytes float64) {
 // non-root sends once, the root receives P-1 messages).
 func (tr *TaskRank) Gather(p *sim.Prog, bytes float64, root int) {
 	tr.bind(p)
-	checkRootColl(tr, root, "Gather")
 	gatherLinear(tr, bytes, root)
 }
 
@@ -141,7 +135,6 @@ func (tr *TaskRank) AllGather(p *sim.Prog, bytes float64) {
 // pairwise-exchange schedule as AllToAll with per-pair volumes.
 func (tr *TaskRank) AllToAllV(p *sim.Prog, vols []float64) {
 	tr.bind(p)
-	checkVolsColl(tr, vols, "AllToAllV")
 	alltoallvPairwise(tr, vols)
 }
 
@@ -151,7 +144,6 @@ func (tr *TaskRank) AllToAllV(p *sim.Prog, vols []float64) {
 // per-origin block sizes.
 func (tr *TaskRank) AllGatherV(p *sim.Prog, vols []float64) {
 	tr.bind(p)
-	checkVolsColl(tr, vols, "AllGatherV")
 	allGatherVRing(tr, vols)
 }
 
@@ -227,14 +219,4 @@ func (tr *TaskRank) sendRecvColl(dst int, bytes float64, src int) {
 func (tr *TaskRank) putColl(dst int, bytes float64) {
 	tr.prog.Put(tr.world.collBox(tr.rank, dst), bytes, 0)
 	tr.prog.WaitReg(0)
-}
-
-func (tr *TaskRank) checkPeer(peer int, op string) {
-	if peer < 0 || peer >= tr.world.Size() {
-		panic(fmt.Sprintf("mpi: rank %d: %s peer %d outside communicator of size %d",
-			tr.rank, op, peer, tr.world.Size()))
-	}
-	if peer == tr.rank {
-		panic(fmt.Sprintf("mpi: rank %d: %s to self is not supported by the replay model", tr.rank, op))
-	}
 }

@@ -124,12 +124,13 @@ func TestErrorIsolation(t *testing.T) {
 		}
 	}
 	// Malformed trace: a wait with no outstanding request.
-	bad := &scenario.Scenario{
-		Platform: flatSpec(1),
-		Provider: trace.NewMemProvider([][]trace.Action{
-			{{Rank: 0, Kind: trace.Wait, Peer: -1}},
-		}),
+	desc, err := trace.WriteSet(t.TempDir(), "bad", [][]trace.Action{
+		{{Rank: 0, Kind: trace.Wait, Peer: -1}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	bad := &scenario.Scenario{Platform: flatSpec(1), TraceDesc: desc}
 	scenarios := []*scenario.Scenario{good(), bad, good()}
 	results, err := Run(context.Background(), scenarios, WithWorkers(2))
 	if err != nil {

@@ -112,9 +112,11 @@ func (a *AcquisitionSpec) config(class npb.Class) (instrument.Config, error) {
 	return c.InstrConfig(mode, compile, class), nil
 }
 
-// Scenario is one declarative replay description. Exactly one platform
-// source and exactly one trace source must be set. The zero knobs select
-// the accurate defaults (SMPI backend, platform factors as network model).
+// Scenario is one declarative replay description, and every field of it is
+// part of its JSON form. Exactly one platform source and exactly one trace
+// source must be set. The zero knobs select the accurate defaults (SMPI
+// backend, platform factors as network model). A caller that holds a built
+// platform, provider or network model replays them with core.Replay.
 type Scenario struct {
 	// Name labels the scenario in results and observer events.
 	Name string `json:"name,omitempty"`
@@ -125,10 +127,6 @@ type Scenario struct {
 	Platform *platform.Spec `json:"platform,omitempty"`
 	// PlatformFile is the path of a JSON platform description.
 	PlatformFile string `json:"platform_file,omitempty"`
-	// Plat is a prebuilt platform, for programmatic use (not serialized);
-	// see platform.Platform on sharing one. The runner gives each scenario
-	// its own build when Platform/PlatformFile is used.
-	Plat *platform.Platform `json:"-"`
 
 	// HostSpeed, when positive, overrides the platform's compute rate —
 	// typically with a calibrated value (Sections 2.3/3.4).
@@ -140,9 +138,6 @@ type Scenario struct {
 	TraceDesc string `json:"trace_desc,omitempty"`
 	// Workload generates the trace from an NPB workload model.
 	Workload *WorkloadSpec `json:"workload,omitempty"`
-	// Provider is a prebuilt trace source, for programmatic use (not
-	// serialized).
-	Provider trace.Provider `json:"-"`
 
 	// Ranks is the rank count served from a merged (single-file) trace
 	// description; 0 defaults to the platform's host count. Ignored for the
@@ -182,10 +177,6 @@ type Scenario struct {
 	// MSG configures the legacy backend.
 	MSG msgreplay.Config `json:"msg,omitempty"`
 
-	// Network overrides the network model, for programmatic use (not
-	// serialized). When nil, the platform's piece-wise factors (if any)
-	// are installed.
-	Network sim.NetworkModel `json:"-"`
 	// NoNetworkFactors suppresses the platform's piece-wise-linear factors
 	// for this replay (the legacy MSG prototype was factor-free).
 	NoNetworkFactors bool `json:"no_network_factors,omitempty"`
@@ -202,32 +193,11 @@ type Scenario struct {
 // Validate checks the scenario's structural consistency without touching
 // the filesystem or building anything expensive.
 func (s *Scenario) Validate() error {
-	nplat := 0
-	if s.Platform != nil {
-		nplat++
+	if (s.Platform != nil) == (s.PlatformFile != "") {
+		return fmt.Errorf("scenario %s: want exactly one platform source (Platform or PlatformFile)", s.label())
 	}
-	if s.PlatformFile != "" {
-		nplat++
-	}
-	if s.Plat != nil {
-		nplat++
-	}
-	if nplat != 1 {
-		return fmt.Errorf("scenario %s: want exactly one platform source (Platform, PlatformFile, or Plat), have %d", s.label(), nplat)
-	}
-
-	ntrace := 0
-	if s.TraceDesc != "" {
-		ntrace++
-	}
-	if s.Workload != nil {
-		ntrace++
-	}
-	if s.Provider != nil {
-		ntrace++
-	}
-	if ntrace != 1 {
-		return fmt.Errorf("scenario %s: want exactly one trace source (TraceDesc, Workload, or Provider), have %d", s.label(), ntrace)
+	if (s.TraceDesc != "") == (s.Workload != nil) {
+		return fmt.Errorf("scenario %s: want exactly one trace source (TraceDesc or Workload)", s.label())
 	}
 
 	if s.Acquisition != nil {
@@ -294,9 +264,6 @@ func (s *Scenario) Validate() error {
 	if s.HostSpeed < 0 {
 		return fmt.Errorf("scenario %s: negative host speed %g", s.label(), s.HostSpeed)
 	}
-	if s.Network != nil && s.NoNetworkFactors {
-		return fmt.Errorf("scenario %s: Network and NoNetworkFactors are mutually exclusive", s.label())
-	}
 	return nil
 }
 
@@ -308,85 +275,82 @@ func (s *Scenario) label() string {
 }
 
 // buildPlatform materializes the platform source and its piece-wise network
-// model (nil when the source has no factors or a prebuilt Plat is used).
+// model (nil when the source has no factors).
 func (s *Scenario) buildPlatform() (*platform.Platform, sim.NetworkModel, error) {
-	switch {
-	case s.Plat != nil:
-		return s.Plat, nil, nil
-	case s.Platform != nil:
+	if s.Platform != nil {
 		return s.Platform.Build()
-	default:
-		spec, err := platform.LoadSpec(s.PlatformFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		return spec.Build()
 	}
+	spec, err := platform.LoadSpec(s.PlatformFile)
+	if err != nil {
+		return nil, nil, err
+	}
+	return spec.Build()
 }
 
 // provider materializes the trace source. defaultRanks is the merged-trace
 // rank count used when Ranks is unset (TraceDesc source only) — the
 // platform's host count, matching how smpirun infers -np from the hostfile.
-// owned reports whether the scenario opened the provider itself and must
-// close it after the replay (user-supplied Providers stay the caller's to
-// close).
-func (s *Scenario) provider(defaultRanks int) (prov trace.Provider, owned bool, err error) {
-	switch {
-	case s.Provider != nil:
-		return s.Provider, false, nil
-	case s.Workload != nil:
+// Every provider is opened here, so Run closes any that is an io.Closer.
+func (s *Scenario) provider(defaultRanks int) (trace.Provider, error) {
+	if s.Workload != nil {
 		w, err := s.Workload.Build()
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if s.Acquisition == nil {
-			return npb.AsProvider(w), false, nil
+			return npb.AsProvider(w), nil
 		}
 		class, err := npb.ParseClass(s.Workload.Class)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		cfg, err := s.Acquisition.config(class)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		return instrument.Acquired{W: w, Cfg: cfg}, false, nil
-	default:
-		if s.TraceFormat != "" {
-			p, err := trace.Import(strings.ToLower(s.TraceFormat), s.TraceDesc,
-				trace.ImportOptions{InstructionRate: s.ImportRate})
-			return p, false, err
-		}
-		ranks := s.Ranks
-		if ranks == 0 {
-			ranks = defaultRanks
-		}
-		if trace.SniffTIB(s.TraceDesc) {
-			p, err := trace.OpenTIB(s.TraceDesc)
-			return p, err == nil, err
-		}
-		switch strings.ToLower(s.TraceCache) {
-		case "off":
-			p, err := trace.LoadDescription(s.TraceDesc, ranks)
-			return p, false, err
-		case "on":
-			p, err := trace.OpenDescriptionCached(s.TraceDesc, ranks, 0)
-			return p, err == nil, err
-		default: // "auto": compiled cache with transparent text fallback
-			if p, err := trace.OpenDescriptionCached(s.TraceDesc, ranks, 0); err == nil {
-				return p, true, nil
-			}
-			p, err := trace.LoadDescription(s.TraceDesc, ranks)
-			return p, false, err
-		}
+		return instrument.Acquired{W: w, Cfg: cfg}, nil
 	}
+	if s.TraceFormat != "" {
+		return trace.Import(strings.ToLower(s.TraceFormat), s.TraceDesc,
+			trace.ImportOptions{InstructionRate: s.ImportRate})
+	}
+	// Each concrete provider is returned through its own error check: a
+	// nil *CompiledProvider or *FileProvider must not become a non-nil
+	// trace.Provider.
+	ranks := s.Ranks
+	if ranks == 0 {
+		ranks = defaultRanks
+	}
+	if trace.SniffTIB(s.TraceDesc) {
+		p, err := trace.OpenTIB(s.TraceDesc)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	mode := strings.ToLower(s.TraceCache)
+	if mode != "off" {
+		p, err := trace.OpenDescriptionCached(s.TraceDesc, ranks)
+		if err == nil {
+			return p, nil
+		}
+		if mode == "on" {
+			return nil, err
+		}
+		// "auto": fall back to parsing the text.
+	}
+	p, err := trace.LoadDescription(s.TraceDesc, ranks)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // CompileTraceCache ensures the scenario's compiled binary trace cache (a
 // sibling .tib of its TraceDesc) exists and is fresh, without replaying.
 // It is a no-op (returning "", false, nil) when the scenario has no
 // cacheable source: TraceCache "off", a TraceDesc already pointing at a
-// .tib, or a Workload/Provider source. The sweep layer calls it once per
+// .tib, or a Workload source. The sweep layer calls it once per
 // distinct trace set before fanning a grid onto the worker pool, so the
 // scenarios of a sweep share one compile instead of racing to rebuild the
 // same cache concurrently.
@@ -402,7 +366,7 @@ func (s *Scenario) CompileTraceCache() (tibPath string, rebuilt bool, err error)
 		}
 		ranks = plat.Size()
 	}
-	return trace.CompileDescription(s.TraceDesc, ranks, 0)
+	return trace.CompileDescription(s.TraceDesc, ranks)
 }
 
 // Run validates and executes the scenario. Cancellation is checked before
@@ -424,15 +388,13 @@ func (s *Scenario) Run(ctx context.Context) (*core.Result, error) {
 		plat.SetSpeed(s.HostSpeed)
 	}
 
-	prov, owned, err := s.provider(plat.Size())
+	prov, err := s.provider(plat.Size())
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: building trace source: %w", s.label(), err)
 	}
-	if owned {
-		// The compiled .tib cache provider holds a file descriptor.
-		if c, ok := prov.(io.Closer); ok {
-			defer c.Close()
-		}
+	if c, ok := prov.(io.Closer); ok {
+		// A compiled .tib provider holds a file descriptor.
+		defer c.Close()
 	}
 	if s.ValidateTrace {
 		if err := trace.Validate(prov); err != nil {
@@ -441,12 +403,7 @@ func (s *Scenario) Run(ctx context.Context) (*core.Result, error) {
 	}
 
 	cfg := core.Config{Backend: s.Backend, MPI: s.MPI, MSG: s.MSG}
-	switch {
-	case s.Network != nil:
-		cfg.Network = s.Network
-	case s.NoNetworkFactors:
-		cfg.Network = nil
-	default:
+	if !s.NoNetworkFactors {
 		cfg.Network = model
 	}
 	if len(s.HostMapping) > 0 {
@@ -495,11 +452,4 @@ func Load(path string) ([]*Scenario, error) {
 	}
 	defer f.Close()
 	return ReadAll(f)
-}
-
-// WriteAll encodes scenarios as indented JSON to w.
-func WriteAll(w io.Writer, scenarios []*Scenario) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(scenarios)
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -249,11 +250,8 @@ func TestRunAcquiredScenarioSlower(t *testing.T) {
 func TestRunHostMapping(t *testing.T) {
 	// Map 2 ranks onto hosts 0 and 3 of a larger platform.
 	s := &Scenario{
-		Platform: flatSpec(8),
-		Provider: trace.NewMemProvider([][]trace.Action{
-			{{Rank: 0, Kind: trace.Send, Peer: 1, Bytes: 1e6}},
-			{{Rank: 1, Kind: trace.Recv, Peer: 0, Bytes: 1e6}},
-		}),
+		Platform:    flatSpec(8),
+		TraceDesc:   pingTraces(t),
 		HostMapping: []int{0, 3},
 	}
 	if _, err := s.Run(context.Background()); err != nil {
@@ -265,7 +263,22 @@ func TestRunHostMapping(t *testing.T) {
 	}
 }
 
+// pingTraces writes a two-rank trace set, one 1 MB message from rank 0 to
+// rank 1, and returns its description file.
+func pingTraces(t *testing.T) string {
+	t.Helper()
+	desc, err := trace.WriteSet(t.TempDir(), "ping", [][]trace.Action{
+		{{Rank: 0, Kind: trace.Send, Peer: 1, Bytes: 1e6}},
+		{{Rank: 1, Kind: trace.Recv, Peer: 0, Bytes: 1e6}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return desc
+}
+
 func TestNoNetworkFactors(t *testing.T) {
+	desc := pingTraces(t)
 	withFactors := func(nn bool) *Scenario {
 		spec := flatSpec(2)
 		spec.Factors = []platform.SegmentSpec{
@@ -275,10 +288,7 @@ func TestNoNetworkFactors(t *testing.T) {
 		return &Scenario{
 			Platform:         spec,
 			NoNetworkFactors: nn,
-			Provider: trace.NewMemProvider([][]trace.Action{
-				{{Rank: 0, Kind: trace.Send, Peer: 1, Bytes: 1e6}},
-				{{Rank: 1, Kind: trace.Recv, Peer: 0, Bytes: 1e6}},
-			}),
+			TraceDesc:        desc,
 		}
 	}
 	factored, err := withFactors(false).Run(context.Background())
@@ -338,7 +348,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, in); err != nil {
+	if err := json.NewEncoder(&buf).Encode(in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadAll(bytes.NewReader(buf.Bytes()))
@@ -548,7 +558,7 @@ func TestTraceDescAcceptsTIBDirectly(t *testing.T) {
 		perRank = append(perRank, acts)
 	}
 	tibPath := filepath.Join(t.TempDir(), "lu_s4.tib")
-	if err := trace.WriteTIBFile(tibPath, perRank); err != nil {
+	if err := trace.Compile(trace.NewMemProvider(perRank), tibPath, [32]byte{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -19,20 +19,6 @@ const (
 	CommDone
 )
 
-func (s CommState) String() string {
-	switch s {
-	case CommPending:
-		return "pending"
-	case CommLatency:
-		return "latency"
-	case CommFlowing:
-		return "flowing"
-	case CommDone:
-		return "done"
-	}
-	return fmt.Sprintf("CommState(%d)", int(s))
-}
-
 // Comm is a point-to-point data transfer between two hosts. It is created by
 // the first side to post (send or receive) and completed when the last byte
 // is delivered. The MPI layer composes Comms into the full MPI semantics
@@ -66,7 +52,6 @@ type Comm struct {
 	fl         *flow
 	engine     *Engine
 	waiters    []*Proc
-	startTime  float64
 	finishTime float64
 
 	// flowStore is the comm's fluid stage, embedded to avoid a separate
@@ -80,31 +65,14 @@ type Comm struct {
 	linkBuf   []*Link
 }
 
-// State returns the comm's lifecycle state.
-func (c *Comm) State() CommState { return c.state }
-
 // Done reports whether the transfer has fully completed.
 func (c *Comm) Done() bool { return c.state == CommDone }
-
-// Src returns the sending host (nil until the send side is posted).
-func (c *Comm) Src() *Host { return c.src }
-
-// Dst returns the receiving host (nil until the receive side is posted).
-func (c *Comm) Dst() *Host { return c.dst }
 
 // Mailbox returns the name of the rendezvous point this comm was matched
 // on. Pair-space names are formatted on demand: they exist only in
 // diagnostics, so the quadratically many rank pairs of a large replay never
 // pay for them.
 func (c *Comm) Mailbox() string { return c.engine.boxName(c.box) }
-
-// StartTime returns the simulated time at which the transfer started moving
-// (both sides matched), and FinishTime the time of full delivery. They are
-// meaningful only once the corresponding state has been reached.
-func (c *Comm) StartTime() float64 { return c.startTime }
-
-// FinishTime returns the simulated completion time of the transfer.
-func (c *Comm) FinishTime() float64 { return c.finishTime }
 
 // newComm hands out the comm of a first post on mb, with the next ID,
 // recycling completed ones.
@@ -248,7 +216,6 @@ func (e *Engine) startComm(c *Comm) {
 	}
 	latency, cap := e.netModel.Effective(route, c.Size)
 	c.state = CommLatency
-	c.startTime = e.now
 	e.stats.CommsStarted++
 	linkPos := c.flowStore.linkPos[:0]
 	lstates := c.flowStore.lstates[:0]

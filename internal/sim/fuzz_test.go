@@ -242,7 +242,8 @@ func checkMatchSequence(data []byte) error {
 		// is detached toward a pinned host.
 		started := c.hasSend && c.hasRecv || detached && s.hosts != nil
 		if (c.state == CommLatency) != started {
-			return fmt.Errorf("post %d on %s: comm %d in state %s", i, e.boxName(mb), c.ID, c.state)
+			return fmt.Errorf("post %d on %s: comm %d in state %d", i, e.boxName(mb), c.ID, c.state)
+
 		}
 		for _, s := range spaces {
 			for d := range fuzzRanks {

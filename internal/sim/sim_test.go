@@ -485,10 +485,10 @@ func TestCommStateTransitions(t *testing.T) {
 		func(p *Prog) { p.PutPending(mb, 1e6) },
 		func(*Prog) {
 			c = s.m.pending[s.m.head]
-			stPending = c.State()
+			stPending = c.state
 		},
 		func(p *Prog) { p.WaitPending() },
-		func(*Prog) { stDone, finish = c.State(), c.FinishTime() },
+		func(*Prog) { stDone, finish = c.state, c.finishTime },
 	))
 	e.SpawnProg("r", hs[1], script(func(p *Prog) { get(p, mb) }))
 	if err := e.Run(); err != nil {

@@ -34,19 +34,3 @@ func (r *RNG) Uint64() uint64 {
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
-
-// Jitter returns a multiplicative noise factor uniform in [1-amp, 1+amp].
-func (r *RNG) Jitter(amp float64) float64 {
-	return 1 + amp*(2*r.Float64()-1)
-}
-
-// Normal returns an approximately normal deviate with mean 0 and the given
-// standard deviation, via the sum of twelve uniforms (Irwin-Hall). Accurate
-// enough for jitter modelling and branch-free.
-func (r *RNG) Normal(stddev float64) float64 {
-	s := 0.0
-	for i := 0; i < 12; i++ {
-		s += r.Float64()
-	}
-	return (s - 6) * stddev
-}

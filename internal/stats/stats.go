@@ -77,20 +77,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs))), nil
-}
-
 // RelErr returns the relative error of predicted with regard to reference,
 // in percent: 100*(predicted-reference)/reference. A positive value means
 // the prediction overestimates the reference.

@@ -71,16 +71,6 @@ func TestQuantileRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	s, err := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s-2) > 1e-12 {
-		t.Fatalf("stddev = %v, want 2", s)
-	}
-}
-
 func TestRelErrSigns(t *testing.T) {
 	if e := RelErr(110, 100); math.Abs(e-10) > 1e-12 {
 		t.Errorf("overestimate: %v, want 10", e)
@@ -201,34 +191,5 @@ func TestRNGFloat64Range(t *testing.T) {
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
 		}
-	}
-}
-
-func TestRNGJitterRange(t *testing.T) {
-	r := NewRNG(3)
-	for i := 0; i < 1000; i++ {
-		j := r.Jitter(0.05)
-		if j < 0.95 || j > 1.05 {
-			t.Fatalf("jitter out of range: %v", j)
-		}
-	}
-}
-
-func TestRNGNormalMoments(t *testing.T) {
-	r := NewRNG(9)
-	n := 20000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal(2)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean) > 0.1 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	sd := math.Sqrt(sumsq/float64(n) - mean*mean)
-	if math.Abs(sd-2) > 0.1 {
-		t.Errorf("normal stddev = %v, want ~2", sd)
 	}
 }

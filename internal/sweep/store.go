@@ -163,29 +163,6 @@ func (st *Store) List() iter.Seq2[string, error] {
 	}
 }
 
-// Walk iterates the stored records (in fingerprint order), decoding each
-// lazily — the streaming counterpart of reading the whole directory. A
-// record that fails to load is yielded as (nil, err) and iteration
-// continues, so one corrupt file does not hide the rest.
-func (st *Store) Walk() iter.Seq2[*Record, error] {
-	return func(yield func(*Record, error) bool) {
-		for fp, err := range st.List() {
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			rec, err := st.Get(fp)
-			if err == nil && rec == nil {
-				// Deleted between List and Get; not an error.
-				continue
-			}
-			if !yield(rec, err) {
-				return
-			}
-		}
-	}
-}
-
 // Len counts the records currently stored.
 func (st *Store) Len() (int, error) {
 	n := 0

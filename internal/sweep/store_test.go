@@ -94,9 +94,13 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		t.Fatalf("store holds %d records, want %d", n, fps)
 	}
 	seen := 0
-	for rec, err := range st2.Walk() {
+	for fp, err := range st2.List() {
 		if err != nil {
 			t.Fatal(err)
+		}
+		rec, err := st2.Get(fp)
+		if err != nil || rec == nil {
+			t.Fatalf("listed record %s: %v, %v", fp, rec, err)
 		}
 		seen++
 		var i int
@@ -106,11 +110,11 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			}
 		}
 		if rec.Replay == nil || rec.Replay.SimulatedTime != float64(i)*1.25 || rec.Replay.Actions != int64(i) {
-			t.Errorf("walked record %s is corrupt: %+v", rec.Fingerprint, rec.Replay)
+			t.Errorf("listed record %s is corrupt: %+v", rec.Fingerprint, rec.Replay)
 		}
 	}
 	if seen != fps {
-		t.Fatalf("walk saw %d records, want %d", seen, fps)
+		t.Fatalf("list saw %d records, want %d", seen, fps)
 	}
 
 	// No temp-file debris: every writer either renamed or removed.
@@ -125,8 +129,8 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestStoreListWalk covers the enumeration iterators: sorted order, a
-// corrupt record reported without hiding its neighbours, early break.
+// TestStoreListWalk covers enumeration: sorted order, a corrupt record
+// reported by Get without hiding its neighbours, early break.
 func TestStoreListWalk(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -162,23 +166,28 @@ func TestStoreListWalk(t *testing.T) {
 		t.Fatalf("List = %v, want %v", got, want)
 	}
 
-	// A corrupt record is yielded as an error; the rest still walk.
+	// A corrupt record is listed and fails to load; the rest still load.
 	if err := os.WriteFile(filepath.Join(dir, fakeFingerprint(99)+".json"), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	goodRecords, errs := 0, 0
-	for rec, err := range st.Walk() {
+	for fp, err := range st.List() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := st.Get(fp)
 		if err != nil {
 			errs++
 			continue
 		}
-		if rec.Replay == nil {
-			t.Errorf("walked record %s has no replay", rec.Fingerprint)
+		if rec == nil || rec.Replay == nil {
+			t.Errorf("listed record %s has no replay: %+v", fp, rec)
+			continue
 		}
 		goodRecords++
 	}
 	if goodRecords != 5 || errs != 1 {
-		t.Fatalf("walk over corrupt store: %d good, %d errors; want 5 and 1", goodRecords, errs)
+		t.Fatalf("loading a corrupt store: %d good, %d errors; want 5 and 1", goodRecords, errs)
 	}
 
 	// Early break stops the iteration cleanly.

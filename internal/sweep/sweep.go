@@ -93,9 +93,7 @@ func valueLabel(v any) string {
 type Sweep struct {
 	// Name labels the sweep in result records.
 	Name string `json:"name,omitempty"`
-	// Base is the scenario template every grid point starts from. It must
-	// be fully serializable: the programmatic-only fields (Plat, Provider,
-	// Network) cannot survive expansion and are rejected.
+	// Base is the scenario template every grid point starts from.
 	Base scenario.Scenario `json:"base"`
 	// Axes are the parameter dimensions; an empty list expands to the base
 	// scenario alone.
@@ -141,9 +139,6 @@ const maxPoints = 1 << 20
 
 // Validate checks the sweep's structural consistency without expanding it.
 func (s *Sweep) Validate() error {
-	if s.Base.Plat != nil || s.Base.Provider != nil || s.Base.Network != nil {
-		return fmt.Errorf("sweep %s: base scenario must be fully serializable (Plat, Provider, and Network are programmatic-only)", s.label())
-	}
 	switch strings.ToLower(s.Resume) {
 	case "", "auto", "on", "off":
 	default:

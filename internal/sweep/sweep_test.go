@@ -16,7 +16,6 @@ import (
 	"tireplay/internal/platform"
 	"tireplay/internal/runner"
 	"tireplay/internal/scenario"
-	"tireplay/internal/sim"
 	"tireplay/internal/trace"
 )
 
@@ -226,7 +225,6 @@ func TestValidateRejectsBadSweeps(t *testing.T) {
 		{"bad resume", func(s *Sweep) { s.Resume = "maybe" }},
 		{"unknown skip axis", func(s *Sweep) { s.Skip = []map[string]string{{"nope": "1"}} }},
 		{"unknown placeholder", func(s *Sweep) { s.NameFormat = "{nope}" }},
-		{"programmatic base", func(s *Sweep) { s.Base.Provider = nil; s.Base.Plat = nil; s.Base.Network = fakeModel{} }},
 	}
 	for _, tc := range cases {
 		sw := &Sweep{Base: base}
@@ -712,13 +710,6 @@ func TestCancellationSkipsRemainingPoints(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("no point carried the cancellation error")
 	}
-}
-
-// fakeModel satisfies sim.NetworkModel for validation tests.
-type fakeModel struct{}
-
-func (fakeModel) Effective(route sim.Route, size float64) (latency, rateCap float64) {
-	return 0, 0
 }
 
 func TestSpecFileLoad(t *testing.T) {

@@ -98,11 +98,10 @@ func NewDragonfly(groups, routersPerGroup, hostsPerRouter int, routing Routing) 
 // Hosts implements Topology.
 func (t *Dragonfly) Hosts() int { return t.hosts }
 
-// Groups, RoutersPerGroup, HostsPerRouter, and RoutingMode expose the shape.
+// Groups, RoutersPerGroup, and HostsPerRouter expose the shape.
 func (t *Dragonfly) Groups() int          { return t.groups }
 func (t *Dragonfly) RoutersPerGroup() int { return t.routers }
 func (t *Dragonfly) HostsPerRouter() int  { return t.hostsPer }
-func (t *Dragonfly) RoutingMode() Routing { return t.routing }
 
 // local returns the id of the directional intra-group link rs->rd (local
 // router indices, rs != rd) in group g.

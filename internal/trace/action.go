@@ -167,7 +167,7 @@ func (a Action) String() string {
 }
 
 // appendText appends the action's text line, without its newline, to buf:
-// the inverse of the grammar ParseLine reads. Integral scalar volumes print
+// the inverse of the grammar parseLine reads. Integral scalar volumes print
 // as plain digits, fractional ones in the shortest form that parses back
 // exactly, and vector volumes always in that shortest form.
 func (a *Action) appendText(buf []byte) []byte {

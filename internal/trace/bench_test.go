@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func benchWorld() [][]Action { return [][]Action{benchActions(), nil, nil} }
 func BenchmarkParseLine(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := ParseLine("p0 send p1 1240"); err != nil || !ok {
+		if _, ok, err := parseOne("p0 send p1 1240"); err != nil || !ok {
 			b.Fatal(err)
 		}
 	}
@@ -41,13 +42,19 @@ func BenchmarkParseLine(b *testing.B) {
 func BenchmarkParseComputeLine(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := ParseLine("p0 compute 956140"); err != nil || !ok {
+		if _, ok, err := parseOne("p0 compute 956140"); err != nil || !ok {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkReaderThroughput, like BenchmarkReaderVector, runs at GOMAXPROCS
+// 1, as one replay drives its streams. The reader's 64 KiB buffer comes
+// from a sync.Pool, which caches per P: with several Ps, a measured run
+// that starts on another P than the last one refills it, and 65,536 B over
+// a 3-iteration run reads as one more allocation per op.
 func BenchmarkReaderThroughput(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var sb strings.Builder
 	for i := 0; i < 1000; i++ {
 		sb.WriteString("p0 compute 956140\np0 send p1 1240\np0 irecv p2 880\np0 wait\n")
@@ -57,7 +64,7 @@ func BenchmarkReaderThroughput(b *testing.B) {
 	b.ResetTimer()
 	var a Action
 	for i := 0; i < b.N; i++ {
-		rd := NewReader(strings.NewReader(src))
+		rd := newTextStream(strings.NewReader(src), -1, -1, 0)
 		for {
 			ok, err := rd.Next(&a)
 			if err != nil {
@@ -88,14 +95,14 @@ func vectorTrace(n int) string {
 // record: the reader decodes every vector into its one scratch vector, so
 // allocs/op does not grow with the line count.
 func BenchmarkReaderVector(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	src := vectorTrace(1000)
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var a Action
 	for i := 0; i < b.N; i++ {
-		rd := NewReader(strings.NewReader(src))
-		rd.SetWorld(64)
+		rd := newTextStream(strings.NewReader(src), -1, -1, 64)
 		n := 0
 		for {
 			ok, err := rd.Next(&a)
@@ -119,7 +126,7 @@ func BenchmarkReaderVector(b *testing.B) {
 // ratio against the text benchmark is the ingestion speedup.
 func BenchmarkTIBDecode(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.tib")
-	if err := WriteTIBFile(path, benchWorld()); err != nil {
+	if err := Compile(NewMemProvider(benchWorld()), path, [32]byte{}); err != nil {
 		b.Fatal(err)
 	}
 	p, err := OpenTIB(path)
@@ -161,7 +168,7 @@ func BenchmarkTIBCompile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteTIBFile(path, world); err != nil {
+		if err := Compile(NewMemProvider(world), path, [32]byte{}); err != nil {
 			b.Fatal(err)
 		}
 	}

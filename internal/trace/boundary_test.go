@@ -29,11 +29,11 @@ func TestUnknownKindRejected(t *testing.T) {
 		t.Fatalf("WriteFolded = %v, want %q", err, want)
 	}
 	path := filepath.Join(t.TempDir(), "kind.tib")
-	if err := WriteTIBFile(path, [][]Action{nil, {a}}); !errors.Is(err, ErrUnsupportedAction) {
-		t.Fatalf("WriteTIBFile = %v, want ErrUnsupportedAction", err)
+	if err := Compile(NewMemProvider([][]Action{nil, {a}}), path, [32]byte{}); !errors.Is(err, ErrUnsupportedAction) {
+		t.Fatalf("Compile = %v, want ErrUnsupportedAction", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("WriteTIBFile left %s behind: %v", path, err)
+		t.Fatalf("Compile left %s behind: %v", path, err)
 	}
 	st, err := NewMemProvider([][]Action{nil, {a}}).Rank(1)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestPerRankStreamRejectsForeignAction(t *testing.T) {
 	if ok || !errors.As(err, &te) || err.Error() != wantText {
 		t.Fatalf("Next = %v, %v; want *TraceError %q", ok, err, wantText)
 	}
-	if _, _, err := CompileDescription(desc, 2, 1); err == nil || !strings.HasSuffix(err.Error(), wantText) {
+	if _, _, err := CompileDescription(desc, 2); err == nil || !strings.HasSuffix(err.Error(), wantText) {
 		t.Fatalf("CompileDescription = %v, want it to end in %q", err, wantText)
 	}
 
@@ -123,14 +123,14 @@ func TestPerRankStreamRejectsForeignAction(t *testing.T) {
 // TestLoopBodyVectorsOwned: the actions of a loop body are read once and
 // served again and again, so each must own its vector. A folded trace
 // whose body holds two different vectors, read into one reused record,
-// equals its expansion, and so does ReadAll of the expansion, which keeps
+// equals its expansion, and so does reading the expansion, which keeps
 // every record it reads.
 func TestLoopBodyVectorsOwned(t *testing.T) {
 	body := "p0 alltoallv 1 2\np0 alltoallv 3 4.5\n"
 	folded := foldedHeader + "\np0 alltoallv 7 8\n@loop 3 2\n" + body + "p0 alltoallv 5 6\n"
 	plain := "p0 alltoallv 7 8\n" + strings.Repeat(body, 3) + "p0 alltoallv 5 6\n"
 	read := func(src string) [][]float64 {
-		st := NewExpandingWorldReader(strings.NewReader(src), -1, 2)
+		st := newTextStream(strings.NewReader(src), -1, -1, 2)
 		var vols [][]float64
 		var a Action
 		for {
@@ -148,13 +148,13 @@ func TestLoopBodyVectorsOwned(t *testing.T) {
 	if len(got) != 8 || !slices.EqualFunc(got, want, slices.Equal) {
 		t.Fatalf("folded trace reads %v, its expansion %v", got, want)
 	}
-	all, err := ReadAll(strings.NewReader(plain))
+	all, err := readAll(strings.NewReader(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range all {
 		if !slices.Equal(all[i].Volumes, want[i]) {
-			t.Fatalf("ReadAll action %d has volumes %v, want %v", i, all[i].Volumes, want[i])
+			t.Fatalf("read action %d has volumes %v, want %v", i, all[i].Volumes, want[i])
 		}
 	}
 }
@@ -167,8 +167,7 @@ func TestReaderVectorAllocs(t *testing.T) {
 		src := vectorTrace(lines)
 		var a Action
 		return testing.AllocsPerRun(5, func() {
-			rd := NewReader(strings.NewReader(src))
-			rd.SetWorld(64)
+			rd := newTextStream(strings.NewReader(src), -1, -1, 64)
 			for {
 				ok, err := rd.Next(&a)
 				if err != nil {

@@ -108,38 +108,6 @@ type FoldedTrace struct {
 	Blocks []FoldBlock
 }
 
-// Len returns the expanded action count.
-func (f FoldedTrace) Len() int {
-	n := 0
-	for _, b := range f.Blocks {
-		n += b.Count * len(b.Body)
-	}
-	return n
-}
-
-// Lines returns the folded line count (directives + body lines).
-func (f FoldedTrace) Lines() int {
-	n := 1 // header
-	for _, b := range f.Blocks {
-		if b.Count > 1 {
-			n++
-		}
-		n += len(b.Body)
-	}
-	return n
-}
-
-// Expand materializes the original sequence.
-func (f FoldedTrace) Expand() []Action {
-	out := make([]Action, 0, f.Len())
-	for _, b := range f.Blocks {
-		for k := 0; k < b.Count; k++ {
-			out = append(out, b.Body...)
-		}
-	}
-	return out
-}
-
 // foldedStream serves a folded trace one action at a time, without
 // expanding it. Its actions were checked when the trace was folded; their
 // vectors are the trace's, handed out read-only.
@@ -185,30 +153,13 @@ func WriteFolded(w io.Writer, actions []Action) error {
 	return tw.Flush()
 }
 
-// NewExpandingReader reads a trace that may be folded (detected via the
-// @folded header) or plain, expanding loops as it streams. filter < 0 keeps
-// all ranks.
-func NewExpandingReader(r io.Reader, filter int) Stream {
-	return NewExpandingWorldReader(r, filter, 0)
-}
-
-// NewExpandingWorldReader is NewExpandingReader with communicator-sized
-// validation: world > 0 rejects out-of-range peers, roots, and volume-vector
-// lengths at read time, with the offending line number.
-func NewExpandingWorldReader(r io.Reader, filter, world int) Stream {
-	return newTextStream(r, filter, -1, world)
-}
-
 // newTextStream reads a plain or folded trace: filter >= 0 serves only
 // that rank's actions (a merged trace), own >= 0 rejects any other rank's
-// (the trace of one rank), and world > 0 arms the sized validation.
+// (the trace of one rank), and world > 0 arms the sized validation. It is
+// small enough to inline, so a caller that keeps its reader local, such as
+// the reader benchmarks, does not allocate it.
 func newTextStream(r io.Reader, filter, own, world int) *Reader {
 	rd := &Reader{in: lineReader{src: r}, filter: filter, own: own, world: world}
-	if rd.in.hasPrefix(foldedHeader) {
-		rd.folded = true
-		// Skip the header line. A read error is sticky: the first Next
-		// reports it.
-		rd.in.next()
-	}
+	rd.readHeader()
 	return rd
 }

@@ -10,6 +10,30 @@ import (
 	"testing/quick"
 )
 
+// expand materializes the sequence a folded trace stands for.
+func expand(f FoldedTrace) []Action {
+	var out []Action
+	for _, b := range f.Blocks {
+		for k := 0; k < b.Count; k++ {
+			out = append(out, b.Body...)
+		}
+	}
+	return out
+}
+
+// foldedLines counts the lines of a folded trace file: its header, one
+// directive per repeated block, and the body lines.
+func foldedLines(f FoldedTrace) int {
+	n := 1
+	for _, b := range f.Blocks {
+		if b.Count > 1 {
+			n++
+		}
+		n += len(b.Body)
+	}
+	return n
+}
+
 func computeA(rank int, v float64) Action {
 	return Action{Rank: rank, Kind: Compute, Instructions: v, Peer: -1}
 }
@@ -36,7 +60,7 @@ func TestFoldDetectsSimpleLoop(t *testing.T) {
 	if f.Blocks[0].Count != 10 || len(f.Blocks[0].Body) != 3 {
 		t.Fatalf("block = count %d, body %d", f.Blocks[0].Count, len(f.Blocks[0].Body))
 	}
-	if !reflect.DeepEqual(f.Expand(), actions) {
+	if !reflect.DeepEqual(expand(f), actions) {
 		t.Fatal("expansion differs from input")
 	}
 }
@@ -47,14 +71,11 @@ func TestFoldPreservesPrologueAndEpilogue(t *testing.T) {
 	actions = append(actions, repeatBlock(block, 5)...)
 	actions = append(actions, computeA(0, 888))
 	f := Fold(actions)
-	if !reflect.DeepEqual(f.Expand(), actions) {
+	if !reflect.DeepEqual(expand(f), actions) {
 		t.Fatal("expansion differs from input")
 	}
-	if f.Len() != len(actions) {
-		t.Fatalf("Len = %d, want %d", f.Len(), len(actions))
-	}
-	if f.Lines() >= len(actions) {
-		t.Fatalf("no compression: %d lines for %d actions", f.Lines(), len(actions))
+	if foldedLines(f) >= len(actions) {
+		t.Fatalf("no compression: %d lines for %d actions", foldedLines(f), len(actions))
 	}
 }
 
@@ -64,7 +85,7 @@ func TestFoldNoRepeatsIsIdentity(t *testing.T) {
 		actions = append(actions, computeA(0, float64(i)))
 	}
 	f := Fold(actions)
-	if !reflect.DeepEqual(f.Expand(), actions) {
+	if !reflect.DeepEqual(expand(f), actions) {
 		t.Fatal("expansion differs from input")
 	}
 }
@@ -89,7 +110,7 @@ func TestFoldLosslessProperty(t *testing.T) {
 				actions = append(actions, computeA(0, float64(rng.Intn(1000)+1000)))
 			}
 		}
-		return reflect.DeepEqual(Fold(actions).Expand(), actions)
+		return reflect.DeepEqual(expand(Fold(actions)), actions)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -111,7 +132,7 @@ func TestWriteFoldedRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), "@loop 20 3") {
 		t.Fatalf("missing loop directive:\n%s", buf.String())
 	}
-	st := NewExpandingReader(&buf, -1)
+	st := newTextStream(&buf, -1, -1, 0)
 	var got []Action
 	for {
 		var a Action
@@ -137,7 +158,7 @@ func TestWriteFoldedRoundTrip(t *testing.T) {
 
 func TestExpandingReaderHandlesPlainTraces(t *testing.T) {
 	src := "p0 compute 10\np0 send p1 8\n"
-	st := NewExpandingReader(strings.NewReader(src), -1)
+	st := newTextStream(strings.NewReader(src), -1, -1, 0)
 	var got []Action
 	for {
 		var a Action
@@ -162,7 +183,7 @@ func TestExpandingReaderFilters(t *testing.T) {
 	if err := WriteFolded(&buf, actions); err != nil {
 		t.Fatal(err)
 	}
-	st := NewExpandingReader(&buf, 1)
+	st := newTextStream(&buf, 1, -1, 0)
 	count := 0
 	for {
 		var a Action
@@ -190,7 +211,7 @@ func TestExpandingReaderRejectsBadDirectives(t *testing.T) {
 		"@folded v1\n@loop 2 0\n",
 		"@folded v1\n@loop 2 3\np0 compute 1\n", // truncated body
 	} {
-		st := NewExpandingReader(strings.NewReader(src), -1)
+		st := newTextStream(strings.NewReader(src), -1, -1, 0)
 		var err error
 		for {
 			var ok bool
@@ -281,12 +302,12 @@ func TestFoldCompressionOnLUTrace(t *testing.T) {
 	}
 	actions = append(actions, repeatBlock(body, 30)...)
 	f := Fold(actions)
-	ratio := float64(len(actions)) / float64(f.Lines())
+	ratio := float64(len(actions)) / float64(foldedLines(f))
 	if ratio < 5 {
 		t.Fatalf("compression ratio %.1fx, want >= 5x (lines %d for %d actions)",
-			ratio, f.Lines(), len(actions))
+			ratio, foldedLines(f), len(actions))
 	}
-	if !reflect.DeepEqual(f.Expand(), actions) {
+	if !reflect.DeepEqual(expand(f), actions) {
 		t.Fatal("lossless check failed")
 	}
 }

@@ -102,13 +102,13 @@ func FuzzParseLine(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		a, ok, err := ParseLine(line)
+		a, ok, err := parseOne(line)
 		want, wantOK, wantErr := oracleParseLine(line)
 		if ok != wantOK || errText(err) != errText(wantErr) || (ok && !identical(a, want)) {
-			t.Fatalf("ParseLine(%q) = %+v, %v, %v\noracle     = %+v, %v, %v", line, a, ok, err, want, wantOK, wantErr)
+			t.Fatalf("parseOne(%q) = %+v, %v, %v\noracle     = %+v, %v, %v", line, a, ok, err, want, wantOK, wantErr)
 		}
 		if ok && a.Validate() != nil {
-			t.Fatalf("ParseLine(%q) accepted an invalid action %+v", line, a)
+			t.Fatalf("parseOne(%q) accepted an invalid action %+v", line, a)
 		}
 	})
 }
@@ -151,7 +151,7 @@ func FuzzReader(f *testing.F) {
 			}
 		}
 		filter, world := int(filterSel%4)-1, int(worldSel%5)
-		got, err := drain(NewExpandingWorldReader(strings.NewReader(data), filter, world))
+		got, err := drain(newTextStream(strings.NewReader(data), filter, -1, world))
 		want, wantErr := drain(newOracleExpandingReader(strings.NewReader(data), filter, world))
 		if len(got) != len(want) {
 			t.Fatalf("read %d actions, oracle %d (err %v, oracle %v)", len(got), len(want), err, wantErr)
@@ -280,7 +280,7 @@ func FuzzTIBSection(f *testing.F) {
 // their shortest form before too. Write emits exactly the String lines and
 // WriteFolded the same behind its header, and both reject an invalid
 // action, an unknown kind included, with its Validate error, as
-// WriteTIBFile rejects it too. A valid action parses back bit for bit.
+// Compile rejects it too. A valid action parses back bit for bit.
 func FuzzActionText(f *testing.F) {
 	vec := func(vs ...float64) []byte {
 		var b []byte
@@ -351,8 +351,8 @@ func FuzzActionText(f *testing.F) {
 			if errText(werr) != verr.Error() || errText(ferr) != verr.Error() {
 				t.Fatalf("writing invalid %#v: Write %v, WriteFolded %v; Validate %v", a, werr, ferr, verr)
 			}
-			if err := WriteTIBFile(filepath.Join(dir, "invalid.tib"), [][]Action{{a}}); err == nil {
-				t.Fatalf("WriteTIBFile wrote invalid %#v; Validate %v", a, verr)
+			if err := Compile(NewMemProvider([][]Action{{a}}), filepath.Join(dir, "invalid.tib"), [32]byte{}); err == nil {
+				t.Fatalf("Compile wrote invalid %#v; Validate %v", a, verr)
 			}
 			return
 		}
@@ -365,7 +365,7 @@ func FuzzActionText(f *testing.F) {
 		if uint(a.Kind) >= uint(len(kindNames)) {
 			t.Fatalf("Validate accepted %#v, whose kind the grammar has no name for", a)
 		}
-		got, ok, err := ParseLine(line)
+		got, ok, err := parseOne(line)
 		if err != nil || !ok || !identical(got, a) {
 			t.Fatalf("%#v prints %q, which parses back as %#v, %v, %v", a, line, got, ok, err)
 		}

@@ -200,7 +200,7 @@ func ImportCompile(format, path, tibPath string, opts ImportOptions) (ranks int,
 	if c, ok := p.(interface{ Close() error }); ok {
 		defer c.Close()
 	}
-	if err := Compile(p, tibPath, [32]byte{}, 0); err != nil {
+	if err := Compile(p, tibPath, [32]byte{}); err != nil {
 		return 0, err
 	}
 	return p.NumRanks(), nil

@@ -553,8 +553,8 @@ func TestImportCompileToTIB(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.Version() != 2 {
-		t.Fatalf("compiled import Version = %d, want 2", p.Version())
+	if p.version != 2 {
+		t.Fatalf("compiled import version = %d, want 2", p.version)
 	}
 	if got := materializeProvider(t, p); !reflect.DeepEqual(got, want) {
 		t.Fatalf("compiled import decodes differently:\ngot  %+v\nwant %+v", got, want)

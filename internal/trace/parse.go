@@ -236,19 +236,6 @@ func kindOf(name string) (Kind, bool) {
 func badRank(tok string) error   { return fmt.Errorf("trace: bad rank token %q", tok) }
 func badVolume(tok string) error { return fmt.Errorf("trace: bad volume token %q", tok) }
 
-// ParseLine parses one trace line. Blank lines and lines starting with '#'
-// yield ok=false with no error.
-func ParseLine(line string) (a Action, ok bool, err error) {
-	var vols []float64
-	if ok, err = parseLine(line, &a, &vols); ok {
-		err = a.Validate()
-	}
-	if !ok || err != nil {
-		return Action{}, false, err
-	}
-	return a, true, nil
-}
-
 // parseLine decodes one line into *a, which it leaves unspecified unless
 // ok, without validating the action it decodes. A vector collective's
 // volumes go to *vols, whose array it reuses, and a.Volumes is *vols. It
@@ -531,24 +518,6 @@ type lineAction struct {
 	line int
 }
 
-// NewReader wraps r as a trace action stream over all ranks.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{in: lineReader{src: r}, filter: -1, own: -1}
-}
-
-// SetWorld enables communicator-sized validation (see ValidateIn) on every
-// action the reader returns.
-func (r *Reader) SetWorld(n int) { r.world = n }
-
-// NewFilteredReader is NewReader restricted to actions of one rank; it is
-// how a per-process replayer consumes the "single entry" merged-trace layout
-// the paper's trace-description file supports.
-func NewFilteredReader(r io.Reader, rank int) *Reader {
-	rd := NewReader(r)
-	rd.filter = rank
-	return rd
-}
-
 // Next implements Stream. Every action it yields passes ValidateIn for the
 // reader's world; an action of another rank is skipped by a filtered
 // reader, and fails a rank's own trace.
@@ -607,6 +576,16 @@ func (r *Reader) Next(a *Action) (bool, error) {
 	}
 }
 
+// readHeader consumes the folded-trace header when the input starts with
+// one, enabling @loop directives. A read error is sticky: the first Next
+// reports it.
+func (r *Reader) readHeader() {
+	if r.in.hasPrefix(foldedHeader) {
+		r.folded = true
+		r.in.next()
+	}
+}
+
 // readLoop parses the "@loop count length" directive on the current line and
 // the length action lines of its body, which Next then serves count times.
 // Each body action is validated here, once, and owns its vector.
@@ -655,24 +634,6 @@ func (r *Reader) readLoop(directive string) error {
 	}
 	r.body, r.pos, r.reps = body, 0, count-1
 	return nil
-}
-
-// ReadAll parses a whole trace into memory.
-func ReadAll(r io.Reader) ([]Action, error) {
-	rd := NewReader(r)
-	var out []Action
-	var a Action
-	for {
-		ok, err := rd.Next(&a)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		a.Volumes = slices.Clone(a.Volumes) // the reader's, until the next call
-		out = append(out, a)
-	}
 }
 
 // Write renders actions in canonical text form, one per line.

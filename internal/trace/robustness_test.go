@@ -12,16 +12,16 @@ import (
 	"testing/quick"
 )
 
-// Property: ParseLine never panics and never both errors and succeeds,
+// Property: parsing a line never panics and never both errors and succeeds,
 // whatever bytes it is fed.
 func TestParseLineNeverPanicsProperty(t *testing.T) {
 	f := func(raw []byte) bool {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("ParseLine panicked on %q: %v", raw, r)
+				t.Fatalf("parseOne panicked on %q: %v", raw, r)
 			}
 		}()
-		a, ok, err := ParseLine(string(raw))
+		a, ok, err := parseOne(string(raw))
 		if err != nil && ok {
 			return false
 		}
@@ -48,7 +48,7 @@ func TestReaderGarbageLines(t *testing.T) {
 		strings.Repeat("x", 100000) + "\n",
 	}
 	for _, in := range inputs {
-		rd := NewReader(strings.NewReader(in))
+		rd := newTextStream(strings.NewReader(in), -1, -1, 0)
 		for {
 			ok, err := rd.Next(new(Action))
 			if err != nil {
@@ -75,8 +75,8 @@ func TestParseOverflowVolume(t *testing.T) {
 			"p0 allreduce " + tok,
 			"p0 alltoallv 1 " + tok,
 		} {
-			if a, ok, err := ParseLine(line); err == nil || ok {
-				t.Errorf("ParseLine(%q) accepted %+v", line, a)
+			if a, ok, err := parseOne(line); err == nil || ok {
+				t.Errorf("parseOne(%q) accepted %+v", line, a)
 			}
 		}
 	}
@@ -114,7 +114,7 @@ func TestValidateRejectsNonFiniteVolumes(t *testing.T) {
 func TestReaderVeryLongLine(t *testing.T) {
 	// A line longer than the initial read buffer must still parse.
 	line := "p0 compute 123" + strings.Repeat(" ", 70000) + "\n"
-	rd := NewReader(strings.NewReader(line))
+	rd := newTextStream(strings.NewReader(line), -1, -1, 0)
 	var a Action
 	ok, err := rd.Next(&a)
 	if err != nil || !ok || a.Instructions != 123 {
@@ -167,7 +167,7 @@ func TestReaderLongLineReportsLocation(t *testing.T) {
 		ok   bool
 	}{{pad(maxLineBytes - 1), true}, {pad(maxLineBytes), false}} {
 		in := "p0 wait\n" + tc.line + "\n"
-		got, err := ReadAll(strings.NewReader(in))
+		got, err := readAll(strings.NewReader(in))
 		_, wantErr := drain(oracleRecord{newOracleReader(strings.NewReader(in))})
 		if (err == nil) != tc.ok || (wantErr == nil) != tc.ok {
 			t.Fatalf("%d-byte line: err = %v, oracle %v, want ok=%v", len(tc.line), err, wantErr, tc.ok)
@@ -181,7 +181,7 @@ func TestReaderLongLineReportsLocation(t *testing.T) {
 	}
 
 	// The error sticks: reading on repeats it.
-	rd := NewReader(strings.NewReader(huge + "\np0 wait\n"))
+	rd := newTextStream(strings.NewReader(huge+"\np0 wait\n"), -1, -1, 0)
 	for i := 0; i < 3; i++ {
 		if ok, err := rd.Next(new(Action)); ok || !errors.Is(err, errLineTooLong) {
 			t.Fatalf("read %d after the long line: ok=%v err=%v", i, ok, err)
@@ -201,7 +201,7 @@ func TestFoldedErrorsCarryLineNumbers(t *testing.T) {
 		{"@folded v1\n@loop 2 2\np0 send p9 1\np0 wait\n", "line 3: trace: p0 send peer p9 outside"},
 		{"@folded v1\np0 frobnicate\n", "line 2: trace: unknown action"},
 	} {
-		_, err := drain(NewExpandingWorldReader(strings.NewReader(tc.src), -1, 2))
+		_, err := drain(newTextStream(strings.NewReader(tc.src), -1, -1, 2))
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 			t.Errorf("%q: err = %v, want prefix %q", tc.src, err, tc.want)
 		}
@@ -220,7 +220,7 @@ func TestConcurrentReadersShareBuffers(t *testing.T) {
 				fmt.Fprintf(&sb, "p%d compute %d\n", g, i)
 			}
 			for rep := 0; rep < 20; rep++ {
-				got, err := drain(NewExpandingWorldReader(strings.NewReader(sb.String()), -1, 0))
+				got, err := drain(newTextStream(strings.NewReader(sb.String()), -1, -1, 0))
 				if err == nil && len(got) != 2000 {
 					err = fmt.Errorf("reader %d read %d actions", g, len(got))
 				}

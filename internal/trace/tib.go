@@ -171,21 +171,16 @@ func encodeStream(st Stream) (tibSection, error) {
 	}
 }
 
-// compileSections encodes every rank of src concurrently on a worker pool.
-// workers < 1 selects GOMAXPROCS. This is where the merged single-file
+// compileSections encodes every rank of src concurrently on one worker per
+// processor (at most one per rank). This is where the merged single-file
 // layout's O(ranks x file size) scan cost is paid once, in parallel,
 // instead of once per replay.
-func compileSections(src Provider, workers int) ([]tibSection, error) {
+func compileSections(src Provider) ([]tibSection, error) {
 	n := src.NumRanks()
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: compiling a provider with no ranks")
 	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	secs := make([]tibSection, n)
 	errs := make([]error, n)
 	ranks := make(chan int)
@@ -267,20 +262,10 @@ func writeTIB(path string, key [32]byte, secs []tibSection) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// WriteTIBFile compiles per-rank action slices directly into a standalone
-// .tib file (no source key). tracegen's -tib mode uses it to skip the text
-// intermediate entirely.
-func WriteTIBFile(path string, perRank [][]Action) error {
-	secs, err := compileSections(NewMemProvider(perRank), 0)
-	if err != nil {
-		return err
-	}
-	return writeTIB(path, [32]byte{}, secs)
-}
-
-// Compile encodes any provider into a .tib file with the given source key.
-func Compile(src Provider, path string, key [32]byte, workers int) error {
-	secs, err := compileSections(src, workers)
+// Compile encodes any provider into a .tib file with the given source key
+// (zero for a standalone file).
+func Compile(src Provider, path string, key [32]byte) error {
+	secs, err := compileSections(src)
 	if err != nil {
 		return err
 	}
@@ -390,9 +375,6 @@ func (p *CompiledProvider) NumRanks() int { return len(p.index) }
 // SourceKey returns the source-trace fingerprint recorded at compile time
 // (zero for standalone files).
 func (p *CompiledProvider) SourceKey() [32]byte { return p.key }
-
-// Version returns the format version recorded in the file header.
-func (p *CompiledProvider) Version() int { return int(p.version) }
 
 // Rank implements Provider: one ReadAt of the rank's section, a checksum
 // verification, then in-memory varint decoding.
@@ -585,8 +567,8 @@ func sourceKey(files []string, nranks int) ([32]byte, error) {
 // descPath+".tib". A cache whose recorded source key still matches the
 // current files is reused untouched; rebuilt reports whether a compile
 // actually ran. nranks is the merged-layout rank count (as in
-// LoadDescription); workers < 1 selects GOMAXPROCS.
-func CompileDescription(descPath string, nranks, workers int) (tibPath string, rebuilt bool, err error) {
+// LoadDescription).
+func CompileDescription(descPath string, nranks int) (tibPath string, rebuilt bool, err error) {
 	fp, err := LoadDescription(descPath, nranks)
 	if err != nil {
 		return "", false, err
@@ -613,7 +595,7 @@ func CompileDescription(descPath string, nranks, workers int) (tibPath string, r
 	}
 	probe.Close()
 	os.Remove(probe.Name())
-	if err := Compile(fp, tibPath, key, workers); err != nil {
+	if err := Compile(fp, tibPath, key); err != nil {
 		return "", false, err
 	}
 	return tibPath, true, nil
@@ -635,8 +617,8 @@ func DescriptionEntries(descPath string) (int, error) {
 // OpenDescriptionCached is the transparent ingestion path the scenario
 // layer uses: ensure a fresh compiled cache for the description file, then
 // open it. The returned provider must be Closed by the caller.
-func OpenDescriptionCached(descPath string, nranks, workers int) (*CompiledProvider, error) {
-	path, _, err := CompileDescription(descPath, nranks, workers)
+func OpenDescriptionCached(descPath string, nranks int) (*CompiledProvider, error) {
+	path, _, err := CompileDescription(descPath, nranks)
 	if err != nil {
 		return nil, err
 	}

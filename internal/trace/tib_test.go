@@ -101,7 +101,7 @@ func materializeProvider(t *testing.T, p Provider) [][]Action {
 func TestTIBRoundTrip(t *testing.T) {
 	perRank := sampleTraceSet(4)
 	path := filepath.Join(t.TempDir(), "set.tib")
-	if err := WriteTIBFile(path, perRank); err != nil {
+	if err := Compile(NewMemProvider(perRank), path, [32]byte{}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := OpenTIB(path)
@@ -125,7 +125,7 @@ func TestTIBSmallerThanText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tibPath, rebuilt, err := CompileDescription(desc, 0, 0)
+	tibPath, rebuilt, err := CompileDescription(desc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +166,10 @@ func TestCompileDescriptionCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, rebuilt, err := CompileDescription(desc, 0, 0); err != nil || !rebuilt {
+	if _, rebuilt, err := CompileDescription(desc, 0); err != nil || !rebuilt {
 		t.Fatalf("first compile: rebuilt=%v err=%v", rebuilt, err)
 	}
-	if _, rebuilt, err := CompileDescription(desc, 0, 0); err != nil || rebuilt {
+	if _, rebuilt, err := CompileDescription(desc, 0); err != nil || rebuilt {
 		t.Fatalf("second compile: rebuilt=%v err=%v (want cache hit)", rebuilt, err)
 	}
 
@@ -178,10 +178,10 @@ func TestCompileDescriptionCacheInvalidation(t *testing.T) {
 	if err := os.Chtimes(victim, future, future); err != nil {
 		t.Fatal(err)
 	}
-	if _, rebuilt, err := CompileDescription(desc, 0, 0); err != nil || !rebuilt {
+	if _, rebuilt, err := CompileDescription(desc, 0); err != nil || !rebuilt {
 		t.Fatalf("after touch: rebuilt=%v err=%v (want rebuild)", rebuilt, err)
 	}
-	if _, rebuilt, err := CompileDescription(desc, 0, 0); err != nil || rebuilt {
+	if _, rebuilt, err := CompileDescription(desc, 0); err != nil || rebuilt {
 		t.Fatalf("after rebuild: rebuilt=%v err=%v (want cache hit)", rebuilt, err)
 	}
 }
@@ -219,7 +219,7 @@ func TestCompileMergedAndFoldedEquivalence(t *testing.T) {
 		}
 		want := materializeProvider(t, text)
 
-		p, err := OpenDescriptionCached(desc, 3, 0)
+		p, err := OpenDescriptionCached(desc, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestCompileMergedAndFoldedEquivalence(t *testing.T) {
 		if len(want[0]) != len(iterated[0]) {
 			t.Fatalf("folded expansion has %d actions, want %d", len(want[0]), len(iterated[0]))
 		}
-		p, err := OpenDescriptionCached(desc, 0, 0)
+		p, err := OpenDescriptionCached(desc, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func drainTIB(path string) error {
 func TestTIBV2RoundTripNewKinds(t *testing.T) {
 	perRank := sampleTraceSetV2(3)
 	path := filepath.Join(t.TempDir(), "v2.tib")
-	if err := WriteTIBFile(path, perRank); err != nil {
+	if err := Compile(NewMemProvider(perRank), path, [32]byte{}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := OpenTIB(path)
@@ -302,8 +302,8 @@ func TestTIBV2RoundTripNewKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.Version() != 2 {
-		t.Fatalf("Version = %d, want 2", p.Version())
+	if p.version != 2 {
+		t.Fatalf("version = %d, want 2", p.version)
 	}
 	if got := materializeProvider(t, p); !reflect.DeepEqual(got, perRank) {
 		t.Fatalf("v2 round trip mismatch:\ngot  %+v\nwant %+v", got, perRank)
@@ -319,8 +319,8 @@ func TestTIBV1FixtureBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", p.Version())
+	if p.version != 1 {
+		t.Fatalf("version = %d, want 1", p.version)
 	}
 	want := [][]Action{
 		{
@@ -380,7 +380,7 @@ func TestTIBV2CorruptionRobustness(t *testing.T) {
 func tibCorruptionCheck(t *testing.T, perRank [][]Action) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ok.tib")
-	if err := WriteTIBFile(path, perRank); err != nil {
+	if err := Compile(NewMemProvider(perRank), path, [32]byte{}); err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(path)
@@ -468,7 +468,7 @@ func TestOpenTIBRejectsTextTraces(t *testing.T) {
 		t.Fatal("SniffTIB misclassified a text trace")
 	}
 	realPath := filepath.Join(dir, "real.bin")
-	if err := WriteTIBFile(realPath, sampleTraceSet(2)); err != nil {
+	if err := Compile(NewMemProvider(sampleTraceSet(2)), realPath, [32]byte{}); err != nil {
 		t.Fatal(err)
 	}
 	if !SniffTIB(realPath) {
@@ -515,7 +515,7 @@ func TestFileStreamClose(t *testing.T) {
 func TestCompiledProviderConcurrentRanks(t *testing.T) {
 	perRank := sampleTraceSet(8)
 	path := filepath.Join(t.TempDir(), "p.tib")
-	if err := WriteTIBFile(path, perRank); err != nil {
+	if err := Compile(NewMemProvider(perRank), path, [32]byte{}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := OpenTIB(path)

@@ -2,14 +2,47 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// parseOne decodes and checks one trace line on its own. Blank lines and
+// lines starting with '#' yield ok=false with no error.
+func parseOne(line string) (a Action, ok bool, err error) {
+	var vols []float64
+	if ok, err = parseLine(line, &a, &vols); ok {
+		err = a.Validate()
+	}
+	if !ok || err != nil {
+		return Action{}, false, err
+	}
+	return a, true, nil
+}
+
+// readAll reads a whole text trace, of any ranks, into memory.
+func readAll(r io.Reader) ([]Action, error) {
+	st := newTextStream(r, -1, -1, 0)
+	var out []Action
+	var a Action
+	for {
+		ok, err := st.Next(&a)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		a.Volumes = slices.Clone(a.Volumes) // the stream's, until the next call
+		out = append(out, a)
+	}
+}
 
 func TestParsePaperSnippet(t *testing.T) {
 	// The exact snippet from Section 3.2 of the paper.
@@ -18,7 +51,7 @@ p0 send p1 1240
 p0 compute 2110
 p0 send p2 1240
 p0 compute 3821`
-	actions, err := ReadAll(strings.NewReader(src))
+	actions, err := readAll(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +68,14 @@ p0 compute 3821`
 }
 
 func TestParseRecvV1AndV2(t *testing.T) {
-	a1, ok, err := ParseLine("p1 recv p0")
+	a1, ok, err := parseOne("p1 recv p0")
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
 	if a1.Bytes != -1 {
 		t.Fatalf("v1 recv bytes = %v, want -1 (unknown)", a1.Bytes)
 	}
-	a2, ok, err := ParseLine("p1 recv p0 1240")
+	a2, ok, err := parseOne("p1 recv p0 1240")
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -52,7 +85,7 @@ func TestParseRecvV1AndV2(t *testing.T) {
 }
 
 func TestParsePlainRankTokens(t *testing.T) {
-	a, ok, err := ParseLine("3 send 4 100")
+	a, ok, err := parseOne("3 send 4 100")
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -77,7 +110,7 @@ func TestParseCollectives(t *testing.T) {
 		{"p1 gather 64 0", Gather, 0},
 	}
 	for _, c := range cases {
-		a, ok, err := ParseLine(c.line)
+		a, ok, err := parseOne(c.line)
 		if err != nil || !ok {
 			t.Fatalf("%q: %v", c.line, err)
 		}
@@ -89,7 +122,7 @@ func TestParseCollectives(t *testing.T) {
 
 func TestParseCommentsAndBlanks(t *testing.T) {
 	src := "# header\n\n  \np0 compute 10\n# trailing\n"
-	actions, err := ReadAll(strings.NewReader(src))
+	actions, err := readAll(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +133,7 @@ func TestParseCommentsAndBlanks(t *testing.T) {
 
 func TestParseErrorsCarryLineNumbers(t *testing.T) {
 	src := "p0 compute 10\np0 send\n"
-	_, err := ReadAll(strings.NewReader(src))
+	_, err := readAll(strings.NewReader(src))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line 2 info", err)
 	}
@@ -119,8 +152,8 @@ func TestParseRejects(t *testing.T) {
 		"p0 bcast 10 x",   // bad root
 	}
 	for _, line := range bad {
-		if _, ok, err := ParseLine(line); err == nil && ok {
-			t.Errorf("ParseLine(%q) accepted", line)
+		if _, ok, err := parseOne(line); err == nil && ok {
+			t.Errorf("parseOne(%q) accepted", line)
 		}
 	}
 }
@@ -152,7 +185,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, roundTripActions); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +218,7 @@ func TestActionRoundTripProperty(t *testing.T) {
 		case AllReduce, AllToAll, AllGather:
 			a.Bytes = vol
 		}
-		got, ok, err := ParseLine(a.String())
+		got, ok, err := parseOne(a.String())
 		return err == nil && ok && got.Equal(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -195,7 +228,7 @@ func TestActionRoundTripProperty(t *testing.T) {
 
 func TestFilteredReader(t *testing.T) {
 	src := "p0 compute 1\np1 compute 2\np0 compute 3\np2 compute 4\n"
-	rd := NewFilteredReader(strings.NewReader(src), 0)
+	rd := newTextStream(strings.NewReader(src), 0, -1, 0)
 	var got []float64
 	for {
 		var a Action

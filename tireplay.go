@@ -512,7 +512,7 @@ func WriteFoldedTraces(dir, prefix string, perRank [][]Action) (string, error) {
 // Scenario replays with the default TraceCache ("auto") build and use this
 // cache transparently.
 func CompileTraces(descPath string, nranks int) (tibPath string, rebuilt bool, err error) {
-	return trace.CompileDescription(descPath, nranks, 0)
+	return trace.CompileDescription(descPath, nranks)
 }
 
 // TraceDescriptionEntries returns how many trace files a description file
@@ -531,7 +531,7 @@ func LoadTIB(path string) (TraceProvider, error) {
 // WriteTIB writes per-rank actions directly as a standalone compiled .tib
 // file, usable anywhere a trace description is accepted.
 func WriteTIB(path string, perRank [][]Action) error {
-	return trace.WriteTIBFile(path, perRank)
+	return trace.Compile(trace.NewMemProvider(perRank), path, [32]byte{})
 }
 
 // TraceImportOptions tunes how a foreign trace's volumes are mapped onto
