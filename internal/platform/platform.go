@@ -70,7 +70,7 @@ func materialize(name string, t topo.Topology, speed float64, params map[topo.Cl
 	descs := t.Links()
 	for _, d := range descs {
 		pr, ok := params[d.Class]
-		if !ok || pr.bandwidth <= 0 {
+		if !ok || !(pr.bandwidth > 0) {
 			return nil, fmt.Errorf(`platform: %s: %q must be positive for %s links`, name, pr.field+"_bandwidth", d.Class)
 		}
 	}

@@ -71,6 +71,8 @@ func TestFlatClusterRejectsBadConfig(t *testing.T) {
 	buildErr(t, Spec{Topology: "flat", Hosts: 0, LinkBandwidth: 1, BackboneBandwidth: 1}, "hosts")
 	buildErr(t, Spec{Topology: "flat", Hosts: 2, LinkBandwidth: 0, BackboneBandwidth: 1}, "link_bandwidth")
 	buildErr(t, Spec{Topology: "flat", Hosts: 2, LinkBandwidth: 1, BackboneBandwidth: 0}, "backbone_bandwidth")
+	// JSON cannot carry NaN, but a Spec built in Go can.
+	buildErr(t, Spec{Topology: "crossbar", Hosts: 2, LinkBandwidth: math.NaN()}, "link_bandwidth")
 }
 
 // TestRouteForeignHostPanics pins the one foreign-host check: a host of

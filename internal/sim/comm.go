@@ -201,7 +201,7 @@ func (e *Engine) startComm(c *Comm) {
 	// have a slot of its own; registering the link here catches an ID that
 	// another link already holds.
 	for _, l := range route.Links {
-		if l.Bandwidth <= 0 {
+		if !(l.Bandwidth > 0) {
 			e.fail(fmt.Errorf("sim: comm %d crosses link %s with non-positive bandwidth", c.ID, l.Name))
 			return
 		}

@@ -178,6 +178,24 @@ func FuzzMaxMin(f *testing.F) {
 	f.Add([]byte{2, 0, 3, 0, 0, 3, 0, 6, 0, 2, 1})
 	// Four equal links and overlapping routes: ties everywhere.
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 15, 0, 3, 0, 12, 0, 5, 0, 10, 3, 0, 1})
+	// A flow alone on its narrowest link (1.25 GB/s) that also crosses a
+	// 10 GB/s link shared with two others, which can saturate: the one-flow
+	// link bounds the first level, and consuming it leaves the rest to the
+	// other two. Then the first flow departs.
+	f.Add([]byte{1, 0, 3, 0, 3, 0, 2, 0, 2, 1})
+	// A one-flow 1.25 GB/s link on a flow capped at the same 1.25 GB/s,
+	// tying with the fair share of the 2.5 GB/s link it shares; then its
+	// departure leaves the other flow alone on that link.
+	f.Add([]byte{1, 0, 1, 10, 3, 0, 2, 1})
+	// Two flows share a 1.25 GB/s bottleneck, one of them also a 10 GB/s link
+	// with a third flow. A departure leaves the other alone on the former
+	// bottleneck, which must then bound it.
+	f.Add([]byte{1, 0, 3, 0, 1, 0, 3, 0, 2, 1})
+	// Three levels, so every level but the last consumes: two flows fixed by
+	// a shared 1.25 GB/s link, then a flow bounded by the 1.25 GB/s link it
+	// crosses alone, then the last flow of the 5 GB/s link they share. A
+	// departure then splits the component.
+	f.Add([]byte{2, 0, 2, 0, 0, 1, 0, 3, 0, 6, 0, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := checkMaxMinSequence(data); err != nil {
 			t.Fatal(err)

@@ -28,6 +28,11 @@ type flow struct {
 	// finish is the projected absolute completion time (lastT + rem/rate);
 	// +Inf while the flow is stalled at rate 0.
 	finish float64
+	// lim is progressive-filling scratch, set by the gather (see solveFrom):
+	// the smallest of cap and the bandwidths of the route's links that carry
+	// this flow alone, +Inf when there is none. Filling reads it where it
+	// would read cap.
+	lim float64
 
 	// seq is the arrival sequence number, breaking completion ties so that
 	// same-instant completions wake waiters in arrival order (deterministic,
@@ -63,10 +68,12 @@ type linkState struct {
 	satKnown, sat bool
 
 	// progressive-filling scratch: the remaining capacity, the number of
-	// unfixed flows (0 on a link that cannot saturate, which filling
-	// ignores), and their fair share rem/n. Consumption leaves the share
-	// stale; the next level's scan re-derives it, so the level that ends a
-	// solve divides nothing.
+	// unfixed flows (0 on a link that cannot saturate or carries one flow,
+	// which filling ignores), and their fair share rem/n. Consumption leaves
+	// the share stale; the next level's scan re-derives it, so the level that
+	// ends a solve divides nothing. That level consumes nothing either: no
+	// later level reads the link, and the next gather that reaches it resets
+	// n before anything reads rem.
 	rem   float64
 	n     int
 	share float64
@@ -282,10 +289,14 @@ func (ls *linkState) saturates() bool {
 // solved this generation, and re-runs progressive filling on it. A
 // sub-component is a set of flows joined by links that can saturate: the
 // gather does not cross a link that cannot, since filling never fixes a flow
-// there, so splitting at it changes no rate. A flow's smallest-bandwidth
-// link can always saturate unless the flow's cap is tighter, so every flow
-// keeps a constraint. The gather also sets up the filling: each crossed
-// link's capacity, flow count and fair share, and the first fill level.
+// there, so splitting at it changes no rate. Nor does it fill a link that
+// carries one flow: such a link keeps the fair share bw/1 = bw until that
+// flow is fixed, the bound a cap at bw sets, so the gather folds its
+// bandwidth into the flow's lim instead. Every flow keeps a constraint: its
+// narrowest link is a gathered saturable link or a folded one-flow link,
+// unless its cap is tighter. The gather also sets up the filling: each
+// gathered link's capacity, flow count and fair share, each flow's lim, and
+// the first fill level.
 func (e *Engine) solveFrom(seed *flow, m int64) {
 	if seed.mark == m {
 		return
@@ -294,17 +305,24 @@ func (e *Engine) solveFrom(seed *flow, m int64) {
 	links := e.compLinkBuf[:0]
 	seed.mark = m
 	comp = append(comp, seed)
-	level, capped := math.Inf(1), false
+	level, bounded := math.Inf(1), false
 	for i := 0; i < len(comp); i++ {
 		f := comp[i]
 		f.fixed = false
+		f.lim = math.Inf(1)
 		if f.cap > 0 {
-			capped = true
-			if f.cap < level {
-				level = f.cap
-			}
+			f.lim = f.cap
 		}
 		for _, ls := range f.lstates {
+			if len(ls.flows) == 1 {
+				// Only f crosses ls. Its count may be stale from a solve in
+				// which it carried more flows; zero keeps consumption off it.
+				ls.n = 0
+				if ls.bw < f.lim {
+					f.lim = ls.bw
+				}
+				continue
+			}
 			if ls.mark == m {
 				continue
 			}
@@ -327,9 +345,15 @@ func (e *Engine) solveFrom(seed *flow, m int64) {
 				}
 			}
 		}
+		if !math.IsInf(f.lim, 1) {
+			bounded = true
+			if f.lim < level {
+				level = f.lim
+			}
+		}
 	}
 	e.compBuf, e.compLinkBuf = comp[:0], links[:0]
-	e.solveComponent(comp, links, level, capped)
+	e.solveComponent(comp, links, level, bounded)
 	e.stats.ComponentsResolved++
 	e.stats.FlowsResolved += int64(len(comp))
 	if n := int64(len(comp)); n > e.stats.MaxComponentFlows {
@@ -339,17 +363,21 @@ func (e *Engine) solveFrom(seed *flow, m int64) {
 
 // solveComponent runs progressive filling (bounded max-min fairness) on one
 // sub-component, from the first level the gather found: the smallest of its
-// links' fair shares and its flows' caps. A level fixes exactly the unfixed
-// flows whose cap or link fair share is no larger than the level, chosen on
+// links' fair shares and its flows' lims. A level fixes exactly the unfixed
+// flows whose lim or link fair share is no larger than the level, chosen on
 // the shares as they stood at the level's start; only then are they
 // consumed, together. No tolerance and no consumption order enters the
 // choice, so a flow's rate depends on the flow set alone: a global solve, a
 // per-component solve and this pruned one agree bit for bit. Each level
-// fixes at least the flows of the link or cap that set it.
-func (e *Engine) solveComponent(comp []*flow, links []*linkState, level float64, capped bool) {
+// fixes at least the flows of the link or lim that set it. The level that
+// fixes the last flows consumes nothing: a gathered link belongs to one
+// sub-component per generation, and the next gather that reaches it resets
+// its count before anything reads its capacity. bounded reports that some
+// flow has a finite lim.
+func (e *Engine) solveComponent(comp []*flow, links []*linkState, level float64, bounded bool) {
 	for unfixed := len(comp); ; {
 		if math.IsInf(level, 1) {
-			// No finite constraint left (no links and no cap, or only NaN
+			// No finite constraint left (no links and no bound, or only NaN
 			// shares): local transfers, complete right after latency.
 			for _, f := range comp {
 				if !f.fixed {
@@ -370,19 +398,26 @@ func (e *Engine) solveComponent(comp []*flow, links []*linkState, level float64,
 				}
 			}
 		}
-		if capped {
+		if bounded {
 			for _, f := range comp {
-				if !f.fixed && f.cap > 0 && f.cap <= level {
+				if !f.fixed && f.lim <= level {
 					f.fixed = true
 					at = append(at, f)
 				}
 			}
 		}
+		e.levelBuf = at[:0]
+		if unfixed -= len(at); unfixed == 0 {
+			for _, f := range at {
+				e.applyRate(f, level)
+			}
+			return
+		}
 		for _, f := range at {
 			e.applyRate(f, level)
 			for _, ls := range f.lstates {
 				if ls.n == 0 {
-					continue // cannot saturate
+					continue // cannot saturate, or carries f alone
 				}
 				ls.rem -= level
 				if ls.rem < 0 {
@@ -390,10 +425,6 @@ func (e *Engine) solveComponent(comp []*flow, links []*linkState, level float64,
 				}
 				ls.n--
 			}
-		}
-		e.levelBuf = at[:0]
-		if unfixed -= len(at); unfixed == 0 {
-			return
 		}
 		level = math.Inf(1)
 		for _, ls := range links {
@@ -404,10 +435,10 @@ func (e *Engine) solveComponent(comp []*flow, links []*linkState, level float64,
 				}
 			}
 		}
-		if capped {
+		if bounded {
 			for _, f := range comp {
-				if !f.fixed && f.cap > 0 && f.cap < level {
-					level = f.cap
+				if !f.fixed && f.lim < level {
+					level = f.lim
 				}
 			}
 		}

@@ -158,8 +158,8 @@ func WriteFolded(w io.Writer, actions []Action) error {
 // (the trace of one rank), and world > 0 arms the sized validation. It is
 // small enough to inline, so a caller that keeps its reader local, such as
 // the reader benchmarks, does not allocate it.
-func newTextStream(r io.Reader, filter, own, world int) *Reader {
-	rd := &Reader{in: lineReader{src: r}, filter: filter, own: own, world: world}
+func newTextStream(r io.Reader, filter, own, world int) *textReader {
+	rd := &textReader{in: lineReader{src: r}, filter: filter, own: own, world: world}
 	rd.readHeader()
 	return rd
 }

@@ -28,11 +28,11 @@ import (
 // maxLineBytes bounds one line of a text trace, its newline included.
 const maxLineBytes = 1 << 20
 
-// readBufferSize is the initial size of a Reader's buffer; it grows, up to
+// readBufferSize is the initial size of a textReader's buffer; it grows, up to
 // maxLineBytes, only for a line that does not fit.
 const readBufferSize = 64 << 10
 
-// readBuffers recycles the initial buffers of Readers whose input ended. A
+// readBuffers recycles the initial buffers of textReaders whose input ended. A
 // replay opens one stream per rank; allocating and zeroing a fresh buffer
 // for each cost a few percent of a text replay.
 var readBuffers = sync.Pool{New: func() any { return new([readBufferSize]byte) }}
@@ -489,9 +489,9 @@ func (l *lineReader) hasPrefix(p string) bool {
 	return l.w-l.r >= len(p) && string(l.buf[l.r:l.r+len(p)]) == p
 }
 
-// Reader streams actions from a text trace, plain or folded (see Fold). It
+// textReader streams actions from a text trace, plain or folded (see Fold). It
 // reports I/O, syntax and validation errors with line numbers.
-type Reader struct {
+type textReader struct {
 	in lineReader
 	// filter, when >= 0, keeps only actions of that rank (merged traces).
 	filter int
@@ -521,7 +521,7 @@ type lineAction struct {
 // Next implements Stream. Every action it yields passes ValidateIn for the
 // reader's world; an action of another rank is skipped by a filtered
 // reader, and fails a rank's own trace.
-func (r *Reader) Next(a *Action) (bool, error) {
+func (r *textReader) Next(a *Action) (bool, error) {
 	for {
 		var line int
 		var err error
@@ -579,7 +579,7 @@ func (r *Reader) Next(a *Action) (bool, error) {
 // readHeader consumes the folded-trace header when the input starts with
 // one, enabling @loop directives. A read error is sticky: the first Next
 // reports it.
-func (r *Reader) readHeader() {
+func (r *textReader) readHeader() {
 	if r.in.hasPrefix(foldedHeader) {
 		r.folded = true
 		r.in.next()
@@ -589,7 +589,7 @@ func (r *Reader) readHeader() {
 // readLoop parses the "@loop count length" directive on the current line and
 // the length action lines of its body, which Next then serves count times.
 // Each body action is validated here, once, and owns its vector.
-func (r *Reader) readLoop(directive string) error {
+func (r *textReader) readLoop(directive string) error {
 	at := r.in.line
 	var f [3]string // "@loop", count, length
 	nf := 0
