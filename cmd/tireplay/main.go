@@ -53,6 +53,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"iter"
 	mrand "math/rand/v2"
 	"net/http"
 	"os"
@@ -190,6 +191,15 @@ func runMain() {
 func runSweep(specPath, out, csvOut, storeDir string, resume bool, workers int, verbose bool) {
 	sw, err := tireplay.LoadSweep(specPath)
 	fatal(err)
+	if storeDir != "" {
+		sw.Store = storeDir
+	}
+	if resume {
+		sw.Resume = "on"
+		if sw.Store == "" {
+			sw.Store = specPath + ".store"
+		}
+	}
 	// Expansion happens inside RunSweep; the count is only for progress
 	// lines, so pay for a second expansion only when asked to narrate.
 	total := 0
@@ -197,23 +207,30 @@ func runSweep(specPath, out, csvOut, storeDir string, resume bool, workers int, 
 		points, err := sw.Expand()
 		fatal(err)
 		total = len(points)
+		fmt.Fprintf(os.Stderr, "sweep %s: %d points\n", sw.Name, total)
 	}
+	records := func(yield func(*tireplay.SweepRecord, error) bool) {
+		for r, err := range tireplay.RunSweep(context.Background(), sw, workers) {
+			fatal(err)
+			if !yield(r.Record(sw.Name), nil) {
+				return
+			}
+		}
+	}
+	report(sw, records, total, "the result store", out, csvOut, verbose)
+}
 
-	opts := []tireplay.SweepOption{tireplay.WithSweepWorkers(workers)}
-	if storeDir == "" && resume && sw.Store == "" {
-		storeDir = specPath + ".store"
-	}
-	if storeDir != "" {
-		opts = append(opts, tireplay.WithStore(storeDir))
-	}
-	if resume {
-		opts = append(opts, tireplay.WithResume("on"))
-	}
+// report writes each sweep record, as it arrives, to the -out and -csv
+// sinks and prints it as one line (with a [k/total] progress line under
+// -v), then summarizes and exits 1 if any point failed. store names where
+// cached records came from.
+func report(sw *tireplay.Sweep, records iter.Seq2[*tireplay.SweepRecord, error], total int, store, out, csvOut string, verbose bool) {
+	var sinks []tireplay.SweepSink
 	if out != "" {
 		f, err := os.Create(out)
 		fatal(err)
 		defer f.Close()
-		opts = append(opts, tireplay.WithSink(tireplay.NewJSONLSink(f)))
+		sinks = append(sinks, tireplay.NewJSONLSink(f))
 	}
 	if csvOut != "" {
 		axes := make([]string, len(sw.Axes))
@@ -223,35 +240,34 @@ func runSweep(specPath, out, csvOut, storeDir string, resume bool, workers int, 
 		f, err := os.Create(csvOut)
 		fatal(err)
 		defer f.Close()
-		opts = append(opts, tireplay.WithSink(tireplay.NewCSVSink(f, axes...)))
+		sinks = append(sinks, tireplay.NewCSVSink(f, axes...))
 	}
 
-	if verbose {
-		fmt.Fprintf(os.Stderr, "sweep %s: %d points\n", sw.Name, total)
-	}
 	done, failed, cached := 0, 0, 0
-	for r, err := range tireplay.RunSweep(context.Background(), sw, opts...) {
+	for rec, err := range records {
 		fatal(err)
+		for _, s := range sinks {
+			fatal(s.Write(rec))
+		}
 		done++
-		name := r.Point.Scenario.Name
-		if r.Err != nil {
+		if rec.Err != "" {
 			failed++
-			fmt.Printf("%-24s ERROR: %v\n", name, r.Err)
-			continue
+			fmt.Printf("%-24s ERROR: %s\n", rec.Name, rec.Err)
+		} else {
+			tag := ""
+			if rec.Cached {
+				cached++
+				tag = "   (stored)"
+			}
+			fmt.Printf("%-24s simulated %10.6f s   (%d actions in %v)%s\n",
+				rec.Name, rec.Replay.SimulatedTime, rec.Replay.Actions, rec.Replay.Wall, tag)
 		}
-		tag := ""
-		if r.Cached {
-			cached++
-			tag = "   (stored)"
-		}
-		fmt.Printf("%-24s simulated %10.6f s   (%d actions in %v)%s\n",
-			name, r.Replay.SimulatedTime, r.Replay.Actions, r.Replay.Wall, tag)
 		if verbose {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, name)
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, rec.Name)
 		}
 	}
 	if verbose && cached > 0 {
-		fmt.Fprintf(os.Stderr, "tireplay: %d of %d points served from the result store\n", cached, done)
+		fmt.Fprintf(os.Stderr, "tireplay: %d of %d points served from %s\n", cached, done, store)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "tireplay: %d of %d sweep points failed\n", failed, done)
@@ -263,20 +279,16 @@ func runBatch(path string, workers int, verbose bool) {
 	batch, err := tireplay.LoadScenarios(path)
 	fatal(err)
 
-	var opts []tireplay.RunnerOption
-	if workers > 0 {
-		opts = append(opts, tireplay.WithWorkers(workers))
+	// Progress follows completion order; the rows follow the batch.
+	results := make([]tireplay.ScenarioResult, len(batch))
+	done := 0
+	for r := range tireplay.RunScenarios(context.Background(), batch, workers) {
+		results[r.Index] = r
+		done++
+		if verbose {
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, len(batch), name(r))
+		}
 	}
-	if verbose {
-		opts = append(opts, tireplay.WithObserver(func(ev tireplay.RunnerEvent) {
-			if ev.Kind == tireplay.ScenarioFinished {
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", ev.Done, ev.Total, name(ev.Result))
-			}
-		}))
-	}
-
-	results, err := tireplay.RunScenarios(context.Background(), batch, opts...)
-	fatal(err)
 
 	failed := 0
 	for _, r := range results {
@@ -377,8 +389,8 @@ func runWork(args []string) {
 	wg.Wait()
 }
 
-// runRemoteSweep submits a sweep spec to a server and streams the
-// results back, printing and sinking them exactly like a local run.
+// runRemoteSweep submits a sweep spec to a server and reports the
+// streamed results exactly like a local run.
 func runRemoteSweep(specPath, server, out, csvOut string, verbose bool) {
 	sw, err := tireplay.LoadSweep(specPath)
 	fatal(err)
@@ -392,54 +404,7 @@ func runRemoteSweep(specPath, server, out, csvOut string, verbose bool) {
 			sw.Name, sub.Points, sub.Cached, sub.Merged, sub.Pending, sub.ID)
 	}
 
-	var sinks []tireplay.SweepSink
-	if out != "" {
-		f, err := os.Create(out)
-		fatal(err)
-		defer f.Close()
-		sinks = append(sinks, tireplay.NewJSONLSink(f))
-	}
-	if csvOut != "" {
-		axes := make([]string, len(sw.Axes))
-		for i := range sw.Axes {
-			axes[i] = sw.Axes[i].Name
-		}
-		f, err := os.Create(csvOut)
-		fatal(err)
-		defer f.Close()
-		sinks = append(sinks, tireplay.NewCSVSink(f, axes...))
-	}
-
-	done, failed, cached := 0, 0, 0
-	for rec, err := range tireplay.StreamResults(ctx, server, sub.ID) {
-		fatal(err)
-		for _, s := range sinks {
-			fatal(s.Write(rec))
-		}
-		done++
-		if rec.Err != "" {
-			failed++
-			fmt.Printf("%-24s ERROR: %s\n", rec.Name, rec.Err)
-			continue
-		}
-		tag := ""
-		if rec.Cached {
-			cached++
-			tag = "   (stored)"
-		}
-		fmt.Printf("%-24s simulated %10.6f s   (%d actions in %v)%s\n",
-			rec.Name, rec.Replay.SimulatedTime, rec.Replay.Actions, rec.Replay.Wall, tag)
-		if verbose {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, sub.Points, rec.Name)
-		}
-	}
-	if verbose && cached > 0 {
-		fmt.Fprintf(os.Stderr, "tireplay: %d of %d points served from the server's store\n", cached, done)
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "tireplay: %d of %d sweep points failed\n", failed, done)
-		os.Exit(1)
-	}
+	report(sw, tireplay.StreamResults(ctx, server, sub.ID), sub.Points, "the server's store", out, csvOut, verbose)
 }
 
 // waitForServer polls the server's health endpoint so a client (or CI

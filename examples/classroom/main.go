@@ -61,13 +61,8 @@ func main() {
 			MSG:     tireplay.MSGPrototypeConfig(),
 		})
 
-	results, err := tireplay.RunScenarios(context.Background(), scenarios,
-		tireplay.WithWorkers(4))
-	if err != nil {
-		log.Fatal(err)
-	}
-	byName := make(map[string]*tireplay.ReplayResult, len(results))
-	for _, r := range results {
+	byName := make(map[string]*tireplay.ReplayResult, len(scenarios))
+	for r := range tireplay.RunScenarios(context.Background(), scenarios, 4) {
 		if r.Err != nil {
 			log.Fatal(r.Err)
 		}

@@ -59,8 +59,7 @@ func main() {
 	}
 
 	// Replay the grid on 4 workers; Collect returns results in grid order.
-	results, err := tireplay.CollectSweep(context.Background(), sw,
-		tireplay.WithSweepWorkers(4))
+	results, err := tireplay.CollectSweep(context.Background(), sw, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -87,8 +87,7 @@ func main() {
 		},
 	}
 
-	results, err := tireplay.CollectSweep(context.Background(), sw,
-		tireplay.WithSweepWorkers(4))
+	results, err := tireplay.CollectSweep(context.Background(), sw, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

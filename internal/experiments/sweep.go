@@ -15,7 +15,6 @@ import (
 
 	"tireplay/internal/ground"
 	"tireplay/internal/npb"
-	"tireplay/internal/runner"
 	"tireplay/internal/scenario"
 	"tireplay/internal/sweep"
 )
@@ -118,7 +117,8 @@ func toDoc(v any) (map[string]any, error) {
 
 // Sweep expands the grid and runs it on a worker pool; workers < 1 selects
 // GOMAXPROCS. observe, when non-nil, is called after each scenario
-// completes.
+// completes, with the number completed so far and the grid's size. Rows
+// come in grid order.
 func Sweep(ctx context.Context, target *ground.Cluster, classes []npb.Class, procs []int,
 	workers int, opt Options, observe func(done, total int, name string)) ([]SweepRow, error) {
 
@@ -126,30 +126,31 @@ func Sweep(ctx context.Context, target *ground.Cluster, classes []npb.Class, pro
 	if err != nil {
 		return nil, err
 	}
-	opts := []sweep.Option{sweep.WithWorkers(workers)}
-	if observe != nil {
-		opts = append(opts, sweep.WithObserver(func(ev runner.Event) {
-			if ev.Kind == runner.Finished {
-				observe(ev.Done, ev.Total, ev.Result.Scenario.Name)
-			}
-		}))
-	}
-	results, err := sweep.Collect(ctx, spec, opts...)
+	points, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]SweepRow, len(results))
-	for i, r := range results {
-		rows[i] = SweepRow{Name: r.Point.Scenario.Name, Backend: r.Point.Scenario.Backend}
+	rows := make([]SweepRow, len(points))
+	done := 0
+	for r, err := range sweep.Run(ctx, spec, workers) {
+		if err != nil {
+			return nil, err
+		}
+		done++
+		if observe != nil {
+			observe(done, len(points), r.Point.Scenario.Name)
+		}
+		row := &rows[r.Point.Index]
+		*row = SweepRow{Name: r.Point.Scenario.Name, Backend: r.Point.Scenario.Backend}
 		if r.Err != nil {
-			rows[i].Err = r.Err.Error()
+			row.Err = r.Err.Error()
 			continue
 		}
-		rows[i].Sim = r.Replay.SimulatedTime
-		rows[i].Wall = r.Replay.Wall.Seconds()
-		rows[i].Actions = r.Replay.Actions
+		row.Sim = r.Replay.SimulatedTime
+		row.Wall = r.Replay.Wall.Seconds()
+		row.Actions = r.Replay.Actions
 	}
-	return rows, nil
+	return rows, ctx.Err()
 }
 
 // RenderSweep prints sweep rows as a table.

@@ -157,23 +157,30 @@ type PiecewiseModel struct {
 
 // NewPiecewiseModel builds a model from segments, which are sorted by
 // MaxBytes; a MaxBytes of 0 or less means unbounded. At least one segment
-// is required and factors must be positive.
+// is required, factors must be positive and finite, and no MaxBytes may
+// be NaN.
 func NewPiecewiseModel(segments []SegmentSpec) (*PiecewiseModel, error) {
 	if len(segments) == 0 {
 		return nil, fmt.Errorf("platform: piecewise model needs at least one segment")
 	}
 	segs := append([]SegmentSpec(nil), segments...)
-	for i := range segs {
-		if segs[i].MaxBytes <= 0 {
+	for i, s := range segs {
+		// Negated comparisons catch NaN: a NaN or infinite latency factor
+		// stalls every message, a NaN bandwidth factor reads as no cap, and
+		// a NaN bound breaks the sort.
+		for _, f := range [...]float64{s.LatFactor, s.BwFactor} {
+			if !(f > 0) || math.IsInf(f, 1) {
+				return nil, fmt.Errorf("platform: segment %d %+v: factors must be positive and finite", i, s)
+			}
+		}
+		if math.IsNaN(s.MaxBytes) {
+			return nil, fmt.Errorf("platform: segment %d %+v: MaxBytes is NaN", i, s)
+		}
+		if s.MaxBytes <= 0 {
 			segs[i].MaxBytes = math.MaxFloat64
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].MaxBytes < segs[j].MaxBytes })
-	for _, s := range segs {
-		if s.LatFactor <= 0 || s.BwFactor <= 0 {
-			return nil, fmt.Errorf("platform: non-positive factor in segment %+v", s)
-		}
-	}
 	return &PiecewiseModel{segments: segs}, nil
 }
 

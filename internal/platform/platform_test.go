@@ -2,6 +2,8 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +11,13 @@ import (
 
 	"tireplay/internal/sim"
 )
+
+// writeSpec encodes s as indented JSON to w.
+func writeSpec(w io.Writer, s *Spec) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s)
+}
 
 // build builds s, failing the test on error.
 func build(t *testing.T, s Spec) *Platform {
@@ -236,6 +245,23 @@ func TestPiecewiseModelValidation(t *testing.T) {
 	if _, err := NewPiecewiseModel([]SegmentSpec{{MaxBytes: 1, LatFactor: 0, BwFactor: 1}}); err == nil {
 		t.Error("expected error for zero factor")
 	}
+	// A NaN or infinite factor, or a NaN size bound, which only a Spec
+	// built in Go can carry, fails the build naming its segment. A NaN
+	// bandwidth factor read as no cap, and a NaN or infinite latency
+	// factor turned into a spurious deadlock.
+	nan := math.NaN()
+	for _, bad := range []SegmentSpec{
+		{LatFactor: 1, BwFactor: nan},
+		{LatFactor: nan, BwFactor: 1},
+		{LatFactor: math.Inf(1), BwFactor: 1},
+		{MaxBytes: nan, LatFactor: 1, BwFactor: 1},
+	} {
+		s := Spec{Topology: "crossbar", Hosts: 2, Speed: 1e9, LinkBandwidth: 1e9, LinkLatency: 1e-6,
+			Factors: []SegmentSpec{{MaxBytes: 65536, LatFactor: 1, BwFactor: 1}, bad}}
+		if _, _, err := s.Build(); err == nil || !strings.Contains(err.Error(), "segment 1") {
+			t.Errorf("%+v: err = %v, want one naming segment 1", bad, err)
+		}
+	}
 }
 
 // Property: factor lookup is piecewise-constant and never panics across a
@@ -266,7 +292,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		Factors: []SegmentSpec{{MaxBytes: 65536, LatFactor: 1.5, BwFactor: 0.9}, {MaxBytes: 0, LatFactor: 1, BwFactor: 0.97}},
 	}
 	var buf bytes.Buffer
-	if err := WriteSpec(&buf, spec); err != nil {
+	if err := writeSpec(&buf, spec); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSpec(&buf)

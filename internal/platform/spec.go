@@ -167,10 +167,3 @@ func LoadSpec(path string) (*Spec, error) {
 	defer f.Close()
 	return ReadSpec(f)
 }
-
-// WriteSpec encodes s as indented JSON to w.
-func WriteSpec(w io.Writer, s *Spec) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}

@@ -209,9 +209,9 @@ func TestSpecBuildDragonflyJSON(t *testing.T) {
 	if p.Size() != 8 {
 		t.Fatalf("size = %d, want 8", p.Size())
 	}
-	// Round trip through WriteSpec preserves the shape fields.
+	// A JSON round trip preserves the shape fields.
 	var buf bytes.Buffer
-	if err := WriteSpec(&buf, s); err != nil {
+	if err := writeSpec(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSpec(&buf)

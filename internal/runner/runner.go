@@ -4,10 +4,10 @@
 // candidate platforms — is embarrassingly parallel across scenarios while
 // every individual replay stays deterministic.
 //
-// Stream is the core: it yields one Result per scenario in completion
-// order, which is what lets the sweep layer (package sweep) persist and
-// report results as they land instead of blocking on the whole batch. Run
-// is the batch convenience built on top of it.
+// Stream yields one Result per scenario in completion order, which is what
+// lets the sweep layer (package sweep) persist and report results as they
+// land instead of blocking on the whole batch; a caller that wants input
+// order places each result by its Index.
 package runner
 
 import (
@@ -24,9 +24,8 @@ import (
 // and Err is set, unless the scenario was skipped by cancellation (then Err
 // is the context's error).
 type Result struct {
-	// Index is the scenario's position in the input slice. Run returns
-	// results in input order; Stream yields them in completion order and
-	// Index identifies the scenario.
+	// Index is the scenario's position in the input slice: Stream yields
+	// results in completion order, and Index identifies the scenario.
 	Index int
 	// Scenario is the executed scenario.
 	Scenario *scenario.Scenario
@@ -38,71 +37,21 @@ type Result struct {
 	Err error
 }
 
-// EventKind tags observer callbacks.
-type EventKind int
-
-const (
-	// Started fires when a worker picks the scenario up.
-	Started EventKind = iota
-	// Finished fires when the scenario completes (Result.Replay set),
-	// fails (Result.Err set), or is skipped by cancellation.
-	Finished
-)
-
-// Event is one progress notification.
-type Event struct {
-	Kind EventKind
-	// Result carries the scenario and its index; Replay/Err are only
-	// meaningful for Finished events.
-	Result Result
-	// Done and Total report batch progress as of this event. Done increases
-	// by exactly one per Finished event — including scenarios skipped by
-	// cancellation — and reaches Total once every scenario has a terminal
-	// Result.
-	Done, Total int
-}
-
-// Option configures a batch run.
-type Option func(*config)
-
-type config struct {
-	workers  int
-	observer func(Event)
-}
-
-// WithWorkers sets the worker-pool size; n < 1 selects GOMAXPROCS. Workers
-// only add wall-clock parallelism: per-scenario results are bit-identical
-// to a sequential run.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.workers = n }
-}
-
-// WithObserver installs a progress callback. Events are delivered
-// serialized (never concurrently), but from worker goroutines and in
-// completion order, which is nondeterministic across runs.
-func WithObserver(f func(Event)) Option {
-	return func(c *config) { c.observer = f }
-}
-
 // Stream executes every scenario on a pool of workers and yields one
-// terminal Result per scenario in completion order. Scenario failures are
-// carried in their Result and do not abort the batch. When ctx is
-// cancelled mid-batch, every not-yet-started scenario is still yielded,
-// skipped, with the context's error as its Err — the stream always
-// delivers exactly len(scenarios) results unless the consumer stops
-// early. Stopping early (breaking out of the range loop) cancels the
-// remaining work and reclaims the pool.
-func Stream(ctx context.Context, scenarios []*scenario.Scenario, opts ...Option) iter.Seq[Result] {
-	cfg := config{}
-	for _, o := range opts {
-		o(&cfg)
+// terminal Result per scenario in completion order; workers < 1 selects
+// GOMAXPROCS. Workers only add wall-clock parallelism: per-scenario results
+// are bit-identical to a sequential run. Scenario failures are carried in
+// their Result and do not abort the batch. When ctx is cancelled
+// mid-batch, every not-yet-started scenario is still yielded, skipped,
+// with the context's error as its Err — the stream always delivers
+// exactly len(scenarios) results unless the consumer stops early.
+// Stopping early (breaking out of the range loop) cancels the remaining
+// work and reclaims the pool.
+func Stream(ctx context.Context, scenarios []*scenario.Scenario, workers int) iter.Seq[Result] {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.workers < 1 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.workers > len(scenarios) {
-		cfg.workers = len(scenarios)
-	}
+	workers = min(workers, len(scenarios))
 
 	return func(yield func(Result) bool) {
 		if len(scenarios) == 0 {
@@ -113,28 +62,10 @@ func Stream(ctx context.Context, scenarios []*scenario.Scenario, opts ...Option)
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 
-		var (
-			mu   sync.Mutex // serializes observer callbacks and the done counter
-			done int
-		)
-		notify := func(kind EventKind, r Result) {
-			if cfg.observer == nil && kind != Finished {
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if kind == Finished {
-				done++
-			}
-			if cfg.observer != nil {
-				cfg.observer(Event{Kind: kind, Result: r, Done: done, Total: len(scenarios)})
-			}
-		}
-
 		out := make(chan Result)
 		indexes := make(chan int)
 		var wg sync.WaitGroup
-		for w := 0; w < cfg.workers; w++ {
+		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -144,10 +75,8 @@ func Stream(ctx context.Context, scenarios []*scenario.Scenario, opts ...Option)
 						// Cancelled: mark the scenario skipped, don't run it.
 						r.Err = err
 					} else {
-						notify(Started, r)
 						r.Replay, r.Err = r.Scenario.Run(ctx)
 					}
-					notify(Finished, r)
 					out <- r
 				}
 			}()
@@ -162,9 +91,7 @@ func Stream(ctx context.Context, scenarios []*scenario.Scenario, opts ...Option)
 					// Indexes from i on were never handed to a worker: report
 					// them skipped with the context's error.
 					for j := i; j < len(scenarios); j++ {
-						r := Result{Index: j, Scenario: scenarios[j], Err: ctx.Err()}
-						notify(Finished, r)
-						out <- r
+						out <- Result{Index: j, Scenario: scenarios[j], Err: ctx.Err()}
 					}
 					break feed
 				}
@@ -183,20 +110,4 @@ func Stream(ctx context.Context, scenarios []*scenario.Scenario, opts ...Option)
 			}
 		}
 	}
-}
-
-// Run executes every scenario on a pool of workers and returns one Result
-// per scenario, in input order. Scenario failures are recorded in their
-// Result and do not abort the batch; the returned error is non-nil only
-// when ctx is cancelled, in which case not-yet-started scenarios carry the
-// context error in their Result.
-func Run(ctx context.Context, scenarios []*scenario.Scenario, opts ...Option) ([]Result, error) {
-	results := make([]Result, len(scenarios))
-	for i, s := range scenarios {
-		results[i] = Result{Index: i, Scenario: s}
-	}
-	for r := range Stream(ctx, scenarios, opts...) {
-		results[r.Index] = r
-	}
-	return results, ctx.Err()
 }

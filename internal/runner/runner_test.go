@@ -20,6 +20,16 @@ func flatSpec(hosts int) *platform.Spec {
 	}
 }
 
+// run drains Stream into a slice in input order, placing each result by
+// its Index.
+func run(ctx context.Context, scenarios []*scenario.Scenario, workers int) []Result {
+	results := make([]Result, len(scenarios))
+	for r := range Stream(ctx, scenarios, workers) {
+		results[r.Index] = r
+	}
+	return results
+}
+
 // sweep builds the acceptance-criteria batch: {LU, CG} x {A, B} x {8, 16}
 // ranks = 8 scenarios, alternating backends.
 func sweep(t *testing.T) []*scenario.Scenario {
@@ -68,11 +78,7 @@ func TestParallelMatchesSequentialReplay(t *testing.T) {
 		want[i] = res.SimulatedTime
 	}
 
-	results, err := Run(context.Background(), scenarios, WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
+	for i, r := range run(context.Background(), scenarios, 4) {
 		if r.Err != nil {
 			t.Fatalf("scenario %d (%s): %v", i, scenarios[i].Name, r.Err)
 		}
@@ -90,15 +96,9 @@ func TestParallelMatchesSequentialReplay(t *testing.T) {
 // pool sizes; per-scenario results must be identical.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	scenarios := sweep(t)
-	base, err := Run(context.Background(), scenarios, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := run(context.Background(), scenarios, 1)
 	for _, workers := range []int{2, 4, 16} {
-		results, err := Run(context.Background(), scenarios, WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := run(context.Background(), scenarios, workers)
 		for i := range results {
 			if results[i].Err != nil {
 				t.Fatalf("workers=%d scenario %d: %v", workers, i, results[i].Err)
@@ -132,10 +132,7 @@ func TestErrorIsolation(t *testing.T) {
 	}
 	bad := &scenario.Scenario{Platform: flatSpec(1), TraceDesc: desc}
 	scenarios := []*scenario.Scenario{good(), bad, good()}
-	results, err := Run(context.Background(), scenarios, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := run(context.Background(), scenarios, 2)
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatalf("good scenarios failed: %v / %v", results[0].Err, results[2].Err)
 	}
@@ -152,7 +149,7 @@ func TestErrorIsolation(t *testing.T) {
 }
 
 // TestCancellationMidBatch cancels after the first completion; later
-// scenarios must be skipped with the context error and Run must report it.
+// scenarios must be skipped with the context error.
 func TestCancellationMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -165,20 +162,9 @@ func TestCancellationMidBatch(t *testing.T) {
 		})
 	}
 
-	finished := 0
-	results, err := Run(ctx, scenarios, WithWorkers(1), WithObserver(func(ev Event) {
-		if ev.Kind == Finished {
-			finished++
-			if finished == 1 {
-				cancel()
-			}
-		}
-	}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error = %v, want context.Canceled", err)
-	}
 	ran, skipped := 0, 0
-	for _, r := range results {
+	for r := range Stream(ctx, scenarios, 1) {
+		cancel()
 		switch {
 		case r.Err == nil && r.Replay != nil:
 			ran++
@@ -205,7 +191,7 @@ func TestCancellationMidBatch(t *testing.T) {
 func TestStreamDeliversAllResults(t *testing.T) {
 	scenarios := sweep(t)
 	seen := make(map[int]int)
-	for r := range Stream(context.Background(), scenarios, WithWorkers(4)) {
+	for r := range Stream(context.Background(), scenarios, 4) {
 		seen[r.Index]++
 		if r.Err != nil {
 			t.Fatalf("scenario %d: %v", r.Index, r.Err)
@@ -230,7 +216,7 @@ func TestStreamDeliversAllResults(t *testing.T) {
 func TestStreamEarlyBreakStopsPool(t *testing.T) {
 	scenarios := sweep(t)
 	got := 0
-	for range Stream(context.Background(), scenarios, WithWorkers(2)) {
+	for range Stream(context.Background(), scenarios, 2) {
 		got++
 		break
 	}
@@ -241,9 +227,8 @@ func TestStreamEarlyBreakStopsPool(t *testing.T) {
 
 // TestCancellationReportingConsistent is the regression test for
 // cancellation reporting: under cancellation at arbitrary points, every
-// scenario must get exactly one terminal result, skipped results must
-// carry the context's error, and the observer's Done counter must increase
-// by exactly one per Finished event, reaching Total.
+// scenario must get exactly one terminal result, and skipped results must
+// carry the context's error.
 func TestCancellationReportingConsistent(t *testing.T) {
 	mkBatch := func(n int) []*scenario.Scenario {
 		var out []*scenario.Scenario
@@ -260,42 +245,11 @@ func TestCancellationReportingConsistent(t *testing.T) {
 		cancelAfter := round % (n / 2) // vary the cancellation point
 		ctx, cancel := context.WithCancel(context.Background())
 
-		var (
-			finishedPer = make([]int, n)
-			lastDone    int
-			finished    int
-		)
-		results, err := Run(ctx, mkBatch(n), WithWorkers(3), WithObserver(func(ev Event) {
-			if ev.Kind != Finished {
-				return
-			}
+		perScenario := make([]int, n)
+		finished, skipped := 0, 0
+		for r := range Stream(ctx, mkBatch(n), 3) {
 			finished++
-			if ev.Done != lastDone+1 {
-				t.Errorf("round %d: Done jumped %d -> %d", round, lastDone, ev.Done)
-			}
-			if ev.Done > ev.Total {
-				t.Errorf("round %d: Done %d > Total %d", round, ev.Done, ev.Total)
-			}
-			lastDone = ev.Done
-			finishedPer[ev.Result.Index]++
-			if finished == cancelAfter+1 {
-				cancel()
-			}
-		}))
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("round %d: Run error = %v, want context.Canceled", round, err)
-		}
-		if lastDone != n {
-			t.Fatalf("round %d: final Done %d, want %d", round, lastDone, n)
-		}
-		for i, c := range finishedPer {
-			if c != 1 {
-				t.Fatalf("round %d: scenario %d got %d Finished events", round, i, c)
-			}
-		}
-		skipped := 0
-		for _, r := range results {
+			perScenario[r.Index]++
 			switch {
 			case r.Err == nil && r.Replay != nil:
 			case r.Replay == nil && errors.Is(r.Err, context.Canceled):
@@ -304,6 +258,15 @@ func TestCancellationReportingConsistent(t *testing.T) {
 				t.Fatalf("round %d: scenario %d inconsistent (replay=%v err=%v)",
 					round, r.Index, r.Replay, r.Err)
 			}
+			if finished == cancelAfter+1 {
+				cancel()
+			}
+		}
+		cancel()
+		for i, c := range perScenario {
+			if c != 1 {
+				t.Fatalf("round %d: scenario %d got %d results", round, i, c)
+			}
 		}
 		if skipped == 0 {
 			t.Fatalf("round %d: cancellation after %d completions skipped nothing", round, cancelAfter)
@@ -311,57 +274,20 @@ func TestCancellationReportingConsistent(t *testing.T) {
 	}
 }
 
-// TestObserverEvents checks started/finished pairing, progress counters,
-// and that callbacks are serialized.
-func TestObserverEvents(t *testing.T) {
-	scenarios := sweep(t)
-	// The runner serializes observer callbacks, so plain counters suffice;
-	// `go test -race` would flag a violation of that guarantee.
-	started, finished := 0, 0
-	lastDone := 0
-	results, err := Run(context.Background(), scenarios, WithWorkers(4),
-		WithObserver(func(ev Event) {
-			switch ev.Kind {
-			case Started:
-				started++
-			case Finished:
-				finished++
-				if ev.Done <= lastDone || ev.Done > ev.Total {
-					t.Errorf("done counter not increasing: %d after %d", ev.Done, lastDone)
-				}
-				lastDone = ev.Done
-			}
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if started != len(scenarios) || finished != len(scenarios) {
-		t.Fatalf("started %d / finished %d, want %d each", started, finished, len(scenarios))
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-}
-
 // TestEmptyBatch returns immediately.
 func TestEmptyBatch(t *testing.T) {
-	results, err := Run(context.Background(), nil, WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
+	got := 0
+	for range Stream(context.Background(), nil, 4) {
+		got++
 	}
-	if len(results) != 0 {
-		t.Fatalf("got %d results for empty batch", len(results))
+	if got != 0 {
+		t.Fatalf("got %d results for empty batch", got)
 	}
 }
 
 // TestInvalidScenarioReported checks Validate failures land in the Result.
 func TestInvalidScenarioReported(t *testing.T) {
-	results, err := Run(context.Background(), []*scenario.Scenario{{}}, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := run(context.Background(), []*scenario.Scenario{{}}, 1)
 	if results[0].Err == nil {
 		t.Fatal("empty scenario did not fail validation")
 	}

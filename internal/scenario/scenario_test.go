@@ -212,7 +212,7 @@ func TestRunPlatformFileScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := platform.WriteSpec(f, flatSpec(4)); err != nil {
+	if err := json.NewEncoder(f).Encode(flatSpec(4)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

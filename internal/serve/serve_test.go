@@ -46,7 +46,7 @@ func luSweep(name string, iters ...any) *sweep.Sweep {
 // returns fingerprint → (simulated time, actions).
 func localBaseline(t *testing.T, sw *sweep.Sweep) map[string][2]float64 {
 	t.Helper()
-	results, err := sweep.Collect(context.Background(), sw)
+	results, err := sweep.Collect(context.Background(), sw, 0)
 	if err != nil {
 		t.Fatalf("local collect: %v", err)
 	}
@@ -310,6 +310,10 @@ func TestLeaseExpiry(t *testing.T) {
 	st := s.Stats()
 	if st.ExpiredLeases < 1 {
 		t.Fatalf("no lease expired (stats %+v)", st)
+	}
+	// The expired lease was requeued with budget left: that is a retry.
+	if st.Retried < 1 {
+		t.Fatalf("an expired lease was requeued but not counted as retried (stats %+v)", st)
 	}
 	var found bool
 	for _, rec := range recs {

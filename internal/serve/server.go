@@ -590,17 +590,8 @@ func (s *Server) complete(p *point, replay *sweep.Record) error {
 			return nil
 		}
 		p.lastErr = canon.Err
-		if p.attempts < s.cfg.MaxAttempts {
-			s.stats.Retried++
-			s.logf("serve: %s failed (attempt %d/%d): %s (requeueing)",
-				p.fp, p.attempts, s.cfg.MaxAttempts, canon.Err)
-			s.requeueLocked(p)
-			return nil
-		}
-		s.stats.Quarantined++
-		canon.Err = fmt.Sprintf("quarantined after %d attempts: %s", p.attempts, canon.Err)
-		s.logf("serve: %s %s", p.fp, canon.Err)
-		s.markDoneLocked(p, canon)
+		s.logf("serve: %s failed: %s", p.fp, canon.Err)
+		s.retryLocked(p, canon.Err)
 		return nil
 	}
 	if err := s.store.Put(canon); err != nil {
@@ -611,6 +602,23 @@ func (s *Server) complete(p *point, replay *sweep.Record) error {
 	defer s.mu.Unlock()
 	s.markDoneLocked(p, canon)
 	return nil
+}
+
+// retryLocked spends the retry budget on a failed or expired execution of
+// p: it requeues p while attempts remain and otherwise completes it as a
+// permanent-failure record quoting reason.
+func (s *Server) retryLocked(p *point, reason string) {
+	if p.attempts < s.cfg.MaxAttempts {
+		s.stats.Retried++
+		s.logf("serve: %s requeued (attempt %d/%d)", p.fp, p.attempts, s.cfg.MaxAttempts)
+		s.requeueLocked(p)
+		return
+	}
+	s.stats.Quarantined++
+	canon := &sweep.Record{Fingerprint: p.fp,
+		Err: fmt.Sprintf("quarantined after %d attempts: %s", p.attempts, reason)}
+	s.logf("serve: %s %s", p.fp, canon.Err)
+	s.markDoneLocked(p, canon)
 }
 
 // popLocked removes the next queued point; requeue tombstones (entries
@@ -786,21 +794,12 @@ func (s *Server) runJanitor(ctx context.Context) {
 					continue
 				}
 				s.stats.ExpiredLeases++
-				if p.attempts >= s.cfg.MaxAttempts {
-					s.stats.Quarantined++
-					reason := "worker never reported back"
-					if p.lastErr != "" {
-						reason = p.lastErr
-					}
-					canon := &sweep.Record{Fingerprint: p.fp,
-						Err: fmt.Sprintf("quarantined after %d attempts: %s", p.attempts, reason)}
-					s.logf("serve: lease %s on %s expired; %s", id, p.fp, canon.Err)
-					s.markDoneLocked(p, canon)
-				} else {
-					s.logf("serve: lease %s on %s expired (attempt %d/%d); requeueing",
-						id, p.fp, p.attempts, s.cfg.MaxAttempts)
-					s.requeueLocked(p)
+				s.logf("serve: lease %s on %s expired", id, p.fp)
+				reason := "worker never reported back"
+				if p.lastErr != "" {
+					reason = p.lastErr
 				}
+				s.retryLocked(p, reason)
 			}
 			s.mu.Unlock()
 		}

@@ -16,7 +16,7 @@ const fuzzMaxPoints = 64
 // Validate, and its fingerprint is the scenario's.
 func FuzzSweepSpec(f *testing.F) {
 	var grid bytes.Buffer
-	if err := WriteSpec(&grid, gridSpec()); err != nil {
+	if err := writeSpec(&grid, gridSpec()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(grid.Bytes())

@@ -45,112 +45,47 @@ func (r *Result) Record(sweepName string) *Record {
 	return rec
 }
 
-// Option configures a sweep run.
-type Option func(*runConfig)
-
-type runConfig struct {
-	workers  int
-	sinks    []Sink
-	store    string
-	resume   string
-	observer func(runner.Event)
-}
-
-// WithWorkers sets the worker-pool size; n < 1 selects GOMAXPROCS.
-func WithWorkers(n int) Option {
-	return func(c *runConfig) { c.workers = n }
-}
-
-// WithSink attaches a result sink (JSONL, CSV, or custom); every streamed
-// result — including cached ones — is written to each sink in completion
-// order. May be given multiple times.
-func WithSink(s Sink) Option {
-	return func(c *runConfig) { c.sinks = append(c.sinks, s) }
-}
-
-// WithStore overrides the sweep's result-store directory.
-func WithStore(dir string) Option {
-	return func(c *runConfig) { c.store = dir }
-}
-
-// WithResume overrides the sweep's resume mode ("auto", "on", or "off").
-func WithResume(mode string) Option {
-	return func(c *runConfig) { c.resume = mode }
-}
-
-// WithObserver installs the batch runner's progress callback for the
-// replayed (non-cached) points.
-func WithObserver(f func(runner.Event)) Option {
-	return func(c *runConfig) { c.observer = f }
-}
-
-// Run expands the sweep and executes it on a worker pool, yielding results
-// as they complete: stored results first (in grid order, when resuming),
-// then live replays in completion order. Per-point failures ride in
-// Result.Err and do not stop the sweep; a non-nil error from the iterator
-// (spec, store, or sink failure) is fatal and ends the iteration. Breaking
-// out of the loop cancels the remaining points and reclaims the pool.
+// Run expands the sweep and executes it on a pool of workers (workers < 1
+// selects GOMAXPROCS), yielding results as they complete: stored results
+// first (in grid order, when resuming), then live replays in completion
+// order. Per-point failures ride in Result.Err and do not stop the sweep;
+// a non-nil error from the iterator (spec or store failure) is fatal and
+// ends the iteration. Breaking out of the loop cancels the remaining
+// points and reclaims the pool.
 //
-// With a result store configured (Sweep.Store or WithStore), every
-// successful replay is persisted under its scenario fingerprint, and —
-// unless resume is "off" — points whose fingerprint is already stored are
-// served from disk instead of replayed, so re-running an edited or
-// interrupted sweep only replays what is missing.
-func Run(ctx context.Context, sw *Sweep, opts ...Option) iter.Seq2[Result, error] {
-	cfg := runConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// With a result store configured (Sweep.Store), every successful replay is
+// persisted under its scenario fingerprint, and — unless Sweep.Resume is
+// "off" — points whose fingerprint is already stored are served from disk
+// instead of replayed, so re-running an edited or interrupted sweep only
+// replays what is missing.
+func Run(ctx context.Context, sw *Sweep, workers int) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
+		// Expand validates the resume mode.
 		points, err := sw.Expand()
 		if err != nil {
 			yield(Result{}, err)
 			return
 		}
-
-		resume := strings.ToLower(cfg.resume)
-		if resume == "" {
-			resume = strings.ToLower(sw.Resume)
-		}
-		if resume == "" {
-			resume = "auto"
-		}
-		switch resume {
-		case "auto", "on", "off":
-		default:
-			yield(Result{}, fmt.Errorf("sweep %s: unknown resume mode %q (want auto, on, or off)", sw.label(), resume))
-			return
-		}
-		storeDir := cfg.store
-		if storeDir == "" {
-			storeDir = sw.Store
-		}
-		if resume == "on" && storeDir == "" {
-			yield(Result{}, fmt.Errorf("sweep %s: resume \"on\" requires a result store (Sweep.Store or WithStore)", sw.label()))
+		resume := strings.ToLower(sw.Resume)
+		if resume == "on" && sw.Store == "" {
+			yield(Result{}, fmt.Errorf("sweep %s: resume \"on\" requires a result store (Sweep.Store)", sw.label()))
 			return
 		}
 		var store *Store
-		if storeDir != "" {
-			store, err = OpenStore(storeDir)
+		if sw.Store != "" {
+			store, err = OpenStore(sw.Store)
 			if err != nil {
 				yield(Result{}, err)
 				return
 			}
 		}
 
-		// emit persists, tees to sinks, and hands the result to the
-		// consumer. Store and sink failures are fatal: dropping results
-		// silently would corrupt the resume set.
+		// emit persists and hands the result to the consumer. Store
+		// failures are fatal: dropping results silently would corrupt the
+		// resume set.
 		emit := func(r Result) bool {
-			rec := r.Record(sw.Name)
 			if store != nil && !r.Cached && r.Err == nil {
-				if err := store.Put(rec); err != nil {
-					yield(r, err)
-					return false
-				}
-			}
-			for _, s := range cfg.sinks {
-				if err := s.Write(rec); err != nil {
+				if err := store.Put(r.Record(sw.Name)); err != nil {
 					yield(r, err)
 					return false
 				}
@@ -196,11 +131,7 @@ func Run(ctx context.Context, sw *Sweep, opts ...Option) iter.Seq2[Result, error
 		for i, pt := range pending {
 			scenarios[i] = pt.Scenario
 		}
-		ropts := []runner.Option{runner.WithWorkers(cfg.workers)}
-		if cfg.observer != nil {
-			ropts = append(ropts, runner.WithObserver(cfg.observer))
-		}
-		for rr := range runner.Stream(ctx, scenarios, ropts...) {
+		for rr := range runner.Stream(ctx, scenarios, workers) {
 			if !emit(Result{Point: pending[rr.Index], Replay: rr.Replay, Err: rr.Err}) {
 				return
 			}
@@ -209,11 +140,11 @@ func Run(ctx context.Context, sw *Sweep, opts ...Option) iter.Seq2[Result, error
 }
 
 // Collect drains Run into a slice ordered by grid index. The error is the
-// first fatal (spec/store/sink) failure, or ctx's error when the sweep was
+// first fatal (spec or store) failure, or ctx's error when the sweep was
 // cancelled; per-point failures stay in their Result.
-func Collect(ctx context.Context, sw *Sweep, opts ...Option) ([]Result, error) {
+func Collect(ctx context.Context, sw *Sweep, workers int) ([]Result, error) {
 	var out []Result
-	for r, err := range Run(ctx, sw, opts...) {
+	for r, err := range Run(ctx, sw, workers) {
 		if err != nil {
 			return out, err
 		}

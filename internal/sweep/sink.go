@@ -8,9 +8,10 @@ import (
 	"strconv"
 )
 
-// Sink consumes sweep results as they complete. Sinks are driven from the
-// consuming goroutine (never concurrently); a sink error aborts the sweep
-// — silently dropping results would defeat the point of streaming them.
+// Sink consumes sweep records. Run writes to no sink: the caller writes
+// r.Record(sw.Name) for each result Run yields, in the order they come,
+// and treats a sink error as fatal — silently dropping results would
+// defeat the point of streaming them.
 type Sink interface {
 	Write(*Record) error
 }
@@ -33,8 +34,8 @@ func (s *JSONLSink) Write(rec *Record) error {
 
 // CSVSink writes results as CSV rows: the fixed result columns plus one
 // column per named axis (filled with the point's value labels). Rows come
-// in the order the sweep delivers results, which is completion order (see
-// Run), not grid order; the index column gives each row's grid point. Rows
+// in the order they are written, which for Run's results is completion
+// order, not grid order; the index column gives each row's grid point. Rows
 // are flushed as they are written, so a killed sweep leaves every completed
 // row on disk.
 type CSVSink struct {

@@ -107,7 +107,7 @@ type Sweep struct {
 	// Empty selects the base name and the axis labels joined with "/".
 	NameFormat string `json:"name_format,omitempty"`
 	// Store is the result-store directory results persist to (and resume
-	// from); empty means no persistence unless the caller overrides it.
+	// from); empty means no persistence.
 	Store string `json:"store,omitempty"`
 	// Resume controls the result store, mirroring Scenario.TraceCache:
 	// "auto" (the default) reuses completed results when a store is
@@ -416,11 +416,4 @@ func Load(path string) (*Sweep, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// WriteSpec encodes the sweep as indented JSON.
-func WriteSpec(w io.Writer, s *Sweep) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

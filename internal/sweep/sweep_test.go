@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +21,57 @@ import (
 	"tireplay/internal/scenario"
 	"tireplay/internal/trace"
 )
+
+// writeSpec encodes the sweep as indented JSON.
+func writeSpec(w io.Writer, s *Sweep) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s)
+}
+
+// reference replays the points' scenarios straight through the runner and
+// returns the results in grid order.
+func reference(pts []Point) []runner.Result {
+	ref := make([]*scenario.Scenario, len(pts))
+	for i, pt := range pts {
+		ref[i] = pt.Scenario
+	}
+	want := make([]runner.Result, len(ref))
+	for r := range runner.Stream(context.Background(), ref, 4) {
+		want[r.Index] = r
+	}
+	return want
+}
+
+// collectTo drains Run into a grid-ordered slice, writing each result's
+// record to sink as it arrives, as cmd/tireplay does.
+func collectTo(t *testing.T, sw *Sweep, workers int, sink Sink) []Result {
+	t.Helper()
+	var out []Result
+	for r, err := range Run(context.Background(), sw, workers) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Write(r.Record(sw.Name)); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Point.Index < out[j].Point.Index })
+	return out
+}
+
+// replayed counts the results that were replayed, not served from the
+// store.
+func replayed(results []Result) int {
+	n := 0
+	for _, r := range results {
+		if !r.Cached {
+			n++
+		}
+	}
+	return n
+}
 
 // gridSpec is the acceptance-criteria sweep: {lu, cg} x {2,4,8,16} procs x
 // {smpi, msg} x {1,2,3,4} iterations = 64 points.
@@ -93,7 +147,7 @@ func TestExpandDeterministic(t *testing.T) {
 	}
 	// And once more after a JSON round trip of the spec itself.
 	var buf bytes.Buffer
-	if err := WriteSpec(&buf, sw); err != nil {
+	if err := writeSpec(&buf, sw); err != nil {
 		t.Fatal(err)
 	}
 	rt, err := ReadSpec(&buf)
@@ -246,20 +300,10 @@ func TestRunStreamsToJSONLSinkBitIdentical(t *testing.T) {
 	}
 
 	// Fresh reference batch straight through the runner.
-	ref := make([]*scenario.Scenario, len(pts))
-	for i, pt := range pts {
-		ref[i] = pt.Scenario
-	}
-	want, err := runner.Run(context.Background(), ref, runner.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(pts)
 
 	var jsonl bytes.Buffer
-	results, err := Collect(context.Background(), sw, WithWorkers(4), WithSink(NewJSONLSink(&jsonl)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := collectTo(t, sw, 4, NewJSONLSink(&jsonl))
 	if len(results) != len(pts) {
 		t.Fatalf("sweep yielded %d results, want %d", len(results), len(pts))
 	}
@@ -316,19 +360,12 @@ func TestResumeReplaysOnlyUnfinishedPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := make([]*scenario.Scenario, len(pts))
-	for i, pt := range pts {
-		ref[i] = pt.Scenario
-	}
-	want, err := runner.Run(context.Background(), ref, runner.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(pts)
 
 	// First run, killed after 20 results: the store keeps what completed.
 	const killAfter = 20
 	got := 0
-	for r, err := range Run(context.Background(), sw, WithWorkers(4)) {
+	for r, err := range Run(context.Background(), sw, 4) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,17 +394,11 @@ func TestResumeReplaysOnlyUnfinishedPoints(t *testing.T) {
 
 	// Second run: exactly the missing points execute, and the full result
 	// set is bit-identical to the fresh batch.
-	executed := 0
-	results, err := Collect(context.Background(), sw, WithWorkers(4),
-		WithObserver(func(ev runner.Event) {
-			if ev.Kind == runner.Started {
-				executed++
-			}
-		}))
+	results, err := Collect(context.Background(), sw, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if executed != len(pts)-stored {
+	if executed := replayed(results); executed != len(pts)-stored {
 		t.Fatalf("resume executed %d points, want exactly the %d unfinished", executed, len(pts)-stored)
 	}
 	if len(results) != len(pts) {
@@ -393,17 +424,11 @@ func TestResumeReplaysOnlyUnfinishedPoints(t *testing.T) {
 	}
 
 	// Third run: everything cached, nothing executes.
-	executed = 0
-	results, err = Collect(context.Background(), sw, WithWorkers(4),
-		WithObserver(func(ev runner.Event) {
-			if ev.Kind == runner.Started {
-				executed++
-			}
-		}))
+	results, err = Collect(context.Background(), sw, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if executed != 0 {
+	if executed := replayed(results); executed != 0 {
 		t.Fatalf("fully-stored sweep executed %d points", executed)
 	}
 	if len(results) != len(pts) {
@@ -411,16 +436,12 @@ func TestResumeReplaysOnlyUnfinishedPoints(t *testing.T) {
 	}
 
 	// Resume "off" ignores the store and re-runs everything.
-	executed = 0
-	if _, err := Collect(context.Background(), sw, WithWorkers(4), WithResume("off"),
-		WithObserver(func(ev runner.Event) {
-			if ev.Kind == runner.Started {
-				executed++
-			}
-		})); err != nil {
+	sw.Resume = "off"
+	results, err = Collect(context.Background(), sw, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if executed != len(pts) {
+	if executed := replayed(results); executed != len(pts) {
 		t.Fatalf("resume off executed %d points, want %d", executed, len(pts))
 	}
 }
@@ -433,7 +454,7 @@ func TestResumeOnRequiresStore(t *testing.T) {
 		},
 		Resume: "on",
 	}
-	_, err := Collect(context.Background(), sw)
+	_, err := Collect(context.Background(), sw, 0)
 	if err == nil || !strings.Contains(err.Error(), "store") {
 		t.Fatalf("resume on without store: err = %v", err)
 	}
@@ -455,7 +476,7 @@ func TestEditedSweepKeepsSharedPoints(t *testing.T) {
 	}, []string{"2"})
 	store := filepath.Join(t.TempDir(), "store")
 	small.Store = store
-	if _, err := Collect(context.Background(), small); err != nil {
+	if _, err := Collect(context.Background(), small, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -466,17 +487,11 @@ func TestEditedSweepKeepsSharedPoints(t *testing.T) {
 		map[string]any{"workload.procs": 4, "platform.hosts": 4},
 	}, []string{"2", "4"})
 	grown.Store = store
-	executed := 0
-	results, err := Collect(context.Background(), grown,
-		WithObserver(func(ev runner.Event) {
-			if ev.Kind == runner.Started {
-				executed++
-			}
-		}))
+	results, err := Collect(context.Background(), grown, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if executed != 1 {
+	if executed := replayed(results); executed != 1 {
 		t.Fatalf("edited sweep executed %d points, want 1", executed)
 	}
 	if len(results) != 2 || !results[0].Cached || results[1].Cached {
@@ -494,10 +509,7 @@ func TestJSONLRoundTripsThroughStore(t *testing.T) {
 		Axes: []Axis{{Name: "backend", Values: []any{"smpi", "msg"}}},
 	}
 	var jsonl bytes.Buffer
-	results, err := Collect(context.Background(), sw, WithSink(NewJSONLSink(&jsonl)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := collectTo(t, sw, 0, NewJSONLSink(&jsonl))
 	recs, err := ReadRecords(bytes.NewReader(jsonl.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +542,7 @@ func TestJSONLRoundTripsThroughStore(t *testing.T) {
 	}
 	// And a sweep resumed from that store serves the same replays.
 	sw.Store = store.Dir()
-	resumed, err := Collect(context.Background(), sw)
+	resumed, err := Collect(context.Background(), sw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +598,7 @@ func TestSweepSharesCompiledTraceCache(t *testing.T) {
 		},
 		Axes: []Axis{{Name: "backend", Values: []any{"smpi", "msg"}}},
 	}
-	results, err := Collect(context.Background(), sw, WithWorkers(2))
+	results, err := Collect(context.Background(), sw, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +615,7 @@ func TestSweepSharesCompiledTraceCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Collect(context.Background(), sw, WithWorkers(2)); err != nil {
+	if _, err := Collect(context.Background(), sw, 2); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := os.Stat(desc + ".tib")
@@ -628,9 +640,7 @@ func TestCSVSink(t *testing.T) {
 		Axes: []Axis{{Name: "backend", Values: backends}},
 	}
 	var csvBuf bytes.Buffer
-	if _, err := Collect(context.Background(), sw, WithSink(NewCSVSink(&csvBuf, "backend"))); err != nil {
-		t.Fatal(err)
-	}
+	collectTo(t, sw, 0, NewCSVSink(&csvBuf, "backend"))
 	rows, err := csv.NewReader(&csvBuf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -672,7 +682,7 @@ func TestPerPointFailureDoesNotAbortSweep(t *testing.T) {
 		// procs 999 exceeds the platform: that point fails, the rest run.
 		Axes: []Axis{{Name: "procs", Path: "workload.procs", Values: []any{2, 999, 4}}},
 	}
-	results, err := Collect(context.Background(), sw)
+	results, err := Collect(context.Background(), sw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +702,7 @@ func TestCancellationSkipsRemainingPoints(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n, skipped := 0, 0
-	for r, err := range Run(ctx, sw, WithWorkers(1)) {
+	for r, err := range Run(ctx, sw, 1) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -729,7 +739,7 @@ func TestSpecFileLoad(t *testing.T) {
 	if len(pts) != 4 {
 		t.Fatalf("file sweep expands to %d points, want 4", len(pts))
 	}
-	results, err := Collect(context.Background(), sw)
+	results, err := Collect(context.Background(), sw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,11 +93,10 @@ func TestFacadeBatchSweep(t *testing.T) {
 		})
 	}
 
-	results, err := tireplay.RunScenarios(context.Background(), scenarios, tireplay.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
+	got := 0
+	for r := range tireplay.RunScenarios(context.Background(), scenarios, 4) {
+		got++
+		i := r.Index
 		if r.Err != nil {
 			t.Fatalf("%s: %v", scenarios[i].Name, r.Err)
 		}
@@ -124,10 +123,13 @@ func TestFacadeBatchSweep(t *testing.T) {
 				scenarios[i].Name, r.Replay.SimulatedTime, ref.SimulatedTime)
 		}
 	}
+	if got != len(scenarios) {
+		t.Fatalf("batch yielded %d results, want %d", got, len(scenarios))
+	}
 }
 
 // TestFacadeSweep drives the exported sweep surface end to end: declare a
-// grid, stream it with a JSONL sink and a store, then resume it.
+// grid, stream it into a JSONL sink and a store, then resume it.
 func TestFacadeSweep(t *testing.T) {
 	dir := t.TempDir()
 	sw := &tireplay.Sweep{
@@ -151,14 +153,17 @@ func TestFacadeSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := tireplay.NewJSONLSink(jsonl)
 	var streamed []tireplay.SweepResult
-	for r, err := range tireplay.RunSweep(context.Background(), sw,
-		tireplay.WithSweepWorkers(2), tireplay.WithSink(tireplay.NewJSONLSink(jsonl))) {
+	for r, err := range tireplay.RunSweep(context.Background(), sw, 2) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Point.Scenario.Name, r.Err)
+		}
+		if err := sink.Write(r.Record(sw.Name)); err != nil {
+			t.Fatal(err)
 		}
 		streamed = append(streamed, r)
 	}
@@ -181,7 +186,7 @@ func TestFacadeSweep(t *testing.T) {
 	}
 
 	// A resumed run serves everything from the store, bit-identical.
-	results, err := tireplay.CollectSweep(context.Background(), sw)
+	results, err := tireplay.CollectSweep(context.Background(), sw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,12 @@
 //     instrumentation model used to study acquisition overheads;
 //   - the two calibration procedures (classic A-4 and cache-aware);
 //   - a declarative, JSON-serializable Scenario description (platform,
-//     trace source, backend, model knobs) and a concurrent batch runner;
+//     trace source, backend, model knobs) and a concurrent batch runner
+//     that yields results as they complete;
 //   - a first-class Sweep subsystem: parameter grids declared as a base
-//     scenario plus axes, expanded deterministically, streamed through a
-//     worker pool into pluggable sinks (JSONL, CSV), and persisted in a
+//     scenario plus axes, expanded deterministically, run on a worker pool
+//     that yields results as they complete (the caller may write each
+//     result's record to a JSONL or CSV sink), and persisted in a
 //     fingerprint-keyed result store so interrupted or edited sweeps
 //     resume instead of re-running;
 //   - the sweep service (Serve, SubmitSweep, StreamResults, Work): sweeps
@@ -73,9 +75,9 @@
 //		}, Labels: []string{"8", "16", "32", "64"}}},
 //		Store: "results.store", // resume from here on the next run
 //	}
-//	for r, err := range tireplay.RunSweep(ctx, sw, tireplay.WithSweepWorkers(4)) {
+//	for r, err := range tireplay.RunSweep(ctx, sw, 4) { // 4 workers
 //		if err != nil {
-//			log.Fatal(err) // spec/store/sink failure
+//			log.Fatal(err) // spec or store failure
 //		}
 //		if r.Err != nil {
 //			fmt.Printf("%s: %v\n", r.Point.Scenario.Name, r.Err)
@@ -201,32 +203,19 @@ type (
 	AcquisitionSpec = scenario.AcquisitionSpec
 	// ScenarioResult is the outcome of one scenario of a batch.
 	ScenarioResult = runner.Result
-	// RunnerEvent is a batch progress notification.
-	RunnerEvent = runner.Event
-	// RunnerOption configures RunScenarios.
-	RunnerOption = runner.Option
 )
 
-// Runner event kinds.
-const (
-	ScenarioStarted  = runner.Started
-	ScenarioFinished = runner.Finished
-)
-
-// RunScenarios executes a batch of scenarios on a worker pool and returns
-// one result per scenario, in input order. Per-scenario results are
-// bit-identical to sequential execution regardless of the worker count; a
-// failing scenario is reported in its result and does not abort the batch.
-// The returned error is non-nil only when ctx is cancelled.
-func RunScenarios(ctx context.Context, scenarios []*Scenario, opts ...RunnerOption) ([]ScenarioResult, error) {
-	return runner.Run(ctx, scenarios, opts...)
+// RunScenarios executes a batch of scenarios on a pool of workers
+// (workers < 1 selects GOMAXPROCS) and yields one result per scenario in
+// completion order; each result's Index is its scenario's position in the
+// batch. Per-scenario results are bit-identical to sequential execution
+// regardless of the worker count; a failing scenario is reported in its
+// result and does not abort the batch. When ctx is cancelled, every
+// scenario not yet started is still yielded, with ctx's error. Breaking
+// out of the loop stops the pool.
+func RunScenarios(ctx context.Context, scenarios []*Scenario, workers int) iter.Seq[ScenarioResult] {
+	return runner.Stream(ctx, scenarios, workers)
 }
-
-// WithWorkers sets the batch worker-pool size; n < 1 selects GOMAXPROCS.
-func WithWorkers(n int) RunnerOption { return runner.WithWorkers(n) }
-
-// WithObserver installs a serialized per-scenario progress callback.
-func WithObserver(f func(RunnerEvent)) RunnerOption { return runner.WithObserver(f) }
 
 // LoadScenarios reads a JSON array of scenarios from a file.
 func LoadScenarios(path string) ([]*Scenario, error) { return scenario.Load(path) }
@@ -249,47 +238,31 @@ type (
 	SweepRecord = sweep.Record
 	// SweepStore is the persistent fingerprint-keyed result store.
 	SweepStore = sweep.Store
-	// SweepSink consumes streamed sweep results (JSONL, CSV, or custom).
+	// SweepSink consumes sweep records (JSONL, CSV, or custom); the caller
+	// writes each result's Record to it.
 	SweepSink = sweep.Sink
-	// SweepOption configures RunSweep.
-	SweepOption = sweep.Option
 )
 
-// RunSweep expands the sweep and executes it on a worker pool, yielding
-// results as they complete: stored results first (when resuming), then
-// live replays in completion order. Per-point failures ride in
-// SweepResult.Err; a non-nil iterator error (spec, store, or sink failure)
-// is fatal and ends the iteration. With a result store configured, every
-// successful replay persists under its scenario fingerprint and re-running
-// the sweep replays only the missing points.
-func RunSweep(ctx context.Context, sw *Sweep, opts ...SweepOption) iter.Seq2[SweepResult, error] {
-	return sweep.Run(ctx, sw, opts...)
+// RunSweep expands the sweep and executes it on a pool of workers
+// (workers < 1 selects GOMAXPROCS), yielding results as they complete:
+// stored results first (when resuming), then live replays in completion
+// order. Per-point failures ride in SweepResult.Err; a non-nil iterator
+// error (spec or store failure) is fatal and ends the iteration. With a
+// result store configured (Sweep.Store), every successful replay persists
+// under its scenario fingerprint and re-running the sweep replays only the
+// missing points, unless Sweep.Resume is "off".
+func RunSweep(ctx context.Context, sw *Sweep, workers int) iter.Seq2[SweepResult, error] {
+	return sweep.Run(ctx, sw, workers)
 }
 
 // CollectSweep drains RunSweep into a slice ordered by grid index.
-func CollectSweep(ctx context.Context, sw *Sweep, opts ...SweepOption) ([]SweepResult, error) {
-	return sweep.Collect(ctx, sw, opts...)
+func CollectSweep(ctx context.Context, sw *Sweep, workers int) ([]SweepResult, error) {
+	return sweep.Collect(ctx, sw, workers)
 }
 
 // LoadSweep strictly decodes a JSON sweep spec from a file: unknown fields
 // anywhere in the spec fail with an error naming the offending field.
 func LoadSweep(path string) (*Sweep, error) { return sweep.Load(path) }
-
-// WithSweepWorkers sets the sweep worker-pool size; n < 1 selects
-// GOMAXPROCS.
-func WithSweepWorkers(n int) SweepOption { return sweep.WithWorkers(n) }
-
-// WithSink attaches a result sink; every streamed result is written to
-// each attached sink in completion order.
-func WithSink(s SweepSink) SweepOption { return sweep.WithSink(s) }
-
-// WithStore overrides the sweep's result-store directory.
-func WithStore(dir string) SweepOption { return sweep.WithStore(dir) }
-
-// WithResume overrides the sweep's resume mode: "auto" (default — reuse
-// stored results when a store is configured), "on" (require a store), or
-// "off" (re-run everything, overwriting stored results).
-func WithResume(mode string) SweepOption { return sweep.WithResume(mode) }
 
 // NewJSONLSink writes one JSON SweepRecord per line to w; the lines read
 // back with ReadSweepRecords and round-trip through the result store.

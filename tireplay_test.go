@@ -140,7 +140,7 @@ func TestFacadeSweepService(t *testing.T) {
 		},
 		Axes: []tireplay.SweepAxis{{Name: "iters", Path: "workload.iterations", Values: []any{1, 2}}},
 	}
-	local, err := tireplay.CollectSweep(ctx, sw)
+	local, err := tireplay.CollectSweep(ctx, sw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
